@@ -1,5 +1,5 @@
 // Microbenchmark: gauge storage tiers (DESIGN.md §16) -- full18 vs
-// recon12 vs recon8 vs fixed12.
+// recon12.
 //
 // Two studies, both on hot (random SU(3)) links:
 //
@@ -7,8 +7,8 @@
 //    streamed link by link (load + trace accumulate) per format.  This is
 //    the bandwidth-bound regime the paper's compression argument lives
 //    in: fewer stored bytes -> fewer streamed bytes -> more sites per
-//    second.  The gate (scripts/bench_compress.sh) requires recon12 to
-//    beat full18 per-site throughput by >= 1.1x.
+//    second.  The gate (kRecon12Gate, checked by scripts/bench_compress.sh)
+//    requires recon12 to beat full18 per-site throughput by >= 1.2x.
 //
 //  * dslash -- INFO-ONLY: the end-to-end float dslash per format on a
 //    cache-unfriendly volume.  On wide-SIMD, bandwidth-starved machines
@@ -113,16 +113,12 @@ std::vector<FormatRow> stream_study(
   femto::hot_gauge(ud, 7);
   const auto u = ud.convert<float>();
   const femto::CompressedGaugeField<float> r12(u);
-  const femto::Recon8GaugeField<float> r8(u);
-  const femto::Fixed12GaugeField<float> x12(u);
 
   std::vector<FormatRow> rows;
   rows.push_back(stream_row("full18", u, 0.0));
   const double base = rows[0].seconds;
   rows[0].speedup = 1.0;
   rows.push_back(stream_row("recon12", r12, base));
-  rows.push_back(stream_row("recon8", r8, base));
-  rows.push_back(stream_row("fixed12", x12, base));
   return rows;
 }
 
@@ -136,8 +132,6 @@ std::vector<FormatRow> dslash_study(
   femto::hot_gauge(ud, 11);
   const auto u = ud.convert<float>();
   const femto::CompressedGaugeField<float> r12(u);
-  const femto::Recon8GaugeField<float> r8(u);
-  const femto::Fixed12GaugeField<float> x12(u);
 
   femto::SpinorField<float> in(geom, l5, femto::Subset::Odd),
       out(geom, l5, femto::Subset::Even);
@@ -175,20 +169,6 @@ std::vector<FormatRow> dslash_study(
       "recon12",
       [&] {
         femto::dslash<float>(femto::view(out), r12, femto::cview(in), 0,
-                             false, tune);
-      },
-      base));
-  rows.push_back(row_for(
-      "recon8",
-      [&] {
-        femto::dslash<float>(femto::view(out), r8, femto::cview(in), 0,
-                             false, tune);
-      },
-      base));
-  rows.push_back(row_for(
-      "fixed12",
-      [&] {
-        femto::dslash<float>(femto::view(out), x12, femto::cview(in), 0,
                              false, tune);
       },
       base));
@@ -246,8 +226,8 @@ int main() {
               femto::simd::kIsaName, femto::simd::kWidth<float>);
 
   // DRAM-resident stream: 16x16x16x32 = 131k sites -> 37.7 MB of full18
-  // float links (25.2 / 16.8 / 14.7 MB for recon12 / recon8 / fixed12),
-  // well past any LLC on the target machines.
+  // float links (25.2 MB for recon12), well past any LLC on the target
+  // machines.
   auto geom_stream = std::make_shared<femto::Geometry>(16, 16, 16, 32);
   std::printf("stream volume 16x16x16x32 (%.1f MB full18 float links)\n\n",
               static_cast<double>(4 * geom_stream->volume() * 18 *
@@ -265,11 +245,15 @@ int main() {
 
   // The gate auto-passes on scalar builds: with no SIMD the reference
   // study is not bandwidth-bound and the compression claim is vacuous.
+  // The threshold sits below the noise: 20 runs at FEMTO_THREADS=1 on a
+  // 4-core sse2 box read x1.38-x2.10 (median x1.60, interquartile spread
+  // x0.15), and the gate is min - IQR rounded down.
+  constexpr double kRecon12Gate = 1.2;
   const double r12_speedup = speedup_of(stream, "recon12");
   const int gate_ok =
-      femto::simd::kWidth<float> <= 1 || r12_speedup >= 1.1 ? 1 : 0;
-  std::printf("\nrecon12 stream speedup x%.3f -> gate %s\n", r12_speedup,
-              gate_ok ? "OK" : "FAIL");
+      femto::simd::kWidth<float> <= 1 || r12_speedup >= kRecon12Gate ? 1 : 0;
+  std::printf("\nrecon12 stream speedup x%.3f (gate x%.2f) -> %s\n",
+              r12_speedup, kRecon12Gate, gate_ok ? "OK" : "FAIL");
 
   write_json(stream, dslash, gate_ok);
   std::printf("wrote BENCH_compress.json\n");

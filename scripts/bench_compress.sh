@@ -2,18 +2,21 @@
 # Benchmark the gauge storage tiers and emit BENCH_compress.json.
 #
 # Runs bench/micro_compress: a DRAM-resident float link stream per format
-# (full18 / recon12 / recon8 / fixed12) plus the info-only end-to-end
-# float dslash per format (min-of-reps wall clock, the autotuner's
-# convention).  The JSON lands in the repo root so successive PRs can
-# track the trajectory.
+# (full18 / recon12) plus the info-only end-to-end float dslash per format
+# (min-of-reps wall clock, the autotuner's convention).  The JSON lands in
+# the repo root so successive PRs can track the trajectory.
 #
-# The gate is the PR's compression claim on the bandwidth-bound study:
-# recon12 must beat full18 per-site throughput by >= 1.1x.  A
-# FEMTO_SIMD=OFF build reports width 1 and the gate is skipped -- a
-# scalar build's reference stream is not bandwidth-bound, so the ratio
-# says nothing about storage tiers.  The dslash rows are never gated:
-# whether reconstruction arithmetic pays for itself end to end is
-# machine-dependent, which is why the format is an autotuned axis.
+# The gate is the compression claim on the bandwidth-bound study: recon12
+# must beat full18 per-site throughput by the margin micro_compress
+# records as recon12_gate_ok (>= 1.2x; the threshold and the noise it was
+# set against live next to kRecon12Gate in bench/micro_compress.cpp).  The
+# stream loop is single-threaded, so FEMTO_THREADS is pinned to 1: idle
+# pool workers only add spread.  A FEMTO_SIMD=OFF build reports width 1
+# and the gate is skipped -- a scalar build's reference stream is not
+# bandwidth-bound, so the ratio says nothing about storage tiers.  The
+# dslash rows are never gated: whether reconstruction arithmetic pays for
+# itself end to end is machine-dependent, which is why the format is an
+# autotuned axis.
 #
 # Usage: scripts/bench_compress.sh
 
@@ -29,7 +32,7 @@ if [[ ! -x "$MICRO_COMPRESS" ]]; then
 fi
 
 # micro_compress writes BENCH_compress.json into the current directory.
-"$MICRO_COMPRESS"
+FEMTO_THREADS=1 "$MICRO_COMPRESS"
 
 python3 - <<'EOF'
 import json
@@ -47,8 +50,8 @@ line = ", ".join(
     for name, row in stream.items())
 print(f"bench_compress: stream {line}")
 
-r12 = stream["recon12"]["speedup"]
-if r12 < 1.1:
+if not bench["recon12_gate_ok"]:
     raise SystemExit(
-        f"bench_compress: recon12 stream speedup x{r12:.2f} < 1.1")
+        f"bench_compress: recon12 stream speedup "
+        f"x{stream['recon12']['speedup']:.2f} below the gate")
 EOF

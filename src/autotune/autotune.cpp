@@ -63,6 +63,7 @@ const TuneEntry& Autotuner::tune(Tunable& t) {
   TuneEntry entry = search(t);
   entry.search_seconds = sw.seconds();
   obs::counter("autotune.cache_misses").add();
+  obs::counter("autotune.rejected").add(entry.rejected);
   obs::histogram("autotune.search_us")
       .observe(static_cast<std::int64_t>(entry.search_seconds * 1e6));
   FEMTO_LOG_DEBUG("autotune",
@@ -83,9 +84,22 @@ TuneEntry Autotuner::search(Tunable& t) const {
   TuneEntry best;
   best.seconds = std::numeric_limits<double>::infinity();
   const auto cands = t.candidates();
+  if (!cands.empty()) {
+    t.apply(cands.front());
+    t.save_reference();
+  }
   for (const auto& p : cands) {
-    // Warm-up call, then take the min over reps_ timed calls.
+    // Warm-up call, whose output must match the reference; then take the
+    // min over reps_ timed calls.
     t.apply(p);
+    if (!t.matches_reference()) {
+      ++best.rejected;
+      FEMTO_LOG_WARN("autotune", "rejected candidate " << p.to_string()
+                                     << " of '" << t.key()
+                                     << "': output disagrees with "
+                                     << cands.front().to_string());
+      continue;
+    }
     double best_time = std::numeric_limits<double>::infinity();
     for (int r = 0; r < reps_; ++r) {
       const obs::Stopwatch sw;

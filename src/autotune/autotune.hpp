@@ -63,6 +63,15 @@ class Tunable {
   virtual void backup() {}
   virtual void restore() {}
 
+  /// Output verification, once per search: the tuner applies
+  /// candidates()[0] and calls save_reference(); after each candidate's
+  /// warm-up call, matches_reference() decides whether its output agrees
+  /// with that reference (within the kernel's own accuracy contract).  A
+  /// candidate that disagrees is rejected and never timed.  The defaults
+  /// accept everything, for kernels with no checkable output.
+  virtual void save_reference() {}
+  virtual bool matches_reference() const { return true; }
+
   /// Optional metrics per apply() for the cache metadata.
   virtual std::int64_t flops_per_call() const { return 0; }
   virtual std::int64_t bytes_per_call() const { return 0; }
@@ -75,6 +84,7 @@ struct TuneEntry {
   double gflops = 0.0;
   double gbytes = 0.0;     ///< effective bandwidth
   int candidates_tried = 0;
+  int rejected = 0;           ///< candidates whose output failed verification
   int hits = 0;               ///< lookups served from this entry
   double search_seconds = 0.0;  ///< wall time the brute-force search cost
 };

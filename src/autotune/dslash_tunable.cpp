@@ -9,72 +9,41 @@
 namespace femto::tune {
 
 std::vector<GaugeFormat> format_set_members(FormatSet s) {
-  std::vector<GaugeFormat> f = {GaugeFormat::kFull18};
-  if (s == FormatSet::kExact || s == FormatSet::kAll)
-    f.push_back(GaugeFormat::kRecon12);
-  if (s == FormatSet::kAll) {
-    f.push_back(GaugeFormat::kRecon8);
-    f.push_back(GaugeFormat::kFixed12);
-  }
-  return f;
+  if (s == FormatSet::kAll)
+    return {GaugeFormat::kFull18, GaugeFormat::kRecon12};
+  return {GaugeFormat::kFull18};
 }
 
 namespace {
 
-/// Dispatch one dslash on the container matching @p fmt, building the
-/// compressed copy on first use (reused across reps and candidates; the
-/// one-time compression cost is amortised away by the min-of-reps timer).
+/// The recon12 copy for a candidate on that tier, built on first use
+/// (reused across reps and candidates; the one-time compression cost is
+/// amortised away by the min-of-reps timer); null on full18.
 template <typename T>
-void apply_dslash_fmt(GaugeFormat fmt, const GaugeField<T>& u,
-                      std::unique_ptr<CompressedGaugeField<T>>& r12,
-                      std::unique_ptr<Recon8GaugeField<T>>& r8,
-                      std::unique_ptr<Fixed12GaugeField<T>>& x12,
-                      const SpinorView<T>& out, const SpinorView<const T>& in,
-                      int out_parity, const DslashTuning& tune) {
-  switch (fmt) {
-    case GaugeFormat::kRecon12:
-      if (!r12) r12 = std::make_unique<CompressedGaugeField<T>>(u);
-      dslash<T>(out, *r12, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kRecon8:
-      if (!r8) r8 = std::make_unique<Recon8GaugeField<T>>(u);
-      dslash<T>(out, *r8, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kFixed12:
-      if (!x12) x12 = std::make_unique<Fixed12GaugeField<T>>(u);
-      dslash<T>(out, *x12, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kFull18:
-      dslash<T>(out, u, in, out_parity, false, tune);
-      break;
-  }
+const CompressedGaugeField<T>* recon12_for(
+    GaugeFormat fmt, const GaugeField<T>& u,
+    std::unique_ptr<CompressedGaugeField<T>>& r12) {
+  if (fmt != GaugeFormat::kRecon12) return nullptr;
+  if (!r12) r12 = std::make_unique<CompressedGaugeField<T>>(u);
+  return r12.get();
 }
 
+/// True when @p got is within recon12_tolerance<T>() of @p ref in relative
+/// L2 distance, accumulated over every (got, ref) field pair.
 template <typename T>
-void apply_dslash_fmt_multi(GaugeFormat fmt, const GaugeField<T>& u,
-                            std::unique_ptr<CompressedGaugeField<T>>& r12,
-                            std::unique_ptr<Recon8GaugeField<T>>& r8,
-                            std::unique_ptr<Fixed12GaugeField<T>>& x12,
-                            std::span<const SpinorView<T>> out,
-                            std::span<const SpinorView<const T>> in,
-                            int out_parity, const DslashTuning& tune) {
-  switch (fmt) {
-    case GaugeFormat::kRecon12:
-      if (!r12) r12 = std::make_unique<CompressedGaugeField<T>>(u);
-      dslash_multi<T>(out, *r12, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kRecon8:
-      if (!r8) r8 = std::make_unique<Recon8GaugeField<T>>(u);
-      dslash_multi<T>(out, *r8, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kFixed12:
-      if (!x12) x12 = std::make_unique<Fixed12GaugeField<T>>(u);
-      dslash_multi<T>(out, *x12, in, out_parity, false, tune);
-      break;
-    case GaugeFormat::kFull18:
-      dslash_multi<T>(out, u, in, out_parity, false, tune);
-      break;
-  }
+bool within_codec_tolerance(std::span<const SpinorField<T>> got,
+                            std::span<const SpinorField<T>> ref) {
+  double d2 = 0.0, n2 = 0.0;
+  for (std::size_t f = 0; f < ref.size(); ++f)
+    for (std::int64_t k = 0; k < ref[f].reals(); ++k) {
+      const double r = ref[f].data()[k];
+      const double d = static_cast<double>(got[f].data()[k]) - r;
+      d2 += d * d;
+      n2 += r * r;
+    }
+  const double tol = recon12_tolerance<T>();
+  // Negated so a NaN output fails the check.
+  return !(d2 > tol * tol * n2);
 }
 
 }  // namespace
@@ -138,8 +107,20 @@ void DslashTunable<T>::apply(const TuneParam& p) {
   tune.grain = static_cast<std::size_t>(p.get("grain", 512));
   tune.variant = static_cast<DslashVariant>(p.get("variant", 0));
   tune.format = static_cast<GaugeFormat>(p.get("format", 0));
-  apply_dslash_fmt<T>(tune.format, *u_, u_r12_, u_r8_, u_x12_, view(out_),
-                      cview(in_), out_parity_, tune);
+  if (const auto* c = recon12_for(tune.format, *u_, u_r12_))
+    dslash<T>(view(out_), *c, cview(in_), out_parity_, false, tune);
+  else
+    dslash<T>(view(out_), *u_, cview(in_), out_parity_, false, tune);
+}
+
+template <typename T>
+void DslashTunable<T>::save_reference() {
+  ref_ = out_;
+}
+
+template <typename T>
+bool DslashTunable<T>::matches_reference() const {
+  return within_codec_tolerance<T>({&out_, 1}, {&ref_, 1});
 }
 
 template <typename T>
@@ -261,9 +242,21 @@ void DslashMultiTunable<T>::apply(const TuneParam& p) {
       outs.push_back(view(out_[r0 + i]));
       ins.push_back(cview(in_[r0 + i]));
     }
-    apply_dslash_fmt_multi<T>(tune.format, *u_, u_r12_, u_r8_, u_x12_, outs,
-                              ins, out_parity_, tune);
+    if (const auto* c = recon12_for(tune.format, *u_, u_r12_))
+      dslash_multi<T>(outs, *c, ins, out_parity_, false, tune);
+    else
+      dslash_multi<T>(outs, *u_, ins, out_parity_, false, tune);
   }
+}
+
+template <typename T>
+void DslashMultiTunable<T>::save_reference() {
+  ref_ = out_;
+}
+
+template <typename T>
+bool DslashMultiTunable<T>::matches_reference() const {
+  return within_codec_tolerance<T>(out_, ref_);
 }
 
 template <typename T>

@@ -18,16 +18,16 @@ namespace femto::tune {
 
 /// Which gauge storage tiers a tuning sweep may race (DESIGN.md §16).
 /// kFullOnly keeps the sweep on full-18 links (the double operator: its
-/// reliable updates must not see reconstruction error), kExact adds
-/// recon12 (exact up to rounding), kAll adds the approximate tiers
-/// recon8/fixed12 (the float inner-iteration operator, where
-/// half-precision spinors are already allowed).
-enum class FormatSet : int { kFullOnly = 0, kExact = 1, kAll = 2 };
+/// reliable updates must not see reconstruction error); kAll adds recon12
+/// (the float inner-iteration operator).
+enum class FormatSet : int { kFullOnly = 0, kAll = 1 };
 
 /// The formats a FormatSet admits, reference tier first.
 std::vector<GaugeFormat> format_set_members(FormatSet s);
 
-/// A Tunable wrapping one dslash application on scratch fields.
+/// A Tunable wrapping one dslash application on scratch fields.  Every
+/// candidate's output is checked against candidates()[0] (scalar on
+/// full18) to recon12_tolerance<T>() before it is timed.
 template <typename T>
 class DslashTunable : public Tunable {
  public:
@@ -40,13 +40,16 @@ class DslashTunable : public Tunable {
         in_(u_->geom_ptr(), l5,
             out_parity == 0 ? Subset::Odd : Subset::Even),
         out_(u_->geom_ptr(), l5,
-             out_parity == 0 ? Subset::Even : Subset::Odd) {
+             out_parity == 0 ? Subset::Even : Subset::Odd),
+        ref_(out_) {
     in_.gaussian(0xD51A5);
   }
 
   std::string key() const override;
   std::vector<TuneParam> candidates() const override;
   void apply(const TuneParam& p) override;
+  void save_reference() override;
+  bool matches_reference() const override;
   std::int64_t flops_per_call() const override;
   std::int64_t bytes_per_call() const override;
 
@@ -55,12 +58,10 @@ class DslashTunable : public Tunable {
   int l5_;
   int out_parity_;
   FormatSet formats_;
-  SpinorField<T> in_, out_;
-  // Per-tier compressed copies of u_, built lazily by apply() when the
-  // sweep first races that tier (then reused by every rep/candidate).
+  SpinorField<T> in_, out_, ref_;
+  // recon12 copy of u_, built lazily by apply() when the sweep first races
+  // that tier (then reused by every rep/candidate).
   std::unique_ptr<CompressedGaugeField<T>> u_r12_;
-  std::unique_ptr<Recon8GaugeField<T>> u_r8_;
-  std::unique_ptr<Fixed12GaugeField<T>> u_x12_;
 };
 
 /// Convenience: returns the tuned grain and kernel variant for this
@@ -97,6 +98,8 @@ class DslashMultiTunable : public Tunable {
   std::string key() const override;
   std::vector<TuneParam> candidates() const override;
   void apply(const TuneParam& p) override;
+  void save_reference() override;
+  bool matches_reference() const override;
   std::int64_t flops_per_call() const override;
   std::int64_t bytes_per_call() const override;
 
@@ -106,10 +109,8 @@ class DslashMultiTunable : public Tunable {
   int out_parity_;
   std::size_t bmax_;
   FormatSet formats_;
-  std::vector<SpinorField<T>> in_, out_;
+  std::vector<SpinorField<T>> in_, out_, ref_;
   std::unique_ptr<CompressedGaugeField<T>> u_r12_;
-  std::unique_ptr<Recon8GaugeField<T>> u_r8_;
-  std::unique_ptr<Fixed12GaugeField<T>> u_x12_;
 };
 
 /// Tuned batch size + launch parameters for dslash_multi against this

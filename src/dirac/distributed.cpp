@@ -1,7 +1,5 @@
 #include "dirac/distributed.hpp"
 
-#include <cstring>
-
 #include "lattice/flops.hpp"
 
 namespace femto {
@@ -42,67 +40,6 @@ void store_link(double* p, const ColorMat<double>& u) {
     p[1] = u.m[static_cast<std::size_t>(i)].im;
     p += 2;
   }
-}
-
-/// fixed12 wire slab: 12 int16 (24 B) + float scale (4 B) memcpy'd into 4
-/// doubles; the 4 pad bytes are zeroed so wire contents are deterministic.
-constexpr int kFixed12WireReals = 4;
-
-int wire_link_reals(GaugeFormat f) {
-  switch (f) {
-    case GaugeFormat::kRecon12: return kCompressedLinkReals;
-    case GaugeFormat::kRecon8: return kRecon8LinkReals;
-    case GaugeFormat::kFixed12: return kFixed12WireReals;
-    case GaugeFormat::kFull18: return kLinkReals;
-  }
-  return kLinkReals;
-}
-
-void encode_link_wire(GaugeFormat f, const ColorMat<double>& u, double* w) {
-  switch (f) {
-    case GaugeFormat::kRecon12:
-      encode_recon12(u, w);
-      break;
-    case GaugeFormat::kRecon8:
-      encode_recon8(u, w);
-      break;
-    case GaugeFormat::kFixed12: {
-      std::int16_t q[kFixed12LinkInts];
-      float s = 0.0f;
-      encode_fixed12(u, q, &s);
-      w[kFixed12WireReals - 1] = 0.0;  // zero the pad bytes
-      std::memcpy(w, q, sizeof(q));
-      // femtolint: allow(cast): byte-offset into the wire slab for the
-      // trailing float scale; accessed only via memcpy, never aliased.
-      std::memcpy(reinterpret_cast<char*>(w) + sizeof(q), &s, sizeof(s));
-      break;
-    }
-    case GaugeFormat::kFull18:
-      store_link(w, u);
-      break;
-  }
-}
-
-ColorMat<double> decode_link_wire(GaugeFormat f, const double* w) {
-  switch (f) {
-    case GaugeFormat::kRecon12:
-      return decode_recon12(w);
-    case GaugeFormat::kRecon8:
-      return decode_recon8(w);
-    case GaugeFormat::kFixed12: {
-      std::int16_t q[kFixed12LinkInts];
-      float s = 0.0f;
-      std::memcpy(q, w, sizeof(q));
-      // femtolint: allow(cast): byte-offset into the wire slab for the
-      // trailing float scale; accessed only via memcpy, never aliased.
-      std::memcpy(&s, reinterpret_cast<const char*>(w) + sizeof(q),
-                  sizeof(s));
-      return decode_fixed12<double>(q, s);
-    }
-    case GaugeFormat::kFull18:
-      break;
-  }
-  return load_link(w);
 }
 
 }  // namespace
@@ -164,7 +101,9 @@ void gather_spinor(const DistributedLattice& dl, int rank,
         }
 }
 
-std::int64_t gauge_wire_reals(GaugeFormat f) { return 4 * wire_link_reals(f); }
+std::int64_t gauge_wire_reals(GaugeFormat f) {
+  return 4 * (f == GaugeFormat::kRecon12 ? kCompressedLinkReals : kLinkReals);
+}
 
 void exchange_gauge_halo(comm::RankHandle& h, const DistributedLattice& dl,
                          comm::HaloExchanger& ex, comm::HaloField& gauge,
@@ -174,14 +113,14 @@ void exchange_gauge_halo(comm::RankHandle& h, const DistributedLattice& dl,
     ex.exchange(h, gauge, stats);
     return;
   }
-  const auto l = dl.local_extents();
-  const int wlr = wire_link_reals(fmt);
-  comm::HaloField wire(l, static_cast<int>(gauge_wire_reals(fmt)));
+  constexpr int wlr = kCompressedLinkReals;
+  comm::HaloField wire(dl.local_extents(),
+                       static_cast<int>(gauge_wire_reals(fmt)));
   for (std::int64_t s = 0; s < gauge.volume(); ++s) {
     const double* g = gauge.at(s);
     double* w = wire.at(s);
     for (int mu = 0; mu < 4; ++mu)
-      encode_link_wire(fmt, load_link(g + mu * kLinkReals), w + mu * wlr);
+      encode_recon12(load_link(g + mu * kLinkReals), w + mu * wlr);
   }
   ex.exchange(h, wire, stats);
   // Decode every received face back into the 72-real ghost buffers the
@@ -189,12 +128,10 @@ void exchange_gauge_halo(comm::RankHandle& h, const DistributedLattice& dl,
   for (int mu = 0; mu < 4; ++mu) {
     for (std::int64_t f = 0; f < gauge.face_sites(mu); ++f) {
       for (int nu = 0; nu < 4; ++nu) {
-        store_link(
-            gauge.ghost_bwd(mu, f) + nu * kLinkReals,
-            decode_link_wire(fmt, wire.ghost_bwd(mu, f) + nu * wlr));
-        store_link(
-            gauge.ghost_fwd(mu, f) + nu * kLinkReals,
-            decode_link_wire(fmt, wire.ghost_fwd(mu, f) + nu * wlr));
+        store_link(gauge.ghost_bwd(mu, f) + nu * kLinkReals,
+                   decode_recon12(wire.ghost_bwd(mu, f) + nu * wlr));
+        store_link(gauge.ghost_fwd(mu, f) + nu * kLinkReals,
+                   decode_recon12(wire.ghost_fwd(mu, f) + nu * wlr));
       }
     }
   }

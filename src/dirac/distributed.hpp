@@ -64,17 +64,16 @@ void gather_spinor(const DistributedLattice& dl, int rank,
                    const comm::HaloField& local, SpinorField<double>& full);
 
 /// Doubles per site on the wire for the gauge-halo exchange in format
-/// @p f: full18 72, recon12 48, recon8 32, fixed12 16 (per link, 12 int16
-/// + a float scale packed into 4 doubles via memcpy).
+/// @p f: full18 72, recon12 48.
 std::int64_t gauge_wire_reals(GaugeFormat f);
 
 /// Exchange the one-time gauge halo in storage tier @p fmt.  full18
 /// delegates to the plain exchange (bitwise-identical to the pre-tier
-/// path); the compressed tiers encode each site's four links with the
-/// per-link codecs from lattice/compressed_gauge.hpp into a reduced-width
-/// wire field, exchange THAT (so @p stats accounts the compressed payload
-/// — wire bytes drop 33-66%), and decode the received faces back into
-/// @p gauge's full-precision ghost buffers.  Interior links are untouched.
+/// path); recon12 encodes each site's four links with the per-link codec
+/// from lattice/compressed_gauge.hpp into a reduced-width wire field,
+/// exchanges THAT (so @p stats accounts the compressed payload — wire
+/// bytes drop 33%), and decodes the received faces back into @p gauge's
+/// full-precision ghost buffers.  Interior links are untouched.
 /// Collective, like the exchange it wraps.
 void exchange_gauge_halo(comm::RankHandle& h, const DistributedLattice& dl,
                          comm::HaloExchanger& ex, comm::HaloField& gauge,

@@ -41,41 +41,20 @@ MobiusOperator<T>::MobiusOperator(std::shared_ptr<const GaugeField<T>> u,
 }
 
 template <typename T>
-void MobiusOperator<T>::ensure_format() const {
-  switch (tune_.format) {
-    case GaugeFormat::kRecon12:
-      if (!u_r12_) u_r12_ = std::make_unique<CompressedGaugeField<T>>(*u_);
-      break;
-    case GaugeFormat::kRecon8:
-      if (!u_r8_) u_r8_ = std::make_unique<Recon8GaugeField<T>>(*u_);
-      break;
-    case GaugeFormat::kFixed12:
-      if (!u_x12_) u_x12_ = std::make_unique<Fixed12GaugeField<T>>(*u_);
-      break;
-    case GaugeFormat::kFull18:
-      break;
-  }
+const CompressedGaugeField<T>* MobiusOperator<T>::recon12() const {
+  if (tune_.format != GaugeFormat::kRecon12) return nullptr;
+  if (!u_r12_) u_r12_ = std::make_unique<CompressedGaugeField<T>>(*u_);
+  return u_r12_.get();
 }
 
 template <typename T>
 void MobiusOperator<T>::dslash_fmt(const SpinorView<T>& out,
                                    const SpinorView<const T>& in,
                                    int out_parity, bool dagger) const {
-  ensure_format();
-  switch (tune_.format) {
-    case GaugeFormat::kRecon12:
-      dslash<T>(out, *u_r12_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kRecon8:
-      dslash<T>(out, *u_r8_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kFixed12:
-      dslash<T>(out, *u_x12_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kFull18:
-      dslash<T>(out, *u_, in, out_parity, dagger, tune_);
-      break;
-  }
+  if (const auto* c = recon12())
+    dslash<T>(out, *c, in, out_parity, dagger, tune_);
+  else
+    dslash<T>(out, *u_, in, out_parity, dagger, tune_);
 }
 
 template <typename T>
@@ -83,42 +62,20 @@ void MobiusOperator<T>::dslash_fmt_multi(
     std::span<const SpinorView<T>> out,
     std::span<const SpinorView<const T>> in, int out_parity,
     bool dagger) const {
-  ensure_format();
-  switch (tune_.format) {
-    case GaugeFormat::kRecon12:
-      dslash_multi<T>(out, *u_r12_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kRecon8:
-      dslash_multi<T>(out, *u_r8_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kFixed12:
-      dslash_multi<T>(out, *u_x12_, in, out_parity, dagger, tune_);
-      break;
-    case GaugeFormat::kFull18:
-      dslash_multi<T>(out, *u_, in, out_parity, dagger, tune_);
-      break;
-  }
+  if (const auto* c = recon12())
+    dslash_multi<T>(out, *c, in, out_parity, dagger, tune_);
+  else
+    dslash_multi<T>(out, *u_, in, out_parity, dagger, tune_);
 }
 
 template <typename T>
 void MobiusOperator<T>::wilson_op_fmt(SpinorField<T>& out,
                                       const SpinorField<T>& in,
                                       bool dagger) const {
-  ensure_format();
-  switch (tune_.format) {
-    case GaugeFormat::kRecon12:
-      wilson_op<T>(out, *u_r12_, in, params_.m5, dagger, tune_);
-      break;
-    case GaugeFormat::kRecon8:
-      wilson_op<T>(out, *u_r8_, in, params_.m5, dagger, tune_);
-      break;
-    case GaugeFormat::kFixed12:
-      wilson_op<T>(out, *u_x12_, in, params_.m5, dagger, tune_);
-      break;
-    case GaugeFormat::kFull18:
-      wilson_op<T>(out, *u_, in, params_.m5, dagger, tune_);
-      break;
-  }
+  if (const auto* c = recon12())
+    wilson_op<T>(out, *c, in, params_.m5, dagger, tune_);
+  else
+    wilson_op<T>(out, *u_, in, params_.m5, dagger, tune_);
 }
 
 template <typename T>

@@ -108,11 +108,11 @@ class MobiusOperator {
  private:
   // Format dispatch (DESIGN.md §16): every dslash/wilson_op call site
   // below routes through these, which read tune_.format and hand the
-  // kernel the matching container.  The compressed copies are built
-  // lazily on first use and cached for the operator's lifetime (the
-  // gauge field is immutable here), under the same documented
-  // non-thread-safe contract as the workspaces.
-  void ensure_format() const;
+  // kernel the matching container.  The recon12 copy is built lazily on
+  // first use and cached for the operator's lifetime (the gauge field is
+  // immutable here), under the same documented non-thread-safe contract
+  // as the workspaces.  recon12() is null when the tier is full18.
+  const CompressedGaugeField<T>* recon12() const;
   void dslash_fmt(const SpinorView<T>& out, const SpinorView<const T>& in,
                   int out_parity, bool dagger) const;
   void dslash_fmt_multi(std::span<const SpinorView<T>> out,
@@ -125,8 +125,6 @@ class MobiusOperator {
   MobiusParams params_;
   DslashTuning tune_;
   mutable std::unique_ptr<CompressedGaugeField<T>> u_r12_;
-  mutable std::unique_ptr<Recon8GaugeField<T>> u_r8_;
-  mutable std::unique_ptr<Fixed12GaugeField<T>> u_x12_;
   FifthDimOp lambda_, b_, c_, cinv_, bcinv_;
   FifthDimOp bt_, ct_, bcinvt_;  // transposes for the dagger application
   // Workspaces (documented non-thread-safe: one solve per operator).

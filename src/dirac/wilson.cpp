@@ -228,8 +228,13 @@ void dslash_body_blocked(WidthTag<W>, const SpinorView<T>& out,
 
   // Thread-local scratch reused across calls (one pair per calling
   // thread); see BlockedSpinorView::reshape for why allocating fresh
-  // buffers here would eat most of the blocked variant's win.
-  thread_local BlockedSpinorView<T, W> bin(0, 0), bout(0, 0);
+  // buffers here would eat most of the blocked variant's win.  The body
+  // below must see the CALLER's pair: a thread_local named inside the
+  // parallel lambda is not captured, it resolves to each pool worker's
+  // own (unsized) instance.  Hence the references.
+  thread_local BlockedSpinorView<T, W> tl_in(0, 0), tl_out(0, 0);
+  BlockedSpinorView<T, W>& bin = tl_in;
+  BlockedSpinorView<T, W>& bout = tl_out;
   bin.reshape(in.sites, l5);
   bout.reshape(out.sites, l5);
   bin.pack(in, grain);
@@ -430,7 +435,10 @@ void dslash_multi_body_blocked(WidthTag<W>, std::span<const SpinorView<T>> out,
   const int fsign = dagger ? -1 : +1;
   const int nb = static_cast<int>(out.size());
 
-  thread_local BlockedMultiSpinor<T, W> bin(0, 0, 0), bout(0, 0, 0);
+  // Caller's scratch, bound by reference (see dslash_body_blocked).
+  thread_local BlockedMultiSpinor<T, W> tl_in(0, 0, 0), tl_out(0, 0, 0);
+  BlockedMultiSpinor<T, W>& bin = tl_in;
+  BlockedMultiSpinor<T, W>& bout = tl_out;
   bin.reshape(in[0].sites, l5, nb);
   bout.reshape(out[0].sites, l5, nb);
   bin.pack(in, grain);
@@ -585,49 +593,11 @@ void dslash(const SpinorView<T>& out, const CompressedGaugeField<T>& u,
 }
 
 template <typename T>
-void dslash(const SpinorView<T>& out, const Recon8GaugeField<T>& u,
-            const SpinorView<const T>& in, int out_parity, bool dagger,
-            const DslashTuning& tune) {
-  dslash_kernel<T>(out, u, in, out_parity, dagger, tune);
-}
-
-template <typename T>
-void dslash(const SpinorView<T>& out, const Fixed12GaugeField<T>& u,
-            const SpinorView<const T>& in, int out_parity, bool dagger,
-            const DslashTuning& tune) {
-  dslash_kernel<T>(out, u, in, out_parity, dagger, tune);
-}
-
-template <typename T>
 void dslash_multi(std::span<const SpinorView<T>> out,
                   const CompressedGaugeField<T>& u,
                   std::span<const SpinorView<const T>> in, int out_parity,
                   bool dagger, const DslashTuning& tune) {
   dslash_kernel_multi<T>(out, u, in, out_parity, dagger, tune);
-}
-
-template <typename T>
-void dslash_multi(std::span<const SpinorView<T>> out,
-                  const Recon8GaugeField<T>& u,
-                  std::span<const SpinorView<const T>> in, int out_parity,
-                  bool dagger, const DslashTuning& tune) {
-  dslash_kernel_multi<T>(out, u, in, out_parity, dagger, tune);
-}
-
-template <typename T>
-void dslash_multi(std::span<const SpinorView<T>> out,
-                  const Fixed12GaugeField<T>& u,
-                  std::span<const SpinorView<const T>> in, int out_parity,
-                  bool dagger, const DslashTuning& tune) {
-  dslash_kernel_multi<T>(out, u, in, out_parity, dagger, tune);
-}
-
-template <typename T>
-void dslash_compressed(const SpinorView<T>& out,
-                       const CompressedGaugeField<T>& u,
-                       const SpinorView<const T>& in, int out_parity,
-                       bool dagger, const DslashTuning& tune) {
-  dslash_kernel<T>(out, u, in, out_parity, dagger, tune);
 }
 
 namespace {
@@ -667,20 +637,6 @@ void wilson_op(SpinorField<T>& out, const CompressedGaugeField<T>& u,
   wilson_op_kernel<T>(out, u, in, mass, dagger, tune);
 }
 
-template <typename T>
-void wilson_op(SpinorField<T>& out, const Recon8GaugeField<T>& u,
-               const SpinorField<T>& in, double mass, bool dagger,
-               const DslashTuning& tune) {
-  wilson_op_kernel<T>(out, u, in, mass, dagger, tune);
-}
-
-template <typename T>
-void wilson_op(SpinorField<T>& out, const Fixed12GaugeField<T>& u,
-               const SpinorField<T>& in, double mass, bool dagger,
-               const DslashTuning& tune) {
-  wilson_op_kernel<T>(out, u, in, mass, dagger, tune);
-}
-
 template void dslash<double>(const SpinorView<double>&,
                              const GaugeField<double>&,
                              const SpinorView<const double>&, int, bool,
@@ -696,14 +652,6 @@ template void dslash_multi<float>(std::span<const SpinorView<float>>,
                                   const GaugeField<float>&,
                                   std::span<const SpinorView<const float>>,
                                   int, bool, const DslashTuning&);
-template void dslash_compressed<double>(const SpinorView<double>&,
-                                        const CompressedGaugeField<double>&,
-                                        const SpinorView<const double>&, int,
-                                        bool, const DslashTuning&);
-template void dslash_compressed<float>(const SpinorView<float>&,
-                                       const CompressedGaugeField<float>&,
-                                       const SpinorView<const float>&, int,
-                                       bool, const DslashTuning&);
 template void wilson_op<double>(SpinorField<double>&, const GaugeField<double>&,
                                 const SpinorField<double>&, double, bool,
                                 const DslashTuning&);
@@ -711,23 +659,20 @@ template void wilson_op<float>(SpinorField<float>&, const GaugeField<float>&,
                                const SpinorField<float>&, double, bool,
                                const DslashTuning&);
 
-#define FEMTO_INSTANTIATE_DSLASH_FMT(T, GaugeT)                              \
-  template void dslash<T>(const SpinorView<T>&, const GaugeT<T>&,            \
+#define FEMTO_INSTANTIATE_DSLASH_R12(T)                                      \
+  template void dslash<T>(const SpinorView<T>&,                              \
+                          const CompressedGaugeField<T>&,                    \
                           const SpinorView<const T>&, int, bool,             \
                           const DslashTuning&);                              \
   template void dslash_multi<T>(std::span<const SpinorView<T>>,              \
-                                const GaugeT<T>&,                            \
+                                const CompressedGaugeField<T>&,              \
                                 std::span<const SpinorView<const T>>, int,   \
                                 bool, const DslashTuning&);                  \
-  template void wilson_op<T>(SpinorField<T>&, const GaugeT<T>&,              \
+  template void wilson_op<T>(SpinorField<T>&, const CompressedGaugeField<T>&, \
                              const SpinorField<T>&, double, bool,            \
                              const DslashTuning&);
-FEMTO_INSTANTIATE_DSLASH_FMT(double, CompressedGaugeField)
-FEMTO_INSTANTIATE_DSLASH_FMT(float, CompressedGaugeField)
-FEMTO_INSTANTIATE_DSLASH_FMT(double, Recon8GaugeField)
-FEMTO_INSTANTIATE_DSLASH_FMT(float, Recon8GaugeField)
-FEMTO_INSTANTIATE_DSLASH_FMT(double, Fixed12GaugeField)
-FEMTO_INSTANTIATE_DSLASH_FMT(float, Fixed12GaugeField)
-#undef FEMTO_INSTANTIATE_DSLASH_FMT
+FEMTO_INSTANTIATE_DSLASH_R12(double)
+FEMTO_INSTANTIATE_DSLASH_R12(float)
+#undef FEMTO_INSTANTIATE_DSLASH_R12
 
 }  // namespace femto

@@ -80,50 +80,24 @@ void dslash_multi(std::span<const SpinorView<T>> out, const GaugeField<T>& u,
                   std::span<const SpinorView<const T>> in, int out_parity,
                   bool dagger, const DslashTuning& tune = {});
 
-/// The stencil reading compressed links (DESIGN.md §16): every variant —
-/// scalar, vector, vector_blocked — reads every storage tier, because the
+/// The stencil reading recon12 links (DESIGN.md §16): every variant —
+/// scalar, vector, vector_blocked — reads either storage tier, because the
 /// kernel bodies are generic over the container and only its load()
-/// differs.  recon12 is bit-compatible with full storage on SU(3) links
-/// up to reconstruction rounding; recon8/fixed12 are the approximate
-/// tiers the mixed-precision inner iterations are allowed to use.
+/// differs.  recon12 matches full storage on SU(3) links up to
+/// reconstruction rounding.
 template <typename T>
 void dslash(const SpinorView<T>& out, const CompressedGaugeField<T>& u,
             const SpinorView<const T>& in, int out_parity, bool dagger,
             const DslashTuning& tune = {});
-template <typename T>
-void dslash(const SpinorView<T>& out, const Recon8GaugeField<T>& u,
-            const SpinorView<const T>& in, int out_parity, bool dagger,
-            const DslashTuning& tune = {});
-template <typename T>
-void dslash(const SpinorView<T>& out, const Fixed12GaugeField<T>& u,
-            const SpinorView<const T>& in, int out_parity, bool dagger,
-            const DslashTuning& tune = {});
 
-/// Multi-RHS over compressed links: reconstruction cost amortizes across
-/// the batch exactly like the gauge stream does (links are gathered once
-/// per site for the whole block), so compression and multi-RHS multiply.
+/// Multi-RHS over recon12 links: reconstruction cost amortizes across the
+/// batch exactly like the gauge stream does (links are gathered once per
+/// site for the whole block), so compression and multi-RHS multiply.
 template <typename T>
 void dslash_multi(std::span<const SpinorView<T>> out,
                   const CompressedGaugeField<T>& u,
                   std::span<const SpinorView<const T>> in, int out_parity,
                   bool dagger, const DslashTuning& tune = {});
-template <typename T>
-void dslash_multi(std::span<const SpinorView<T>> out,
-                  const Recon8GaugeField<T>& u,
-                  std::span<const SpinorView<const T>> in, int out_parity,
-                  bool dagger, const DslashTuning& tune = {});
-template <typename T>
-void dslash_multi(std::span<const SpinorView<T>> out,
-                  const Fixed12GaugeField<T>& u,
-                  std::span<const SpinorView<const T>> in, int out_parity,
-                  bool dagger, const DslashTuning& tune = {});
-
-/// Back-compat alias for the recon12 stencil (pre-tier API).
-template <typename T>
-void dslash_compressed(const SpinorView<T>& out,
-                       const CompressedGaugeField<T>& u,
-                       const SpinorView<const T>& in, int out_parity,
-                       bool dagger, const DslashTuning& tune = {});
 
 /// Full-lattice Wilson operator: out = (4 + mass) in - 1/2 Dslash in.
 /// Fields must be Subset::Full with matching l5.
@@ -133,14 +107,6 @@ void wilson_op(SpinorField<T>& out, const GaugeField<T>& u,
                const DslashTuning& tune = {});
 template <typename T>
 void wilson_op(SpinorField<T>& out, const CompressedGaugeField<T>& u,
-               const SpinorField<T>& in, double mass, bool dagger = false,
-               const DslashTuning& tune = {});
-template <typename T>
-void wilson_op(SpinorField<T>& out, const Recon8GaugeField<T>& u,
-               const SpinorField<T>& in, double mass, bool dagger = false,
-               const DslashTuning& tune = {});
-template <typename T>
-void wilson_op(SpinorField<T>& out, const Fixed12GaugeField<T>& u,
                const SpinorField<T>& in, double mass, bool dagger = false,
                const DslashTuning& tune = {});
 
@@ -168,24 +134,22 @@ extern template void wilson_op<float>(SpinorField<float>&,
                                       const SpinorField<float>&, double, bool,
                                       const DslashTuning&);
 
-// Compressed-container overloads, both precisions x all three tiers.
-#define FEMTO_EXTERN_DSLASH_FMT(T, GaugeT)                                   \
-  extern template void dslash<T>(const SpinorView<T>&, const GaugeT<T>&,     \
+// recon12 overloads, both precisions.
+#define FEMTO_EXTERN_DSLASH_R12(T)                                           \
+  extern template void dslash<T>(const SpinorView<T>&,                       \
+                                 const CompressedGaugeField<T>&,             \
                                  const SpinorView<const T>&, int, bool,      \
                                  const DslashTuning&);                       \
   extern template void dslash_multi<T>(std::span<const SpinorView<T>>,       \
-                                       const GaugeT<T>&,                     \
+                                       const CompressedGaugeField<T>&,       \
                                        std::span<const SpinorView<const T>>, \
                                        int, bool, const DslashTuning&);      \
-  extern template void wilson_op<T>(SpinorField<T>&, const GaugeT<T>&,       \
+  extern template void wilson_op<T>(SpinorField<T>&,                         \
+                                    const CompressedGaugeField<T>&,          \
                                     const SpinorField<T>&, double, bool,     \
                                     const DslashTuning&);
-FEMTO_EXTERN_DSLASH_FMT(double, CompressedGaugeField)
-FEMTO_EXTERN_DSLASH_FMT(float, CompressedGaugeField)
-FEMTO_EXTERN_DSLASH_FMT(double, Recon8GaugeField)
-FEMTO_EXTERN_DSLASH_FMT(float, Recon8GaugeField)
-FEMTO_EXTERN_DSLASH_FMT(double, Fixed12GaugeField)
-FEMTO_EXTERN_DSLASH_FMT(float, Fixed12GaugeField)
-#undef FEMTO_EXTERN_DSLASH_FMT
+FEMTO_EXTERN_DSLASH_R12(double)
+FEMTO_EXTERN_DSLASH_R12(float)
+#undef FEMTO_EXTERN_DSLASH_R12
 
 }  // namespace femto

@@ -1,39 +1,25 @@
 #pragma once
-// Tiered gauge-link storage: QUDA's reconstruct family plus 16-bit
-// fixed-point links (PAPER.md §1.2).  The dslash is bandwidth-bound, so
-// every byte not stored is a byte not streamed:
+// Tiered gauge-link storage: QUDA's reconstruct-12 next to plain 18-real
+// links (PAPER.md §1.2).  The dslash is bandwidth-bound, so every byte not
+// stored is a byte not streamed:
 //
-//   format    stored/link          exact?   scheme
-//   full18    18 reals             yes      plain GaugeField<T>
-//   recon12   12 reals             yes*     rows 0-1; third row is the
-//                                           conjugate cross product
-//   recon8    8 reals              yes*     rows 0-1 minus the redundant
-//                                           unitarity dof: two phases +
-//                                           three complex entries
-//   fixed12   12 int16 + 1 float   no       recon12 quantised to 16-bit
-//                                           fixed point with a per-link
-//                                           max-abs scale (the spinor
-//                                           scheme of solver/half.hpp)
+//   format    stored/link          scheme
+//   full18    18 reals             plain GaugeField<T>
+//   recon12   12 reals             rows 0-1; third row is the conjugate
+//                                  cross product (exact up to
+//                                  reconstruction rounding on unitary input)
 //
-// (* exact up to reconstruction rounding on unitary input.)
+// recon12 is only valid on SU(3) links — under FEMTO_CHECKED, store()
+// rejects non-unitary input loudly.  Solvers use it only in the float inner
+// iterations of mixed CG, never in the double reliable updates.
 //
-// recon12/recon8 are only valid on SU(3) links — under FEMTO_CHECKED,
-// store() rejects non-unitary input loudly, and recon8 additionally
-// rejects links whose first row is dominated by its leading entry
-// (|a2|²+|a3|² ≈ 0), where the phase parameterisation degenerates.
-// recon8 and fixed12 are approximate storage tiers: solvers use them only
-// where half-precision spinors are already allowed (the float inner
-// iterations of mixed CG), never in the double reliable updates.
-//
-// The per-link codecs are free functions shared by the containers below
-// and by the distributed gauge-halo wire packer (dirac/distributed.cpp),
-// so wire format and storage format cannot drift apart.
+// The per-link codec is shared by the container below and by the
+// distributed gauge-halo wire packer (dirac/distributed.cpp), so wire
+// format and storage format cannot drift apart.
 
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/check.hpp"
@@ -50,41 +36,16 @@ namespace femto {
 enum class GaugeFormat : int {
   kFull18 = 0,
   kRecon12 = 1,
-  kRecon8 = 2,
-  kFixed12 = 3,
 };
 
-inline constexpr int kNumGaugeFormats = 4;
+inline constexpr int kNumGaugeFormats = 2;
 
 constexpr const char* gauge_format_name(GaugeFormat f) {
   switch (f) {
     case GaugeFormat::kFull18: return "full18";
     case GaugeFormat::kRecon12: return "recon12";
-    case GaugeFormat::kRecon8: return "recon8";
-    case GaugeFormat::kFixed12: return "fixed12";
   }
   return "?";
-}
-
-/// True for the tiers that reproduce unitary links exactly (up to
-/// reconstruction rounding); false for the quantised tier.
-constexpr bool gauge_format_exact(GaugeFormat f) {
-  return f != GaugeFormat::kFixed12;
-}
-
-/// Stored bytes per link for scalar type T (full18/recon12/recon8 store
-/// reals of T; fixed12 stores int16 + a float scale regardless of T).
-template <typename T>
-constexpr std::int64_t gauge_link_bytes(GaugeFormat f) {
-  switch (f) {
-    case GaugeFormat::kFull18: return 18 * sizeof(T);
-    case GaugeFormat::kRecon12: return 12 * sizeof(T);
-    case GaugeFormat::kRecon8: return 8 * sizeof(T);
-    case GaugeFormat::kFixed12:
-      return 12 * static_cast<std::int64_t>(sizeof(std::int16_t)) +
-             sizeof(float);
-  }
-  return 0;
 }
 
 /// Reconstruct the third row of an SU(3) matrix from the first two:
@@ -98,11 +59,14 @@ constexpr void reconstruct_third_row(ColorMat<T>& u) {
 
 /// Number of stored reals per link in reconstruct-12 format.
 inline constexpr int kCompressedLinkReals = 12;
-/// Number of stored reals per link in reconstruct-8 format.
-inline constexpr int kRecon8LinkReals = 8;
-/// Number of stored int16 per link in fixed12 format (plus a float scale):
-/// one per recon12 real.
-inline constexpr int kFixed12LinkInts = kCompressedLinkReals;
+
+/// Relative L2 distance a dslash on recon12 links may sit from the same
+/// dslash on full18 links: the reconstruction-rounding budget.  The kernel
+/// tests pin it, and the autotuner rejects any candidate outside it.
+template <typename T>
+constexpr double recon12_tolerance() {
+  return std::is_same_v<T, float> ? 1e-5 : 1e-13;
+}
 
 namespace detail {
 /// |z|^2 under a codec-private name: the femtolint name-based call graph
@@ -115,8 +79,8 @@ constexpr T cnorm2(const Cplx<T>& z) {
 }  // namespace detail
 
 /// ||u adj(u) - 1||_F^2: zero for unitary links.  The reconstruction
-/// formulas assume unitarity, so this is the residual the FEMTO_CHECKED
-/// store() guards test.
+/// formula assumes unitarity, so this is the residual the FEMTO_CHECKED
+/// store() guard tests.
 template <typename T>
 constexpr T unitarity_residual2(const ColorMat<T>& u) {
   T s{};
@@ -149,7 +113,7 @@ inline void check_unitary_link(const ColorMat<T>&) {}
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Per-link codecs (shared with the halo wire packer).
+// Per-link codec (shared with the halo wire packer).
 // ---------------------------------------------------------------------------
 
 /// recon12: store rows 0-1 as 12 reals.
@@ -175,108 +139,10 @@ constexpr ColorMat<T> decode_recon12(const T* q) {
   return u;
 }
 
-/// recon8: rows 0-1 carry two redundant unitarity dof, so 8 reals suffice:
-/// arg(a1), arg(c1), and the complex entries a2, a3, b1 (QUDA's
-/// reconstruct-8).  |a1| and |c1| follow from column normalisation, b2/b3
-/// from orthogonality, row 2 from the cross product.
-template <typename T>
-inline void encode_recon8(const ColorMat<T>& u, T* q) {
-  q[0] = std::atan2(u(0, 0).im, u(0, 0).re);
-  q[1] = std::atan2(u(2, 0).im, u(2, 0).re);
-  q[2] = u(0, 1).re;
-  q[3] = u(0, 1).im;
-  q[4] = u(0, 2).re;
-  q[5] = u(0, 2).im;
-  q[6] = u(1, 0).re;
-  q[7] = u(1, 0).im;
-}
-
-template <typename T>
-inline ColorMat<T> decode_recon8(const T* q) {
-  ColorMat<T> u;
-  const Cplx<T> a2{q[2], q[3]}, a3{q[4], q[5]}, b1{q[6], q[7]};
-  // |a2|^2 + |a3|^2 = 1 - |a1|^2; clamped so degenerate input yields a
-  // finite (if wrong) matrix instead of NaN in unchecked builds.
-  const T n = std::max(detail::cnorm2(a2) + detail::cnorm2(a3), T(1e-30));
-  const T abs_a1 = std::sqrt(std::max(T(1) - n, T(0)));
-  const Cplx<T> a1{abs_a1 * std::cos(q[0]), abs_a1 * std::sin(q[0])};
-  const T abs_c1 =
-      std::sqrt(std::max(T(1) - abs_a1 * abs_a1 - detail::cnorm2(b1), T(0)));
-  const Cplx<T> c1{abs_c1 * std::cos(q[1]), abs_c1 * std::sin(q[1])};
-  const T inv_n = T(1) / n;
-  // Column 1 _|_ column 2 and c = conj(a x b) pin b2, b3 (2x2 solve with
-  // determinant n):
-  const Cplx<T> b2 = -inv_n * (conj(a1) * a2 * b1 + conj(a3) * conj(c1));
-  const Cplx<T> b3 = inv_n * (conj(a2) * conj(c1) - conj(a1) * a3 * b1);
-  u(0, 0) = a1;
-  u(0, 1) = a2;
-  u(0, 2) = a3;
-  u(1, 0) = b1;
-  u(1, 1) = b2;
-  u(1, 2) = b3;
-  reconstruct_third_row(u);
-  return u;
-}
-
-/// fixed12: recon12 reals quantised to int16 with a per-link max-abs float
-/// scale, mirroring solver/half.hpp.  Max is exact and the quantise loop
-/// is scalar lrintf on purpose, so the stored contents are bitwise
-/// SIMD-width-independent.
-template <typename T>
-inline void encode_fixed12(const ColorMat<T>& u, std::int16_t* q,
-                           float* scale) {
-  float vals[kFixed12LinkInts];
-  int k = 0;
-  for (int r = 0; r < 2; ++r)
-    for (int c = 0; c < kNc; ++c) {
-      vals[k++] = static_cast<float>(u(r, c).re);
-      vals[k++] = static_cast<float>(u(r, c).im);
-    }
-  float amax = 0.0f;
-  for (int j = 0; j < kFixed12LinkInts; ++j)
-    amax = std::max(amax, std::fabs(vals[j]));
-  const float s = amax > 0.0f ? amax : 1.0f;
-  *scale = s;
-  const float inv = 32767.0f / s;
-  // Scalar on purpose: lrintf's rounding must be identical at every SIMD
-  // width, so the stored int16 never depend on the build.
-  for (int j = 0; j < kFixed12LinkInts; ++j)
-    q[j] = static_cast<std::int16_t>(std::lrintf(vals[j] * inv));
-}
-
-template <typename T>
-inline ColorMat<T> decode_fixed12(const std::int16_t* q, float scale) {
-  const float s = scale / 32767.0f;
-  T vals[kCompressedLinkReals];
-  for (int j = 0; j < kFixed12LinkInts; ++j)
-    vals[j] = static_cast<T>(static_cast<float>(q[j]) * s);
-  return decode_recon12(vals);
-}
-
-namespace detail {
-/// Links per worker chunk for the parallel compression constructors.
-inline constexpr std::size_t kCompressGrain = 1024;
-
-/// Run @p body(link_index) over all 4*volume links on the pool.  Each
-/// link writes disjoint storage, so the sweep is deterministic regardless
-/// of chunking.  Callers charge the traffic (full read + stored write).
-template <typename Body>
-inline void compress_sweep(const Geometry& geom, const Body& body) {
-  const auto n = static_cast<std::size_t>(4 * geom.volume());
-  par::parallel_for_chunked(
-      std::size_t{0}, n,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          body(static_cast<std::int64_t>(i));
-      },
-      kCompressGrain);
-}
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
-// Containers.  All expose the GaugeField surface the dslash kernels use --
+// Container.  Exposes the GaugeField surface the dslash kernels use --
 // geom()/geom_ptr()/load()/bytes() -- so the container-generic stencil
-// bodies in dirac/wilson.cpp read any tier.  bytes() reports true stored
+// bodies in dirac/wilson.cpp read either tier.  bytes() reports true stored
 // bytes, keeping flops::add_bytes charges and the femtoscope AI/GB/s
 // derivations honest.
 // ---------------------------------------------------------------------------
@@ -288,15 +154,22 @@ class CompressedGaugeField {
  public:
   static constexpr GaugeFormat kFormat = GaugeFormat::kRecon12;
 
+  /// Compresses on the pool.  Each link writes disjoint storage, so the
+  /// sweep is deterministic regardless of chunking.
   explicit CompressedGaugeField(const GaugeField<T>& full)
       : geom_(full.geom_ptr()) {
-    data_.resize(static_cast<std::size_t>(4 * geom_->volume() *
-                                          kCompressedLinkReals));
-    detail::compress_sweep(*geom_, [&](std::int64_t i) {
-      const int mu = static_cast<int>(i / geom_->volume());
-      const std::int64_t s = i % geom_->volume();
-      store(mu, s, full.load(mu, s));
-    });
+    const std::int64_t vol = geom_->volume();
+    data_.resize(static_cast<std::size_t>(4 * vol * kCompressedLinkReals));
+    par::parallel_for_chunked(
+        std::size_t{0}, static_cast<std::size_t>(4 * vol),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            const auto l = static_cast<std::int64_t>(i);
+            const int mu = static_cast<int>(l / vol);
+            store(mu, l % vol, full.load(mu, l % vol));
+          }
+        },
+        kCompressGrain);
     flops::add_bytes(full.bytes() + bytes());
   }
 
@@ -328,6 +201,9 @@ class CompressedGaugeField {
   }
 
  private:
+  /// Links per worker chunk for the parallel compression constructor.
+  static constexpr std::size_t kCompressGrain = 1024;
+
   std::int64_t offset(int mu, std::int64_t site) const {
     return (std::int64_t(mu) * geom_->volume() + site) *
            kCompressedLinkReals;
@@ -335,128 +211,6 @@ class CompressedGaugeField {
 
   std::shared_ptr<const Geometry> geom_;
   std::vector<T> data_;
-};
-
-/// A gauge field stored in reconstruct-8 format: 8 reals per link, the
-/// minimal parameterisation (modulo two discrete phases folded into
-/// arg(a1)/arg(c1)).  Valid on generic SU(3) links; degenerates when
-/// |a2|^2+|a3|^2 ~ 0 (e.g. unit gauge), which FEMTO_CHECKED rejects.
-template <typename T>
-class Recon8GaugeField {
- public:
-  static constexpr GaugeFormat kFormat = GaugeFormat::kRecon8;
-
-  explicit Recon8GaugeField(const GaugeField<T>& full)
-      : geom_(full.geom_ptr()) {
-    data_.resize(
-        static_cast<std::size_t>(4 * geom_->volume() * kRecon8LinkReals));
-    detail::compress_sweep(*geom_, [&](std::int64_t i) {
-      const int mu = static_cast<int>(i / geom_->volume());
-      const std::int64_t s = i % geom_->volume();
-      store(mu, s, full.load(mu, s));
-    });
-    flops::add_bytes(full.bytes() + bytes());
-  }
-
-  const Geometry& geom() const { return *geom_; }
-  std::shared_ptr<const Geometry> geom_ptr() const { return geom_; }
-
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(data_.size() * sizeof(T));
-  }
-
-  void store(int mu, std::int64_t site, const ColorMat<T>& u) {
-    detail::check_unitary_link(u);
-    FEMTO_CHECK(detail::cnorm2(u(0, 1)) + detail::cnorm2(u(0, 2)) > T(1e-12),
-                "recon8 phase parameterisation degenerates on links with "
-                "|a2|^2+|a3|^2 ~ 0 (unit-like gauge)");
-    encode_recon8(u, data_.data() + offset(mu, site));
-  }
-
-  ColorMat<T> load(int mu, std::int64_t site) const {
-    return decode_recon8(data_.data() + offset(mu, site));
-  }
-
-  GaugeField<T> decompress() const {
-    GaugeField<T> out(geom_);
-    for (int mu = 0; mu < 4; ++mu)
-      for (std::int64_t s = 0; s < geom_->volume(); ++s)
-        out.store(mu, s, load(mu, s));
-    return out;
-  }
-
- private:
-  std::int64_t offset(int mu, std::int64_t site) const {
-    return (std::int64_t(mu) * geom_->volume() + site) * kRecon8LinkReals;
-  }
-
-  std::shared_ptr<const Geometry> geom_;
-  std::vector<T> data_;
-};
-
-/// A gauge field stored in fixed12 format: 12 int16 + one float scale per
-/// link (28 bytes).  Approximate (~4.5 decimal digits per real); allowed
-/// only where half-precision spinors already are.
-template <typename T>
-class Fixed12GaugeField {
- public:
-  static constexpr GaugeFormat kFormat = GaugeFormat::kFixed12;
-
-  explicit Fixed12GaugeField(const GaugeField<T>& full)
-      : geom_(full.geom_ptr()) {
-    q_.resize(
-        static_cast<std::size_t>(4 * geom_->volume() * kFixed12LinkInts));
-    scale_.resize(static_cast<std::size_t>(4 * geom_->volume()));
-    detail::compress_sweep(*geom_, [&](std::int64_t i) {
-      const int mu = static_cast<int>(i / geom_->volume());
-      const std::int64_t s = i % geom_->volume();
-      store(mu, s, full.load(mu, s));
-    });
-    flops::add_bytes(full.bytes() + bytes());
-  }
-
-  const Geometry& geom() const { return *geom_; }
-  std::shared_ptr<const Geometry> geom_ptr() const { return geom_; }
-
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(q_.size() * sizeof(std::int16_t) +
-                                     scale_.size() * sizeof(float));
-  }
-
-  void store(int mu, std::int64_t site, const ColorMat<T>& u) {
-    detail::check_unitary_link(u);
-    const std::int64_t l = link(mu, site);
-    encode_fixed12(u, q_.data() + l * kFixed12LinkInts,
-                   scale_.data() + l);
-  }
-
-  ColorMat<T> load(int mu, std::int64_t site) const {
-    const std::int64_t l = link(mu, site);
-    return decode_fixed12<T>(q_.data() + l * kFixed12LinkInts,
-                             scale_[static_cast<std::size_t>(l)]);
-  }
-
-  GaugeField<T> decompress() const {
-    GaugeField<T> out(geom_);
-    for (int mu = 0; mu < 4; ++mu)
-      for (std::int64_t s = 0; s < geom_->volume(); ++s)
-        out.store(mu, s, load(mu, s));
-    return out;
-  }
-
-  /// Raw quantised storage (the width-independence tests compare these
-  /// bitwise across builds).
-  const std::vector<std::int16_t>& quantised() const { return q_; }
-  const std::vector<float>& scales() const { return scale_; }
-
- private:
-  std::int64_t link(int mu, std::int64_t site) const {
-    return std::int64_t(mu) * geom_->volume() + site;
-  }
-
-  std::shared_ptr<const Geometry> geom_;
-  std::vector<std::int16_t> q_;
-  std::vector<float> scale_;
 };
 
 }  // namespace femto

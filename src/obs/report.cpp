@@ -28,11 +28,7 @@ const char* dslash_variant_name(double v) {
 /// femto::GaugeFormat encoding in lattice/compressed_gauge.hpp (same
 /// layering reason as above).
 const char* dslash_format_name(double v) {
-  const int k = static_cast<int>(v);
-  if (k == 1) return "recon12";
-  if (k == 2) return "recon8";
-  if (k == 3) return "fixed12";
-  return "full18";
+  return static_cast<int>(v) == 1 ? "recon12" : "full18";
 }
 
 // Ratios whose denominator never accumulated are UNDEFINED, not zero: an

@@ -19,6 +19,13 @@
 namespace femto {
 
 /// Precision of the sloppy (inner) solver.
+///
+/// Half is an ACCURACY emulation, not a bandwidth feature: the inner
+/// spinors stay in float storage and every update adds an int16
+/// quantise/dequantise round trip (solver/half.hpp) to reproduce
+/// 16-bit rounding.  On a CPU that round trip is extra traffic, so Half
+/// streams more bytes per iteration than Single, never fewer (DESIGN.md
+/// §16).
 enum class Precision { Double, Single, Half };
 
 const char* to_string(Precision p);
@@ -46,10 +53,9 @@ struct SolverParams {
   std::size_t blas_grain = 0;  ///< chunk grain for the solver's BLAS
                                ///< kernels (0 = blas::kGrain); autotuned
                                ///< via tune::tuned_blas_grain
-  /// Gauge storage tier for the sloppy (inner) operator (DESIGN.md §16).
-  /// The approximate tiers (recon8/fixed12) are allowed exactly where
-  /// half-precision spinors already are — inner iterations — while
-  /// reliable updates always run on full-18 double links.  Autotuned via
+  /// Gauge storage tier for the sloppy (inner) operator (DESIGN.md §16):
+  /// full18 or recon12.  Only the inner iterations read it; reliable
+  /// updates always run on full-18 double links.  Autotuned via
   /// tune::tuned_dslash_grain(..., FormatSet::kAll) in DwfSolver.
   GaugeFormat gauge_format = GaugeFormat::kFull18;
 };

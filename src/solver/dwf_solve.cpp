@@ -13,9 +13,8 @@ namespace femto {
 void DwfSolver::autotune() {
   FEMTO_TRACE_SCOPE("autotune", "dwf_solver_autotune");
   // Reliable updates are pinned to full-18 double links (accuracy
-  // contract, DESIGN.md §16): the double operator only sweeps exact
-  // storage, while the sloppy float operator sweeps every tier and may
-  // pick an approximate one.
+  // contract, DESIGN.md §16): the double operator only sweeps full18,
+  // while the sloppy float operator also races recon12.
   op_d_.tuning() = tune::tuned_dslash_grain<double>(
       u_d_, mobius_.l5, 0, tune::FormatSet::kFullOnly);
   op_f_.tuning() = tune::tuned_dslash_grain<float>(u_f_, mobius_.l5, 0,

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "obs/metrics.hpp"
+
 namespace femto::tune {
 namespace {
 
@@ -123,6 +125,34 @@ TEST(Autotuner, LoadRejectsUnknownFile) {
   EXPECT_EQ(tuner.load(path), 0);
   EXPECT_EQ(tuner.load("/tmp/definitely_missing_file.cache"), 0);
   std::remove(path.c_str());
+}
+
+/// A FakeKernel whose fastest candidate (block == 4) writes the wrong
+/// answer: a timing-only tuner would cache it.
+class WrongFastKernel : public FakeKernel {
+ public:
+  using FakeKernel::FakeKernel;
+
+  void apply(const TuneParam& p) override {
+    FakeKernel::apply(p);
+    out = p.get("block") == 4 ? -1.0 : 42.0;
+  }
+  void save_reference() override { ref = out; }
+  bool matches_reference() const override { return out == ref; }
+
+  double out = 0.0;
+  double ref = 0.0;
+};
+
+TEST(Autotuner, RejectsCandidateWhoseOutputDisagrees) {
+  Autotuner tuner;
+  WrongFastKernel k("kern-wrong");
+  const std::int64_t before = obs::counter("autotune.rejected").get();
+  const auto& e = tuner.tune(k);
+  EXPECT_NE(e.param.get("block"), 4);
+  EXPECT_EQ(e.rejected, 1);
+  EXPECT_EQ(e.candidates_tried, 4);
+  EXPECT_EQ(obs::counter("autotune.rejected").get() - before, 1);
 }
 
 TEST(Autotuner, InsertAndClear) {

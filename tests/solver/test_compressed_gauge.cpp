@@ -107,7 +107,7 @@ TEST(CompressedGauge, CompressedDslashMatchesFull) {
   in.gaussian(1608);
   for (bool dagger : {false, true}) {
     dslash<double>(view(a), u, cview(in), 0, dagger, {});
-    dslash_compressed<double>(view(b), c, cview(in), 0, dagger, {});
+    dslash<double>(view(b), c, cview(in), 0, dagger, {});
     for (std::int64_t k = 0; k < a.reals(); ++k)
       ASSERT_NEAR(a.data()[k], b.data()[k], 1e-12) << dagger;
   }
@@ -117,71 +117,13 @@ TEST(CompressedGauge, CompressedDslashMatchesFull) {
 }  // namespace femto
 
 // ---------------------------------------------------------------------------
-// The deeper tiers (DESIGN.md §16): recon8 exact-for-SU(3), fixed12
-// quantised, plus the storage/traffic/determinism contracts shared by all
-// three containers.
+// The storage/traffic/determinism contracts of the recon12 container.
 // ---------------------------------------------------------------------------
 
 #include "lattice/flops.hpp"
 
 namespace femto {
 namespace {
-
-TEST(Recon8Gauge, RoundTripOnHotGauge) {
-  GaugeField<double> u(geom448());
-  hot_gauge(u, 1609);
-  Recon8GaugeField<double> c(u);
-  for (int mu = 0; mu < 4; ++mu)
-    for (std::int64_t s = 0; s < u.geom().volume(); s += 11) {
-      const auto full = u.load(mu, s);
-      const auto rec = c.load(mu, s);
-      // atan2/sin/cos/sqrt in the codec cost a few ulp more than recon12.
-      EXPECT_LT(dist2(full, rec), 1e-20) << mu << " " << s;
-    }
-}
-
-TEST(Recon8Gauge, StorageIsFourNinths) {
-  GaugeField<double> u(geom448());
-  hot_gauge(u, 1610);
-  Recon8GaugeField<double> c(u);
-  EXPECT_EQ(c.bytes() * 9, u.bytes() * 4);
-}
-
-TEST(Fixed12Gauge, RoundTripWithinQuantisationBound) {
-  GaugeField<double> u(geom448());
-  hot_gauge(u, 1611);
-  Fixed12GaugeField<double> c(u);
-  for (int mu = 0; mu < 4; ++mu)
-    for (std::int64_t s = 0; s < u.geom().volume(); s += 11) {
-      const auto full = u.load(mu, s);
-      const auto rec = c.load(mu, s);
-      // 16-bit mantissa: ~1.5e-5 absolute per real on |entry| <= 1 links,
-      // squared and summed over 18 reals (third row amplifies by ~2x).
-      EXPECT_LT(dist2(full, rec), 1e-6) << mu << " " << s;
-      EXPECT_GT(dist2(full, rec), 0.0) << mu << " " << s;  // really lossy
-    }
-}
-
-TEST(Fixed12Gauge, StorageIs28BytesPerLink) {
-  GaugeField<double> u(geom448());
-  hot_gauge(u, 1612);
-  Fixed12GaugeField<double> c(u);
-  EXPECT_EQ(c.bytes(),
-            4 * u.geom().volume() *
-                (12 * static_cast<std::int64_t>(sizeof(std::int16_t)) +
-                 static_cast<std::int64_t>(sizeof(float))));
-}
-
-TEST(Fixed12Gauge, QuantisedStorageIsDeterministic) {
-  // The parallel compression ctor writes disjoint links and the quantise
-  // loop is scalar lrintf, so two builds of the same field must agree
-  // bit-for-bit regardless of pool chunking or SIMD width.
-  GaugeField<double> u(geom448());
-  hot_gauge(u, 1613);
-  Fixed12GaugeField<double> a(u), b(u);
-  ASSERT_EQ(a.quantised(), b.quantised());
-  ASSERT_EQ(a.scales(), b.scales());
-}
 
 TEST(CompressedGauge, ParallelCompressionIsDeterministic) {
   GaugeField<double> u(geom448());
@@ -200,9 +142,6 @@ TEST(CompressedGauge, CompressionChargesTrueTraffic) {
   flops::reset();
   CompressedGaugeField<double> c(u);
   EXPECT_EQ(flops::bytes(), u.bytes() + c.bytes());
-  flops::reset();
-  Fixed12GaugeField<double> f(u);
-  EXPECT_EQ(flops::bytes(), u.bytes() + f.bytes());
 }
 
 #if FEMTO_CHECKED_ENABLED

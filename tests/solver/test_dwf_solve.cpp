@@ -173,11 +173,10 @@ namespace {
 
 TEST(DwfSolver, CompressedInnerLinksReachSameAnswer) {
   // The accuracy contract of DESIGN.md §16: the sloppy operator may read
-  // any storage tier — recon12 exactly, recon8/fixed12 approximately,
-  // i.e. exactly where half-precision spinors already live — because the
-  // reliable updates recompute the TRUE residual on full-18 double links.
-  // Mixed CG must therefore reach the same double residual, and the
-  // answer must match the full18 solve within reliable-update tolerance.
+  // recon12 links because the reliable updates recompute the TRUE
+  // residual on full-18 double links.  Mixed CG must therefore reach the
+  // same double residual, and the answer must match the full18 solve
+  // within reliable-update tolerance.
   auto u = make_gauge(133);
   SolverParams sp;
   sp.tol = 1e-10;
@@ -189,25 +188,18 @@ TEST(DwfSolver, CompressedInnerLinksReachSameAnswer) {
   const auto r_ref = ref_solver.solve(x_ref, b);
   ASSERT_TRUE(r_ref.converged) << r_ref.summary();
 
-  for (GaugeFormat fmt : {GaugeFormat::kRecon12, GaugeFormat::kRecon8,
-                          GaugeFormat::kFixed12}) {
-    SolverParams spc = sp;
-    spc.gauge_format = fmt;
-    DwfSolver solver(u, kParams, spc);
-    x.zero();
-    const auto res = solver.solve(x, b);
-    ASSERT_TRUE(res.converged)
-        << gauge_format_name(fmt) << ": " << res.summary();
-    // Same double residual: the convergence test is the full18 one.
-    EXPECT_LT(full_residual(solver.op(), x, b), 1e-8)
-        << gauge_format_name(fmt);
-    // Same answer, to the tolerance the reliable updates guarantee.
-    SpinorField<double> d(u->geom_ptr(), kParams.l5, Subset::Full);
-    blas::copy(d, x);
-    blas::axpy(-1.0, x_ref, d);
-    EXPECT_LT(std::sqrt(blas::norm2(d) / blas::norm2(x_ref)), 1e-6)
-        << gauge_format_name(fmt);
-  }
+  SolverParams spc = sp;
+  spc.gauge_format = GaugeFormat::kRecon12;
+  DwfSolver solver(u, kParams, spc);
+  const auto res = solver.solve(x, b);
+  ASSERT_TRUE(res.converged) << res.summary();
+  // Same double residual: the convergence test is the full18 one.
+  EXPECT_LT(full_residual(solver.op(), x, b), 1e-8);
+  // Same answer, to the tolerance the reliable updates guarantee.
+  SpinorField<double> d(u->geom_ptr(), kParams.l5, Subset::Full);
+  blas::copy(d, x);
+  blas::axpy(-1.0, x_ref, d);
+  EXPECT_LT(std::sqrt(blas::norm2(d) / blas::norm2(x_ref)), 1e-6);
 }
 
 }  // namespace

@@ -423,8 +423,7 @@ class Extractor {
   // bytes()).  The parameter name is the last identifier of each
   // top-level comma-separated declarator.
   void scan_params(FunctionInfo& fn, std::size_t open, std::size_t close) {
-    static const std::set<std::string> kCompressed = {
-        "CompressedGaugeField", "Recon8GaugeField", "Fixed12GaugeField"};
+    static const std::set<std::string> kCompressed = {"CompressedGaugeField"};
     int depth = 0;
     bool compressed = false;
     std::string last_ident;

@@ -86,7 +86,7 @@ struct FunctionInfo {
   bool charges = false;  // body contains flops::add_bytes
   int first_charge_line = 0;
   // Parameter names whose declared type names a compressed gauge container
-  // (CompressedGaugeField / Recon8GaugeField / Fixed12GaugeField): their
+  // (CompressedGaugeField): their
   // traffic charge must come from the container's own bytes(), not from a
   // full-18 field's (kernel-traffic pass).
   std::set<std::string> compressed_params;

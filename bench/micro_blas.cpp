@@ -39,18 +39,6 @@ void bm_axpy(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 3 * x.bytes());
 }
 
-void bm_caxpy(benchmark::State& state) {
-  femto::SpinorField<float> x(geom(), 8, femto::Subset::Odd),
-      y(geom(), 8, femto::Subset::Odd);
-  x.gaussian(3);
-  y.gaussian(4);
-  for (auto _ : state) {
-    femto::blas::caxpy({0.999, 1e-4}, x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetBytesProcessed(state.iterations() * 3 * x.bytes());
-}
-
 void bm_norm2(benchmark::State& state) {
   femto::SpinorField<double> x(geom(), 8, femto::Subset::Odd);
   x.gaussian(5);
@@ -307,7 +295,6 @@ void write_json(const std::vector<SequenceResult>& results,
 }  // namespace
 
 BENCHMARK(bm_axpy)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_caxpy)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_norm2)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_cdot)->Unit(benchmark::kMicrosecond);
 BENCHMARK(bm_axpy_norm2)->Unit(benchmark::kMicrosecond);

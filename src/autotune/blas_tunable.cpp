@@ -10,11 +10,7 @@ const char* to_string(BlasKernel k) {
   switch (k) {
     case BlasKernel::AxpyNorm2: return "axpy_norm2";
     case BlasKernel::TripleCgUpdate: return "triple_cg_update";
-    case BlasKernel::AxpyZpbx: return "axpy_zpbx";
-    case BlasKernel::XpayRedot: return "xpay_redot";
-    case BlasKernel::AxpbyNorm2: return "axpby_norm2";
-    case BlasKernel::CaxpyNorm2: return "caxpy_norm2";
-    default: return "cdot_norm2";
+    default: return "axpy_zpbx";
   }
 }
 
@@ -76,18 +72,6 @@ void BlasTunable<T>::apply(const TuneParam& p) {
     case BlasKernel::AxpyZpbx:
       blas::axpy_zpbx<T>(0.5, x_, y_, a_, -0.5, grain);
       break;
-    case BlasKernel::XpayRedot:
-      blas::xpay_redot<T>(a_, 0.5, x_, grain);
-      break;
-    case BlasKernel::AxpbyNorm2:
-      blas::axpby_norm2<T>(0.5, a_, -0.5, x_, grain);
-      break;
-    case BlasKernel::CaxpyNorm2:
-      blas::caxpy_norm2<T>({0.5, 0.25}, a_, x_, grain);
-      break;
-    case BlasKernel::CdotNorm2:
-      blas::cdot_norm2<T>(a_, b_, grain);
-      break;
   }
 }
 
@@ -109,11 +93,7 @@ std::int64_t BlasTunable<T>::flops_per_call() const {
   switch (kernel_) {
     case BlasKernel::AxpyNorm2: return 4 * n;
     case BlasKernel::TripleCgUpdate: return 6 * n;
-    case BlasKernel::AxpyZpbx: return 4 * n;
-    case BlasKernel::XpayRedot: return 4 * n;
-    case BlasKernel::AxpbyNorm2: return 5 * n;
-    case BlasKernel::CaxpyNorm2: return 6 * n;
-    default: return 6 * n;  // CdotNorm2
+    default: return 4 * n;  // AxpyZpbx
   }
 }
 
@@ -123,11 +103,7 @@ std::int64_t BlasTunable<T>::bytes_per_call() const {
   switch (kernel_) {
     case BlasKernel::AxpyNorm2: return 3 * nb;
     case BlasKernel::TripleCgUpdate: return 6 * nb;
-    case BlasKernel::AxpyZpbx: return 5 * nb;
-    case BlasKernel::XpayRedot: return 3 * nb;
-    case BlasKernel::AxpbyNorm2: return 3 * nb;
-    case BlasKernel::CaxpyNorm2: return 3 * nb;
-    default: return 2 * nb;  // CdotNorm2
+    default: return 5 * nb;  // AxpyZpbx
   }
 }
 

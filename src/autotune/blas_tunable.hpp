@@ -19,10 +19,6 @@ enum class BlasKernel {
   AxpyNorm2,
   TripleCgUpdate,
   AxpyZpbx,
-  XpayRedot,
-  AxpbyNorm2,
-  CaxpyNorm2,
-  CdotNorm2,
 };
 
 const char* to_string(BlasKernel k);

@@ -43,10 +43,11 @@ struct FifthDimOp {
   FifthDimOp inverse() const { return {plus.inverse(), minus.inverse()}; }
 
   /// out(s) = sum_s' M(s,s') in(s') per site, per spin pair, per color.
-  /// Views must share `sites` and l5 == n.
+  /// Views must share `sites` and l5 == n.  @p grain is the minimum 4D
+  /// sites per thread chunk (the same default as DslashTuning::grain).
   template <typename T>
   void apply(const SpinorView<T>& out, const SpinorView<const T>& in,
-             std::size_t grain = 256) const;
+             std::size_t grain = 128) const;
 };
 
 extern template void FifthDimOp::apply<double>(

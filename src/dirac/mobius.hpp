@@ -86,7 +86,7 @@ class MobiusOperator {
                          std::span<const SpinorField<T>* const> in,
                          bool dagger = false) const;
 
-  /// Batched normal operator (what the block-CG solvers apply).
+  /// Batched normal operator (what block_mixed_cg applies).
   void apply_normal_multi(std::span<SpinorField<T>* const> out,
                           std::span<const SpinorField<T>* const> in) const;
 

@@ -43,7 +43,10 @@ inline const char* to_string(DslashVariant v) {
 /// Tuning knobs for the stencil kernel (swept by the autotuner the same way
 /// QUDA sweeps CUDA launch geometry).
 struct DslashTuning {
-  std::size_t grain = 512;  ///< minimum 4D sites per thread chunk
+  /// Minimum 4D sites per thread chunk.  128 sites are >= 128*l5*1320
+  /// flops per chunk, far above a pool launch; a 4^4 parity (128 sites)
+  /// stays on the calling thread, anything larger is split.
+  std::size_t grain = 128;
   DslashVariant variant = DslashVariant::kScalar;
   /// Gauge storage tier the operator should read (DESIGN.md §16).  The
   /// dslash entry points below take the container explicitly; this knob is

@@ -161,34 +161,6 @@ inline void axpby_chunk(T aa, const T* xd, T bb, T* yd, std::size_t lo,
   for (; k < hi; ++k) yd[k] = aa * xd[k] + bb * yd[k];
 }
 
-/// y += (ar + i ai)*x over complex-pair range [lo, hi) (pair indices).
-/// Vector trick: on the interleaved (re, im) stream, a complex axpy is
-///     y += ar*x + [-ai, +ai, ...] * swap_pairs(x)
-/// which keeps everything W reals wide with no shuffles beyond the pair
-/// swap.  Association differs from the scalar form by one regrouping, so
-/// pair kernels agree with scalar arithmetic to rounding (the fused and
-/// unfused pair kernels still match bitwise — both inline this body).
-template <int W, typename T>
-inline void caxpy_chunk(T ar, T ai, const T* xd, T* yd, std::size_t lo,
-                        std::size_t hi) {
-  std::size_t k = lo;
-  if constexpr (W > 1) {
-    const simd::Vec<T, W> arv(ar);
-    const auto aiv = simd::interleave<T, W>(-ai, ai);
-    for (; k + W / 2 <= hi; k += W / 2) {
-      const auto x = simd::Vec<T, W>::load(xd + 2 * k);
-      auto y = simd::Vec<T, W>::load(yd + 2 * k);
-      y += arv * x + aiv * simd::swap_pairs(x);
-      y.store(yd + 2 * k);
-    }
-  }
-  for (; k < hi; ++k) {
-    const T xr = xd[2 * k], xi = xd[2 * k + 1];
-    yd[2 * k] += ar * xr - ai * xi;
-    yd[2 * k + 1] += ar * xi + ai * xr;
-  }
-}
-
 }  // namespace detail
 
 /// y = x
@@ -259,57 +231,6 @@ void axpby(double a, const SpinorField<T>& x, double b, SpinorField<T>& y,
       },
       grain);
   flops::add(3 * y.reals());
-  flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
-}
-
-/// y += (a.re + i a.im) * x, treating consecutive real pairs as complex.
-template <typename T, int W = simd::kWidth<T>>
-void caxpy(Cplx<double> a, const SpinorField<T>& x, SpinorField<T>& y,
-           std::size_t grain = kGrain) {
-  assert(y.compatible(x));
-  const T ar = static_cast<T>(a.re), ai = static_cast<T>(a.im);
-  T* yd = y.data();
-  const T* xd = x.data();
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(y.reals() / 2),
-      [&](std::size_t lo, std::size_t hi) {
-        detail::caxpy_chunk<W>(ar, ai, xd, yd, lo, hi);
-      },
-      grain);
-  flops::add(4 * y.reals());
-  flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
-}
-
-/// y = x + (a.re + i a.im) * y, complex pairs.
-template <typename T, int W = simd::kWidth<T>>
-void cxpay(const SpinorField<T>& x, Cplx<double> a, SpinorField<T>& y,
-           std::size_t grain = kGrain) {
-  assert(y.compatible(x));
-  const T ar = static_cast<T>(a.re), ai = static_cast<T>(a.im);
-  T* yd = y.data();
-  const T* xd = x.data();
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(y.reals() / 2),
-      [&](std::size_t lo, std::size_t hi) {
-        std::size_t k = lo;
-        if constexpr (W > 1) {
-          const simd::Vec<T, W> arv(ar);
-          const auto aiv = simd::interleave<T, W>(-ai, ai);
-          for (; k + W / 2 <= hi; k += W / 2) {
-            const auto y0 = simd::Vec<T, W>::load(yd + 2 * k);
-            const auto y1 = simd::Vec<T, W>::load(xd + 2 * k) + arv * y0 +
-                            aiv * simd::swap_pairs(y0);
-            y1.store(yd + 2 * k);
-          }
-        }
-        for (; k < hi; ++k) {
-          const T yr = yd[2 * k], yi = yd[2 * k + 1];
-          yd[2 * k] = xd[2 * k] + ar * yr - ai * yi;
-          yd[2 * k + 1] = xd[2 * k + 1] + ar * yi + ai * yr;
-        }
-      },
-      grain);
-  flops::add(4 * y.reals());
   flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
 }
 
@@ -536,78 +457,6 @@ void axpy_zpbx(double a, SpinorField<T>& p, SpinorField<T>& x,
   flops::add_bytes(5 * p.reals() * static_cast<std::int64_t>(sizeof(T)));
 }
 
-/// y += a*x (complex pairs), returning ||y||^2 of the updated y — the
-/// BiCGStab s- and r-update kernel.
-template <typename T, int W = simd::kWidth<T>>
-double caxpy_norm2(Cplx<double> a, const SpinorField<T>& x, SpinorField<T>& y,
-                   std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "caxpy_norm2");
-  assert(y.compatible(x));
-  const T ar = static_cast<T>(a.re), ai = static_cast<T>(a.im);
-  T* yd = y.data();
-  const T* xd = x.data();
-  double n2 = 0.0;
-  par::ThreadPool::global().parallel_reduce_n(
-      0, static_cast<std::size_t>(y.reals() / 2), 1,
-      [&](std::size_t lo, std::size_t hi, double* acc) {
-        detail::caxpy_chunk<W>(ar, ai, xd, yd, lo, hi);
-        acc[0] = detail::norm2_chunk<W>(yd, 2 * lo, 2 * hi);
-      },
-      &n2, grain);
-  flops::add(6 * y.reals());
-  flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return n2;
-}
-
-/// One pass computing both <x, y> and ||x||^2 — BiCGStab's omega kernel
-/// (omega = <t, s> / ||t||^2 via cdot_norm2(t, s)).
-template <typename T, int W = simd::kWidth<T>>
-std::pair<Cplx<double>, double> cdot_norm2(const SpinorField<T>& x,
-                                           const SpinorField<T>& y,
-                                           std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "cdot_norm2");
-  assert(y.compatible(x));
-  const T* xd = x.data();
-  const T* yd = y.data();
-  double sums[3] = {0.0, 0.0, 0.0};
-  par::ThreadPool::global().parallel_reduce_n(
-      0, static_cast<std::size_t>(x.reals() / 2), 3,
-      [&](std::size_t lo, std::size_t hi, double* acc) {
-        double sr = 0.0, si = 0.0, sn = 0.0;
-        std::size_t k = lo;
-        if constexpr (W > 1) {
-          simd::Vec<double, W> racc, iacc, nacc;
-          const auto sign = simd::interleave<double, W>(1.0, -1.0);
-          for (; k + W / 2 <= hi; k += W / 2) {
-            const auto xv =
-                simd::convert<double>(simd::Vec<T, W>::load(xd + 2 * k));
-            const auto yv =
-                simd::convert<double>(simd::Vec<T, W>::load(yd + 2 * k));
-            racc += xv * yv;
-            iacc += sign * (xv * simd::swap_pairs(yv));
-            nacc += xv * xv;
-          }
-          sr = simd::sum_ordered(racc);
-          si = simd::sum_ordered(iacc);
-          sn = simd::sum_ordered(nacc);
-        }
-        for (; k < hi; ++k) {
-          const double xr = xd[2 * k], xi = xd[2 * k + 1];
-          const double yr = yd[2 * k], yi = yd[2 * k + 1];
-          sr += xr * yr + xi * yi;
-          si += xr * yi - xi * yr;
-          sn += xr * xr + xi * xi;
-        }
-        acc[0] = sr;
-        acc[1] = si;
-        acc[2] = sn;
-      },
-      sums, grain);
-  flops::add(6 * x.reals());
-  flops::add_bytes(2 * x.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return {Cplx<double>{sums[0], sums[1]}, sums[2]};
-}
-
 // ---------------------------------------------------------------------------
 // Multi-RHS kernels (DESIGN.md §12).  Each batched kernel makes ONE
 // parallel launch whose chunk body loops over the B right-hand sides,
@@ -616,7 +465,7 @@ std::pair<Cplx<double>, double> cdot_norm2(const SpinorField<T>& x,
 // count — and partials combine in the same fixed chunk order per
 // component, every RHS's result is bitwise identical to the single-RHS
 // kernel at the same grain, independent of which other RHSs share the
-// batch.  That is the per-RHS bitwise contract the block solvers and the
+// batch.  That is the per-RHS bitwise contract block_mixed_cg and the
 // solve service rely on: batch composition can never change an answer.
 //
 // Traffic scales with B (every field pass happens per RHS); the batching
@@ -743,35 +592,6 @@ void triple_cg_update_multi(std::span<const double> alpha,
   const std::int64_t reals = static_cast<std::int64_t>(nb) * r[0]->reals();
   flops::add(6 * reals);
   flops::add_bytes(6 * reals * static_cast<std::int64_t>(sizeof(T)));
-}
-
-/// The axpyZpbx, batched: x_r += a_r*p_r; p_r = z_r + b_r*p_r.
-template <typename T, int W = simd::kWidth<T>>
-void axpy_zpbx_multi(std::span<const double> a,
-                     std::span<SpinorField<T>* const> p,
-                     std::span<SpinorField<T>* const> x,
-                     std::span<const SpinorField<T>* const> z,
-                     std::span<const double> b,
-                     std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "axpy_zpbx_multi");
-  const std::size_t nb = p.size();
-  FEMTO_ASSERT(x.size() == nb && z.size() == nb && a.size() == nb &&
-               b.size() == nb);
-  if (nb == 0) return;
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(p[0]->reals()),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = 0; r < nb; ++r) {
-          detail::axpy_chunk<W>(static_cast<T>(a[r]), p[r]->data(),
-                                x[r]->data(), lo, hi);
-          detail::xpay_chunk<W>(z[r]->data(), static_cast<T>(b[r]),
-                                p[r]->data(), lo, hi);
-        }
-      },
-      grain);
-  const std::int64_t reals = static_cast<std::int64_t>(nb) * p[0]->reals();
-  flops::add(4 * reals);
-  flops::add_bytes(5 * reals * static_cast<std::int64_t>(sizeof(T)));
 }
 
 }  // namespace femto::blas

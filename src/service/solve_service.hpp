@@ -23,12 +23,12 @@
 // METAQ (src/jobmgr) models the same claim-from-queue shape at the
 // cluster level; this is its in-process, solver-granularity analogue.
 //
-// Because block solvers keep per-RHS trajectories bitwise independent of
+// Because block_mixed_cg keeps per-RHS trajectories bitwise independent of
 // batch composition (block_cg.hpp), results are DETERMINISTIC under any
 // queue timing: however requests interleave into batches, each solution
 // equals the one a solo DwfSolver::solve would produce.
 //
-// Telemetry (femtoscope): per-request SolveRecords via the block solvers,
+// Telemetry (femtoscope): per-request SolveRecords via block_mixed_cg,
 // plus
 //   solve_service.queue_depth   gauge, sampled at every queue transition
 //   solve_service.batch_size    histogram, one observation per batch

@@ -1,176 +1,16 @@
 #include "solver/block_cg.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/check.hpp"
 #include "lattice/flops.hpp"
 #include "obs/trace.hpp"
 #include "obs/wallclock.hpp"
+#include "solver/grain.hpp"
 #include "solver/half.hpp"
 #include "solver/solver_obs.hpp"
 
 namespace femto {
-
-namespace {
-
-std::size_t resolve_grain(std::size_t blas_grain) {
-  return blas_grain == 0 ? blas::kGrain : blas_grain;
-}
-
-std::size_t half_grain(std::size_t blas_grain) {
-  if (blas_grain == 0) return HalfSpinorField::kHalfGrain;
-  return std::max<std::size_t>(1, blas_grain / kSpinorReals);
-}
-
-/// Pointer subsets for shrinking-block kernel calls.
-template <typename T>
-std::vector<SpinorField<T>*> select(std::vector<SpinorField<T>>& fs,
-                                    const std::vector<std::size_t>& idx) {
-  std::vector<SpinorField<T>*> out;
-  out.reserve(idx.size());
-  for (std::size_t i : idx) out.push_back(&fs[i]);
-  return out;
-}
-
-template <typename T>
-std::vector<const SpinorField<T>*> cselect(std::vector<SpinorField<T>>& fs,
-                                           const std::vector<std::size_t>& idx) {
-  std::vector<const SpinorField<T>*> out;
-  out.reserve(idx.size());
-  for (std::size_t i : idx) out.push_back(&fs[i]);
-  return out;
-}
-
-/// Split the joint flop/byte/wall totals equally across the block and
-/// record each RHS (see header: block work is joint, counters global).
-void finalize_block(std::vector<SolveResult>& results, const char* name,
-                    double seconds, std::int64_t flops_total,
-                    std::int64_t bytes_total) {
-  const auto nb = static_cast<std::int64_t>(results.size());
-  for (auto& res : results) {
-    res.seconds = seconds;
-    res.flop_count = flops_total / nb;
-    res.byte_count = bytes_total / nb;
-    solver_obs::record(name, res);
-  }
-}
-
-}  // namespace
-
-template <typename T>
-std::vector<SolveResult> block_cg(const MultiApplyFn<T>& a,
-                                  std::span<SpinorField<T>* const> x,
-                                  std::span<const SpinorField<T>* const> b,
-                                  double tol, int max_iter,
-                                  std::size_t blas_grain) {
-  FEMTO_TRACE_SCOPE("solver", "block_cg");
-  const std::size_t nb = x.size();
-  FEMTO_ASSERT(b.size() == nb);
-  std::vector<SolveResult> results(nb);
-  if (nb == 0) return results;
-  const obs::Stopwatch sw;
-  const std::int64_t flops0 = flops::get();
-  const std::int64_t bytes0 = flops::bytes();
-  const std::size_t g = resolve_grain(blas_grain);
-
-  // Per-RHS state: residual, search direction, matvec result.
-  std::vector<SpinorField<T>> r, p, ap;
-  r.reserve(nb);
-  p.reserve(nb);
-  ap.reserve(nb);
-  for (std::size_t i = 0; i < nb; ++i) {
-    r.push_back(*b[i]);
-    ap.emplace_back(b[i]->geom_ptr(), b[i]->l5(), b[i]->subset());
-  }
-
-  std::vector<double> b2(nb), rsq(nb), target(nb), xn(nb);
-  {
-    std::vector<const SpinorField<T>*> bp(b.begin(), b.end());
-    blas::norm2_multi<T>(bp, b2, g);
-  }
-  {
-    std::vector<const SpinorField<T>*> xp(x.begin(), x.end());
-    blas::norm2_multi<T>(xp, xn, g);
-  }
-  // Warm starts: r = b - A x for the RHSs with a nonzero guess (the same
-  // skip-if-zero convention as cg(), batched over the warm subset).
-  std::vector<std::size_t> warm;
-  for (std::size_t i = 0; i < nb; ++i) {
-    rsq[i] = b2[i];
-    target[i] = tol * tol * b2[i];
-    if (xn[i] > 0.0) warm.push_back(i);
-  }
-  if (!warm.empty()) {
-    std::vector<SpinorField<T>*> wx;
-    std::vector<const SpinorField<T>*> cwx;
-    for (std::size_t i : warm) {
-      wx.push_back(x[i]);
-      cwx.push_back(x[i]);
-    }
-    auto wap = select(ap, warm);
-    a(wap, cwx);
-    std::vector<double> mone(warm.size(), -1.0), wrsq(warm.size());
-    auto wr = select(r, warm);
-    blas::axpy_norm2_multi<T>(mone, cselect(ap, warm), wr, wrsq, g);
-    for (std::size_t k = 0; k < warm.size(); ++k) rsq[warm[k]] = wrsq[k];
-  }
-  for (std::size_t i = 0; i < nb; ++i) p.push_back(r[i]);
-
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < nb; ++i)
-    if (results[i].iterations < max_iter && rsq[i] > target[i])
-      active.push_back(i);
-
-  while (!active.empty()) {
-    // Batched matvec over the surviving block, then the per-RHS CG
-    // recurrences through one multi-kernel launch per fused operation.
-    const auto na = active.size();
-    auto pap_in = cselect(p, active);
-    auto ap_out = select(ap, active);
-    a(ap_out, pap_in);
-    std::vector<double> pap(na), alpha(na), malpha(na), rsq_new(na), beta(na);
-    blas::redot_multi<T>(pap_in, cselect(ap, active), pap, g);
-    for (std::size_t k = 0; k < na; ++k) {
-      ++results[active[k]].iterations;
-      alpha[k] = rsq[active[k]] / pap[k];
-      malpha[k] = -alpha[k];
-    }
-    auto ra = select(r, active);
-    blas::axpy_norm2_multi<T>(malpha, cselect(ap, active), ra, rsq_new, g);
-    for (std::size_t k = 0; k < na; ++k) {
-      FEMTO_CHECK(std::isfinite(rsq_new[k]),
-                  "block_cg: residual norm went NaN/Inf (diverging operator "
-                  "or corrupt field data)");
-      beta[k] = rsq_new[k] / rsq[active[k]];
-      rsq[active[k]] = rsq_new[k];
-    }
-    std::vector<SpinorField<T>*> xa;
-    for (std::size_t i : active) xa.push_back(x[i]);
-    auto pa = select(p, active);
-    blas::axpy_zpbx_multi<T>(alpha, pa, xa, cselect(r, active), beta, g);
-    std::vector<std::size_t> still;
-    for (std::size_t k = 0; k < na; ++k) {
-      const std::size_t i = active[k];
-      results[i].history.push_back(
-          {results[i].iterations,
-           b2[i] > 0.0 ? std::sqrt(rsq[i] / b2[i]) : 0.0, precision_of<T>(),
-           false});
-      if (results[i].iterations < max_iter && rsq[i] > target[i])
-        still.push_back(i);
-    }
-    active.swap(still);
-  }
-
-  for (std::size_t i = 0; i < nb; ++i) {
-    results[i].converged = rsq[i] <= target[i];
-    results[i].final_rel_residual = std::sqrt(rsq[i] / b2[i]);
-  }
-  finalize_block(results, "block_cg",
-                 sw.seconds(),
-                 flops::get() - flops0, flops::bytes() - bytes0);
-  return results;
-}
 
 namespace {
 
@@ -212,8 +52,8 @@ std::vector<SolveResult> block_mixed_cg(
   const obs::Stopwatch sw;
   const std::int64_t flops0 = flops::get();
   const std::int64_t bytes0 = flops::bytes();
-  const std::size_t g = resolve_grain(params.blas_grain);
-  const std::size_t hg = half_grain(params.blas_grain);
+  const std::size_t g = detail::resolve_grain(params.blas_grain);
+  const std::size_t hg = detail::half_grain(params.blas_grain);
   const bool half = params.sloppy == Precision::Half;
   const Precision inner_prec = half ? Precision::Half : Precision::Single;
 
@@ -411,21 +251,23 @@ std::vector<SolveResult> block_mixed_cg(
     }
   }
 
+  // Block work is joint and the counters are process-global, so each RHS
+  // is charged an equal share of the block's flops, bytes and wall time.
+  const auto n = static_cast<std::int64_t>(nb);
+  const double seconds = sw.seconds() / static_cast<double>(nb);
+  const std::int64_t flops_share = (flops::get() - flops0) / n;
+  const std::int64_t bytes_share = (flops::bytes() - bytes0) / n;
   for (std::size_t i = 0; i < nb; ++i) {
-    results[i].converged = st[i].r2_d <= st[i].target;
-    results[i].final_rel_residual = std::sqrt(st[i].r2_d / st[i].b2);
+    SolveResult& res = results[i];
+    res.converged = st[i].r2_d <= st[i].target;
+    res.final_rel_residual =
+        st[i].b2 > 0.0 ? std::sqrt(st[i].r2_d / st[i].b2) : 0.0;
+    res.seconds = seconds;
+    res.flop_count = flops_share;
+    res.byte_count = bytes_share;
+    solver_obs::record("block_mixed_cg", res);
   }
-  finalize_block(results, "block_mixed_cg",
-                 sw.seconds(),
-                 flops::get() - flops0, flops::bytes() - bytes0);
   return results;
 }
-
-template std::vector<SolveResult> block_cg<double>(
-    const MultiApplyFn<double>&, std::span<SpinorField<double>* const>,
-    std::span<const SpinorField<double>* const>, double, int, std::size_t);
-template std::vector<SolveResult> block_cg<float>(
-    const MultiApplyFn<float>&, std::span<SpinorField<float>* const>,
-    std::span<const SpinorField<float>* const>, double, int, std::size_t);
 
 }  // namespace femto

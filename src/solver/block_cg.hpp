@@ -1,7 +1,7 @@
 #pragma once
-// Block Krylov solvers over a batch of right-hand sides (DESIGN.md §12).
+// Block mixed-precision CG over a batch of right-hand sides (DESIGN.md §12).
 //
-// These are NOT "true" block-CG methods (no shared Krylov space, no
+// This is NOT a "true" block-CG method (no shared Krylov space, no
 // cross-RHS orthogonalisation): each RHS runs its OWN conjugate-gradient
 // recurrence — its own alpha/beta, its own stopping test, its own reliable
 // updates — and the batching is purely an execution-layer fusion: the B
@@ -10,8 +10,8 @@
 // is the per-RHS convergence contract:
 //
 //   Every RHS produces bitwise the SAME iterates, iteration count, and
-//   residual history it would produce in a solo cg / mixed_cg call at the
-//   same grain — independent of which other RHSs share the batch.
+//   residual history it would produce in a solo mixed_cg call at the same
+//   grain — independent of which other RHSs share the batch.
 //
 // That contract is what lets the SolveService batch greedily: adding or
 // removing a request from a batch can never change another request's
@@ -23,7 +23,8 @@
 // Reported per-RHS flop/byte/seconds are the RHS's share of the block
 // totals (total / B): the counters are process-global, and a block's work
 // is genuinely joint — attributing the full total to every RHS would
-// count it B times.
+// count it B times.  The per-RHS seconds therefore sum to the block's
+// wall time.
 
 #include <functional>
 #include <span>
@@ -41,30 +42,15 @@ template <typename T>
 using MultiApplyFn = std::function<void(
     std::span<SpinorField<T>* const>, std::span<const SpinorField<T>* const>)>;
 
-/// Plain CG over a block: solves A x_r = b_r for every r with per-RHS
-/// stopping.  x_r is the initial guess and the result.  Returns one
-/// SolveResult per RHS, bitwise matching cg() per RHS at the same grain.
-template <typename T>
-std::vector<SolveResult> block_cg(const MultiApplyFn<T>& a,
-                                  std::span<SpinorField<T>* const> x,
-                                  std::span<const SpinorField<T>* const> b,
-                                  double tol, int max_iter,
-                                  std::size_t blas_grain = 0);
-
-/// Mixed-precision CG with reliable updates over a block: per-RHS bitwise
-/// matching mixed_cg().  Each RHS triggers its own reliable updates (a
-/// batch-of-one double matvec); the sloppy inner iterations batch across
-/// every RHS currently mid-inner-solve.
+/// Mixed-precision CG with reliable updates over a block: solves
+/// A x_r = b_r for every r with per-RHS stopping; x_r is the initial guess
+/// and the result.  Returns one SolveResult per RHS, bitwise matching
+/// mixed_cg().  Each RHS triggers its own reliable updates (a batch-of-one
+/// double matvec); the sloppy inner iterations batch across every RHS
+/// currently mid-inner-solve.
 std::vector<SolveResult> block_mixed_cg(
     const MultiApplyFn<double>& a_double, const MultiApplyFn<float>& a_single,
     std::span<SpinorField<double>* const> x,
     std::span<const SpinorField<double>* const> b, const SolverParams& params);
-
-extern template std::vector<SolveResult> block_cg<double>(
-    const MultiApplyFn<double>&, std::span<SpinorField<double>* const>,
-    std::span<const SpinorField<double>* const>, double, int, std::size_t);
-extern template std::vector<SolveResult> block_cg<float>(
-    const MultiApplyFn<float>&, std::span<SpinorField<float>* const>,
-    std::span<const SpinorField<float>* const>, double, int, std::size_t);
 
 }  // namespace femto

@@ -7,6 +7,7 @@
 #include "lattice/flops.hpp"
 #include "obs/trace.hpp"
 #include "obs/wallclock.hpp"
+#include "solver/grain.hpp"
 #include "solver/half.hpp"
 #include "solver/solver_obs.hpp"
 
@@ -28,21 +29,6 @@ std::string SolveResult::summary() const {
   return os.str();
 }
 
-namespace {
-
-std::size_t resolve_grain(std::size_t blas_grain) {
-  return blas_grain == 0 ? blas::kGrain : blas_grain;
-}
-
-// The half kernels chunk over 24-real blocks, not reals; derive their grain
-// from the BLAS grain so one tunable covers both.
-std::size_t half_grain(std::size_t blas_grain) {
-  if (blas_grain == 0) return HalfSpinorField::kHalfGrain;
-  return std::max<std::size_t>(1, blas_grain / kSpinorReals);
-}
-
-}  // namespace
-
 template <typename T>
 SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
                const SpinorField<T>& b, double tol, int max_iter,
@@ -52,7 +38,7 @@ SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
   const obs::Stopwatch sw;
   const std::int64_t flops0 = flops::get();
   const std::int64_t bytes0 = flops::bytes();
-  const std::size_t g = resolve_grain(blas_grain);
+  const std::size_t g = detail::resolve_grain(blas_grain);
 
   SpinorField<T> r = b;
   SpinorField<T> ap(b.geom_ptr(), b.l5(), b.subset());
@@ -90,7 +76,7 @@ SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
   }
 
   res.converged = rsq <= target;
-  res.final_rel_residual = std::sqrt(rsq / b2);
+  res.final_rel_residual = b2 > 0.0 ? std::sqrt(rsq / b2) : 0.0;
   res.seconds = sw.seconds();
   res.flop_count = flops::get() - flops0;
   res.byte_count = flops::bytes() - bytes0;
@@ -107,8 +93,8 @@ SolveResult mixed_cg(const ApplyFn<double>& a_double,
   const obs::Stopwatch sw;
   const std::int64_t flops0 = flops::get();
   const std::int64_t bytes0 = flops::bytes();
-  const std::size_t g = resolve_grain(params.blas_grain);
-  const std::size_t hg = half_grain(params.blas_grain);
+  const std::size_t g = detail::resolve_grain(params.blas_grain);
+  const std::size_t hg = detail::half_grain(params.blas_grain);
 
   const auto geom = b.geom_ptr();
   const int l5 = b.l5();
@@ -201,7 +187,7 @@ SolveResult mixed_cg(const ApplyFn<double>& a_double,
   }
 
   res.converged = r2_d <= target;
-  res.final_rel_residual = std::sqrt(r2_d / b2);
+  res.final_rel_residual = b2 > 0.0 ? std::sqrt(r2_d / b2) : 0.0;
   res.seconds = sw.seconds();
   res.flop_count = flops::get() - flops0;
   res.byte_count = flops::bytes() - bytes0;
@@ -212,8 +198,5 @@ SolveResult mixed_cg(const ApplyFn<double>& a_double,
 template SolveResult cg<double>(const ApplyFn<double>&, SpinorField<double>&,
                                 const SpinorField<double>&, double, int,
                                 std::size_t);
-template SolveResult cg<float>(const ApplyFn<float>&, SpinorField<float>&,
-                               const SpinorField<float>&, double, int,
-                               std::size_t);
 
 }  // namespace femto

@@ -72,13 +72,13 @@ struct SolveResult {
   bool converged = false;
   int iterations = 0;         ///< total matvec count (normal-op applies)
   int reliable_updates = 0;   ///< double-precision residual recomputations
-  double final_rel_residual = 0.0;
+  double final_rel_residual = 0.0;  ///< 0 for a zero right-hand side
   double seconds = 0.0;
   std::int64_t flop_count = 0;
   std::int64_t byte_count = 0;  ///< compulsory traffic (flops::bytes delta)
 
   /// Full residual history (one sample per iteration plus one per reliable
-  /// update), recorded by cg / mixed_cg / bicgstab so convergence
+  /// update), recorded by cg / mixed_cg / block_mixed_cg so convergence
   /// regressions are diagnosable from run artifacts.  The femtoscope
   /// report stores a downsampled copy (solver_obs::record).
   std::vector<ResidualSample> history;
@@ -100,6 +100,8 @@ struct SolveResult {
 /// single-pass kernels (axpy_norm2, axpy_zpbx), so each iteration makes 3
 /// full-field BLAS sweeps beyond the matvec instead of the naive 5.
 /// @p blas_grain: chunk grain for those kernels (0 = blas::kGrain).
+/// cg<double> is the pure-double correctness reference
+/// (DwfSolver::solve_double).
 template <typename T>
 SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
                const SpinorField<T>& b, double tol, int max_iter,
@@ -109,7 +111,8 @@ SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
 /// double and recomputed with @p a_double; inner CG iterations run in
 /// single precision via @p a_single, optionally with every inner vector
 /// round-tripped through 16-bit fixed-point storage (Precision::Half),
-/// which is the paper's production configuration.
+/// which is the paper's production configuration.  It is the reference
+/// block_mixed_cg is tested against, bitwise per RHS.
 SolveResult mixed_cg(const ApplyFn<double>& a_double,
                      const ApplyFn<float>& a_single,
                      SpinorField<double>& x, const SpinorField<double>& b,
@@ -119,9 +122,5 @@ extern template SolveResult cg<double>(const ApplyFn<double>&,
                                        SpinorField<double>&,
                                        const SpinorField<double>&, double,
                                        int, std::size_t);
-extern template SolveResult cg<float>(const ApplyFn<float>&,
-                                      SpinorField<float>&,
-                                      const SpinorField<float>&, double, int,
-                                      std::size_t);
 
 }  // namespace femto

@@ -168,52 +168,6 @@ std::vector<SolveResult> DwfSolver::solve_multi(
   return res;
 }
 
-std::vector<SolveResult> DwfSolver::solve_multi_double(
-    std::span<SpinorField<double>* const> x,
-    std::span<const SpinorField<double>* const> b) {
-  FEMTO_TRACE_SCOPE("solver", "dwf_solve_multi_double");
-  const std::size_t nb = x.size();
-  FEMTO_ASSERT(b.size() == nb);
-  if (nb == 0) return {};
-  const auto geom = b[0]->geom_ptr();
-  const int l5 = b[0]->l5();
-
-  std::vector<SpinorField<double>> bhat, rhs, y;
-  bhat.reserve(nb);
-  rhs.reserve(nb);
-  y.reserve(nb);
-  std::vector<SpinorField<double>*> rhsp, yp;
-  std::vector<const SpinorField<double>*> cbhatp, crhsp;
-  for (std::size_t r = 0; r < nb; ++r) {
-    assert(x[r]->subset() == Subset::Full && b[r]->subset() == Subset::Full);
-    bhat.emplace_back(geom, l5, Subset::Odd);
-    rhs.emplace_back(geom, l5, Subset::Odd);
-    y.emplace_back(geom, l5, Subset::Odd);
-    op_d_.prepare_source(bhat.back(), *b[r]);
-  }
-  for (std::size_t r = 0; r < nb; ++r) {
-    rhsp.push_back(&rhs[r]);
-    cbhatp.push_back(&bhat[r]);
-    crhsp.push_back(&rhs[r]);
-    yp.push_back(&y[r]);
-  }
-  op_d_.apply_schur_multi(rhsp, cbhatp, /*dagger=*/true);
-
-  MultiApplyFn<double> a_d = [this](
-                                 std::span<SpinorField<double>* const> out,
-                                 std::span<const SpinorField<double>* const>
-                                     in) { op_d_.apply_normal_multi(out, in); };
-  std::vector<SolveResult> res = block_cg<double>(
-      a_d, yp, crhsp, sparams_.tol, sparams_.max_iter, sparams_.blas_grain);
-  for (std::size_t r = 0; r < nb; ++r) {
-    FEMTO_CHECK(std::isfinite(res[r].final_rel_residual),
-                "DwfSolver::solve_multi_double: block_cg returned a "
-                "non-finite residual");
-    op_d_.reconstruct(*x[r], y[r], *b[r]);
-  }
-  return res;
-}
-
 SolveResult DwfSolver::solve_double(SpinorField<double>& x,
                                     const SpinorField<double>& b) {
   FEMTO_TRACE_SCOPE("solver", "dwf_solve_double");

@@ -60,11 +60,6 @@ class DwfSolver {
       std::span<SpinorField<double>* const> x,
       std::span<const SpinorField<double>* const> b);
 
-  /// Pure-double block solve (reference / correctness baseline).
-  std::vector<SolveResult> solve_multi_double(
-      std::span<SpinorField<double>* const> x,
-      std::span<const SpinorField<double>* const> b);
-
  private:
   MobiusParams mobius_;
   SolverParams sparams_;

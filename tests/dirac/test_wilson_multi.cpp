@@ -2,7 +2,7 @@
 // right-hand side, to B independent scalar dslash() calls — on every
 // kernel variant, both parities, the dagger flag, and ragged batch sizes
 // that do not divide the vector width.  This is the contract
-// the block solvers and the solve service build on: batching is a pure
+// block_mixed_cg and the solve service build on: batching is a pure
 // bandwidth optimisation, never a numerics change.
 
 #include "dirac/wilson.hpp"
@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "lattice/block_field.hpp"
 #include "lattice/gauge.hpp"
 #include "simd/vec.hpp"
 
@@ -108,25 +107,6 @@ TEST(WilsonMulti, GrainDoesNotLeakIntoArithmetic) {
                             std::size_t{1024}})
     for (DslashVariant v : variants<double>())
       check_multi_matches_single<double>(4, 2, /*dagger=*/true, v, grain);
-}
-
-TEST(BlockSpinorField, ViewHelpersCoverEveryRhs) {
-  auto g = geom();
-  BlockSpinorField<double> blk(g, /*l5=*/2, Subset::Odd, /*nrhs=*/3);
-  EXPECT_EQ(blk.size(), 3u);
-  for (std::size_t r = 0; r < blk.size(); ++r)
-    blk[r].gaussian(40 + static_cast<std::uint64_t>(r));
-  auto ptrs = blk.ptrs();
-  auto cptrs = blk.cptrs();
-  ASSERT_EQ(ptrs.size(), 3u);
-  ASSERT_EQ(cptrs.size(), 3u);
-  auto views = views_of<double>(ptrs);
-  auto cviews = cviews_of<double>(cptrs);
-  for (std::size_t r = 0; r < blk.size(); ++r) {
-    EXPECT_EQ(ptrs[r], &blk[r]);
-    EXPECT_EQ(views[r].data, blk[r].data());
-    EXPECT_EQ(cviews[r].data, blk[r].data());
-  }
 }
 
 }  // namespace

@@ -53,19 +53,6 @@ TEST_F(BlasTest, AxpbyMatchesSerial) {
     EXPECT_DOUBLE_EQ(z.data()[k], 2.0 * x.data()[k] - y.data()[k]);
 }
 
-TEST_F(BlasTest, CaxpyMatchesComplexArithmetic) {
-  z = y;
-  const Cplx<double> a{0.3, -0.8};
-  blas::caxpy(a, x, z);
-  for (std::int64_t k = 0; k < z.reals() / 2; k += 41) {
-    const Cplx<double> xv{x.data()[2 * k], x.data()[2 * k + 1]};
-    const Cplx<double> yv{y.data()[2 * k], y.data()[2 * k + 1]};
-    const auto want = yv + a * xv;
-    EXPECT_NEAR(z.data()[2 * k], want.re, 1e-14);
-    EXPECT_NEAR(z.data()[2 * k + 1], want.im, 1e-14);
-  }
-}
-
 TEST_F(BlasTest, CdotHermitian) {
   const auto xy = blas::cdot(x, y);
   const auto yx = blas::cdot(y, x);
@@ -178,27 +165,6 @@ TEST_F(BlasTest, AxpyZpbxMatchesUnfusedBitwise) {
     EXPECT_EQ(x2.data()[k], x1.data()[k]);
     EXPECT_EQ(p2.data()[k], p1.data()[k]);
   }
-}
-
-TEST_F(BlasTest, CaxpyNorm2MatchesUnfused) {
-  const Cplx<double> a{0.3, -0.8};
-  z = y;
-  blas::caxpy(a, x, z);
-  const double want = blas::norm2(z);
-  SpinorField<double> w = y;
-  const double got = blas::caxpy_norm2(a, x, w);
-  EXPECT_NEAR(got, want, 1e-12 * want);
-  for (std::int64_t k = 0; k < w.reals(); k += 41)
-    EXPECT_EQ(w.data()[k], z.data()[k]);
-}
-
-TEST_F(BlasTest, CdotNorm2MatchesUnfused) {
-  const auto [dot, n2] = blas::cdot_norm2(x, y);
-  const auto want_dot = blas::cdot(x, y);
-  const double want_n2 = blas::norm2(x);
-  EXPECT_NEAR(dot.re, want_dot.re, 1e-10 * std::abs(want_dot.re) + 1e-12);
-  EXPECT_NEAR(dot.im, want_dot.im, 1e-10 * std::abs(want_dot.im) + 1e-12);
-  EXPECT_NEAR(n2, want_n2, 1e-12 * want_n2);
 }
 
 TEST_F(BlasTest, FusedReductionsBitIdenticalAcrossRuns) {

@@ -113,7 +113,7 @@ TEST(ReduceSweep, ParallelReduce2BitwiseStableAcrossThreadCounts) {
 TEST(ReduceSweep, MutatingReduceNBitwiseStableAcrossThreadCounts) {
   // The fused-kernel shape: the body updates the data it walks (y += a*x)
   // while accumulating two reduction components, exactly like the fused
-  // axpy_norm2 / caxpy_norm2 kernels in lattice/blas.hpp.
+  // axpy_norm2 / axpy_norm2_multi kernels in lattice/blas.hpp.
   const std::vector<double> x = test_data(kN, 3);
   const std::vector<double> y0 = test_data(kN, 5);
   std::vector<std::uint64_t> first_out;

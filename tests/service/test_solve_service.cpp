@@ -1,8 +1,8 @@
 // Async solve service: exactly-once completion under many producers,
 // correct solutions (each future's x solves the full Mobius system), and
 // determinism — whatever batches the queue timing produces, every result
-// is bitwise the one a solo DwfSolver::solve would return, because the
-// block solvers keep per-RHS trajectories independent of batch mates.
+// is bitwise the one a solo DwfSolver::solve would return, because
+// block_mixed_cg keeps per-RHS trajectories independent of batch mates.
 
 #include "service/solve_service.hpp"
 

@@ -145,6 +145,50 @@ TEST(DwfSolver, WorksOnQuenchedEnsembleConfig) {
   EXPECT_LT(full_residual(solver.op(), x, b), 1e-6);
 }
 
+TEST(DwfSolver, ZeroSourceStopsAtOnceWithZeroResidual) {
+  // b = 0 has the exact answer x = 0.  Every entry point must stop before
+  // the first iteration and report |r|/|b| as 0, not 0/0.
+  auto u = make_gauge(135);
+  SolverParams sp;
+  sp.tol = 1e-10;
+  DwfSolver solver(u, kParams, sp);
+  const auto g = u->geom_ptr();
+  const SpinorField<double> zero(g, kParams.l5, Subset::Full);
+  const auto expect_zero_solve = [](const SolveResult& res,
+                                    const SpinorField<double>& x) {
+    EXPECT_TRUE(res.converged);
+    EXPECT_EQ(res.iterations, 0);
+    EXPECT_EQ(res.final_rel_residual, 0.0);
+    for (std::int64_t k = 0; k < x.reals(); ++k)
+      ASSERT_EQ(x.data()[k], 0.0) << "k=" << k;
+  };
+
+  SpinorField<double> x(g, kParams.l5, Subset::Full);
+  x.gaussian(136);  // stale contents: the solve must overwrite them
+  expect_zero_solve(solver.solve(x, zero), x);
+  x.gaussian(137);
+  expect_zero_solve(solver.solve_double(x, zero), x);
+
+  // In a batch with a nonzero source, the zero RHS still stops at once and
+  // the other still matches its solo solve bitwise.
+  SpinorField<double> b(g, kParams.l5, Subset::Full),
+      x_solo(g, kParams.l5, Subset::Full), x0(g, kParams.l5, Subset::Full),
+      x1(g, kParams.l5, Subset::Full);
+  b.gaussian(138);
+  const SolveResult solo = solver.solve(x_solo, b);
+  SpinorField<double>* xp[] = {&x0, &x1};
+  const SpinorField<double>* bp[] = {&zero, &b};
+  const std::vector<SolveResult> res = solver.solve_multi(xp, bp);
+  ASSERT_EQ(res.size(), 2u);
+  expect_zero_solve(res[0], x0);
+  ASSERT_TRUE(res[1].converged);
+  EXPECT_EQ(res[1].iterations, solo.iterations);
+  EXPECT_EQ(res[1].reliable_updates, solo.reliable_updates);
+  EXPECT_EQ(res[1].final_rel_residual, solo.final_rel_residual);
+  for (std::int64_t k = 0; k < b.reals(); ++k)
+    ASSERT_EQ(x1.data()[k], x_solo.data()[k]) << "k=" << k;
+}
+
 }  // namespace
 }  // namespace femto
 

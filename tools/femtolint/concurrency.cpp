@@ -88,12 +88,6 @@ bool is_guard_name(const std::string& s) {
          s == "shared_lock";
 }
 
-bool is_launch_name(const std::string& s) {
-  return s == "parallel_for" || s == "parallel_for_chunked" ||
-         s == "parallel_reduce" || s == "parallel_reduce2" ||
-         s == "parallel_reduce_n";
-}
-
 bool is_wait_name(const std::string& s) {
   return s == "wait" || s == "wait_for" || s == "wait_until";
 }

@@ -15,6 +15,11 @@
 //                      accumulate into the per-chunk slot (or a local),
 //                      never a captured scalar: the fixed chunk-order
 //                      combination is what makes sums reproducible
+//   thread-local-in-parallel
+//                      no function-scope thread_local named inside a
+//                      parallel_for / parallel_for_chunked /
+//                      parallel_reduce* body: a lambda does not capture
+//                      it, so each pool worker reads its own instance
 //   no-std-rand        no std::rand / srand / rand(): kernels must use the
 //                      counter-based Xoshiro256 (reproducible per site)
 //   no-naked-new       no naked new / delete in kernel code; containers or

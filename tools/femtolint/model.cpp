@@ -6,17 +6,13 @@
 
 namespace femtolint {
 
-namespace {
-
-const char* kLaunchNames[] = {"parallel_for", "parallel_for_chunked",
-                              "parallel_reduce", "parallel_reduce2",
-                              "parallel_reduce_n"};
-
 bool is_launch_name(const std::string& s) {
-  for (const char* n : kLaunchNames)
-    if (s == n) return true;
-  return false;
+  return s == "parallel_for" || s == "parallel_for_chunked" ||
+         s == "parallel_reduce" || s == "parallel_reduce2" ||
+         s == "parallel_reduce_n";
 }
+
+namespace {
 
 bool is_reduce_name(const std::string& s) {
   return s == "parallel_reduce" || s == "parallel_reduce2" ||

@@ -166,6 +166,11 @@ struct Source {
   std::set<std::string> expected_rules() const;
 };
 
+/// True for the femtopar launch primitives (parallel_for,
+/// parallel_for_chunked, parallel_reduce, parallel_reduce2,
+/// parallel_reduce_n).
+bool is_launch_name(const std::string& s);
+
 /// Parse one file's text into the full model.
 Source parse_source(std::string path, const std::string& text);
 

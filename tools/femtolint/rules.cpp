@@ -4,6 +4,9 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -90,66 +93,93 @@ bool declared_in(const Tokens& t, std::size_t b, std::size_t e,
   return false;
 }
 
+/// Token bounds of the body lambda handed to a parallel launch: its
+/// parameter list [params_b, params_e) and its braces body_open..body_close.
+struct LaunchBody {
+  std::size_t params_b = 0, params_e = 0;
+  std::size_t body_open = 0, body_close = 0;
+};
+
+/// The body lambda of the call whose callee identifier is t[k]: the first
+/// lambda at argument depth in `name(...)`.  nullopt when t[k] is not
+/// called or no lambda is passed.
+std::optional<LaunchBody> launch_body(const Tokens& t, std::size_t k) {
+  if (k + 1 >= t.size() || !is_punct(t[k + 1], "(")) return std::nullopt;
+  const std::size_t call_open = k + 1;
+  const std::size_t call_close = match_fwd(t, call_open);
+  if (call_close >= t.size()) return std::nullopt;
+  // First '[' at paren depth 1 opens the body lambda's capture list.
+  std::size_t cap = t.size();
+  int pd = 0;
+  for (std::size_t i = call_open; i < call_close; ++i) {
+    if (t[i].kind != Tok::Punct) continue;
+    if (t[i].text == "(") ++pd;
+    if (t[i].text == ")") --pd;
+    if (t[i].text == "[" && pd == 1) {
+      cap = i;
+      break;
+    }
+  }
+  if (cap >= t.size()) return std::nullopt;
+  const std::size_t cap_end = match_fwd(t, cap);
+  if (cap_end >= t.size()) return std::nullopt;
+  LaunchBody lb;
+  std::size_t i = cap_end + 1;
+  lb.params_b = lb.params_e = i;
+  if (i < t.size() && is_punct(t[i], "(")) {
+    lb.params_b = i + 1;
+    lb.params_e = match_fwd(t, i);
+    if (lb.params_e >= t.size()) return std::nullopt;
+    i = lb.params_e + 1;
+  }
+  while (i < t.size() && t[i].kind == Tok::Ident) ++i;  // mutable etc.
+  if (i >= t.size() || !is_punct(t[i], "{")) return std::nullopt;
+  lb.body_open = i;
+  lb.body_close = match_fwd(t, i);
+  if (lb.body_close >= t.size()) return std::nullopt;
+  return lb;
+}
+
+/// Calls @p report(line, var) for every compound assignment (+= -= *= /=)
+/// in the body of @p lb to a plain identifier that neither the lambda's
+/// parameters nor the body (before that point) declare: a captured scalar.
+/// Subscripted and member targets (acc[0] +=, s.x +=) are per-element.
+template <typename Report>
+void for_each_captured_accum(const Tokens& t, const LaunchBody& lb,
+                             Report&& report) {
+  for (std::size_t p = lb.body_open + 1; p < lb.body_close; ++p) {
+    if (t[p].kind != Tok::Punct) continue;
+    const std::string& op = t[p].text;
+    if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
+    if (t[p - 1].kind != Tok::Ident) continue;
+    const std::size_t id = p - 1;
+    if (is_member_access(t, id)) continue;
+    const std::string& var = t[id].text;
+    if (declared_in(t, lb.params_b, lb.params_e, var)) continue;
+    if (declared_in(t, lb.body_open + 1, p, var)) continue;
+    report(t[p].line, var);
+  }
+}
+
 void rule_race_shared_accum(const Source& s, std::vector<Finding>& out) {
   if (s.in_parallel_engine()) return;
   const Tokens& t = s.lx.tokens;
 
-  for (std::size_t k = 0; k + 1 < t.size(); ++k) {
+  for (std::size_t k = 0; k < t.size(); ++k) {
     if (t[k].kind != Tok::Ident) continue;
     const std::string& name = t[k].text;
     if (name != "parallel_for" && name != "parallel_for_chunked") continue;
-    if (!is_punct(t[k + 1], "(")) continue;
-    const std::size_t call_open = k + 1;
-    const std::size_t call_close = match_fwd(t, call_open);
-    if (call_close >= t.size()) continue;
-    // First '[' at paren depth 1 opens the body lambda's capture list.
-    std::size_t cap = t.size();
-    int pd = 0;
-    for (std::size_t i = call_open; i < call_close; ++i) {
-      if (t[i].kind != Tok::Punct) continue;
-      if (t[i].text == "(") ++pd;
-      if (t[i].text == ")") --pd;
-      if (t[i].text == "[" && pd == 1) {
-        cap = i;
-        break;
-      }
-    }
-    if (cap >= t.size()) continue;
-    const std::size_t cap_end = match_fwd(t, cap);
-    if (cap_end >= t.size()) continue;
-    std::size_t i = cap_end + 1;
-    std::size_t params_b = i, params_e = i;
-    if (i < t.size() && is_punct(t[i], "(")) {
-      params_b = i + 1;
-      params_e = match_fwd(t, i);
-      if (params_e >= t.size()) continue;
-      i = params_e + 1;
-    }
-    while (i < t.size() && t[i].kind == Tok::Ident) ++i;  // mutable etc.
-    if (i >= t.size() || !is_punct(t[i], "{")) continue;
-    const std::size_t body_open = i;
-    const std::size_t body_close = match_fwd(t, body_open);
-    if (body_close >= t.size()) continue;
-
-    for (std::size_t p = body_open + 1; p < body_close; ++p) {
-      if (t[p].kind != Tok::Punct) continue;
-      const std::string& op = t[p].text;
-      if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
-      if (p == 0 || t[p - 1].kind != Tok::Ident) continue;  // yd[k] += ok
-      const std::size_t id = p - 1;
-      if (is_member_access(t, id)) continue;
-      const std::string& var = t[id].text;
-      if (declared_in(t, params_b, params_e, var)) continue;
-      if (declared_in(t, body_open + 1, p, var)) continue;
-      const int line = t[p].line;
-      if (s.suppressed("race-shared-accum", line)) continue;
+    const std::optional<LaunchBody> lb = launch_body(t, k);
+    if (!lb) continue;
+    for_each_captured_accum(t, *lb, [&](int line, const std::string& var) {
+      if (s.suppressed("race-shared-accum", line)) return;
       out.push_back(
           {s.path, line, "race-shared-accum",
            "accumulation into captured scalar '" + var + "' inside a " +
                name +
                " body: a data race, and non-deterministic even if atomic; "
                "use parallel_reduce / parallel_reduce_n"});
-    }
+    });
   }
 }
 
@@ -164,57 +194,16 @@ void rule_fp_accum_discipline(const Source& s, std::vector<Finding>& out) {
   if (s.in_parallel_engine()) return;
   const Tokens& t = s.lx.tokens;
 
-  for (std::size_t k = 0; k + 1 < t.size(); ++k) {
+  for (std::size_t k = 0; k < t.size(); ++k) {
     if (t[k].kind != Tok::Ident) continue;
     const std::string& name = t[k].text;
     if (name != "parallel_reduce" && name != "parallel_reduce2" &&
         name != "parallel_reduce_n")
       continue;
-    if (!is_punct(t[k + 1], "(")) continue;
-    const std::size_t call_open = k + 1;
-    const std::size_t call_close = match_fwd(t, call_open);
-    if (call_close >= t.size()) continue;
-    // First '[' at paren depth 1 opens the chunk-body lambda's captures.
-    std::size_t cap = t.size();
-    int pd = 0;
-    for (std::size_t i = call_open; i < call_close; ++i) {
-      if (t[i].kind != Tok::Punct) continue;
-      if (t[i].text == "(") ++pd;
-      if (t[i].text == ")") --pd;
-      if (t[i].text == "[" && pd == 1) {
-        cap = i;
-        break;
-      }
-    }
-    if (cap >= t.size()) continue;
-    const std::size_t cap_end = match_fwd(t, cap);
-    if (cap_end >= t.size()) continue;
-    std::size_t i = cap_end + 1;
-    std::size_t params_b = i, params_e = i;
-    if (i < t.size() && is_punct(t[i], "(")) {
-      params_b = i + 1;
-      params_e = match_fwd(t, i);
-      if (params_e >= t.size()) continue;
-      i = params_e + 1;
-    }
-    while (i < t.size() && t[i].kind == Tok::Ident) ++i;  // mutable etc.
-    if (i >= t.size() || !is_punct(t[i], "{")) continue;
-    const std::size_t body_open = i;
-    const std::size_t body_close = match_fwd(t, body_open);
-    if (body_close >= t.size()) continue;
-
-    for (std::size_t p = body_open + 1; p < body_close; ++p) {
-      if (t[p].kind != Tok::Punct) continue;
-      const std::string& op = t[p].text;
-      if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
-      if (p == 0 || t[p - 1].kind != Tok::Ident) continue;  // acc[0] += ok
-      const std::size_t id = p - 1;
-      if (is_member_access(t, id)) continue;
-      const std::string& var = t[id].text;
-      if (declared_in(t, params_b, params_e, var)) continue;
-      if (declared_in(t, body_open + 1, p, var)) continue;
-      const int line = t[p].line;
-      if (s.suppressed("fp-accumulation-discipline", line)) continue;
+    const std::optional<LaunchBody> lb = launch_body(t, k);
+    if (!lb) continue;
+    for_each_captured_accum(t, *lb, [&](int line, const std::string& var) {
+      if (s.suppressed("fp-accumulation-discipline", line)) return;
       out.push_back(
           {s.path, line, "fp-accumulation-discipline",
            "accumulation into captured scalar '" + var + "' inside a " +
@@ -222,6 +211,92 @@ void rule_fp_accum_discipline(const Source& s, std::vector<Finding>& out) {
                " body: partials must flow through the per-chunk accumulator "
                "slot (or simd::sum_ordered) so the fixed chunk-order "
                "combination keeps the sum bitwise reproducible"});
+    });
+  }
+}
+
+/// Token indices of the names a declaration introduces, given the index
+/// of its first specifier (`thread_local Buf<T, W> a(0), b = c;` declares a
+/// and b): identifiers outside every bracket and template-argument list
+/// that are followed by an initialiser, a comma, `;` or `[`.
+std::vector<std::size_t> declarator_names(const Tokens& t, std::size_t b) {
+  std::vector<std::size_t> names;
+  int depth = 0, angle = 0;
+  for (std::size_t i = b; i + 1 < t.size(); ++i) {
+    const Token& tk = t[i];
+    if (tk.kind == Tok::Punct) {
+      const std::string& p = tk.text;
+      if (p == "(" || p == "{" || p == "[") ++depth;
+      if (p == ")" || p == "}" || p == "]") --depth;
+      if (depth < 0 || (depth == 0 && p == ";")) break;
+      if (depth == 0 && p == "<" && t[i - 1].kind == Tok::Ident) ++angle;
+      if (depth == 0 && p == ">") --angle;
+      if (depth == 0 && p == ">>") angle -= 2;
+      if (depth == 0 && angle == 0 && p == "=") {
+        // Skip the initialiser expression to the next declarator.
+        int d = 0;
+        while (i + 1 < t.size()) {
+          const Token& n = t[i + 1];
+          if (n.kind == Tok::Punct) {
+            if (n.text == "(" || n.text == "{" || n.text == "[") ++d;
+            if (n.text == ")" || n.text == "}" || n.text == "]") --d;
+            if (d == 0 && (n.text == "," || n.text == ";")) break;
+          }
+          ++i;
+        }
+      }
+      continue;
+    }
+    if (tk.kind != Tok::Ident || depth != 0 || angle != 0) continue;
+    const Token& n = t[i + 1];
+    if (n.kind == Tok::Punct &&
+        (n.text == "(" || n.text == "{" || n.text == "=" || n.text == "," ||
+         n.text == ";" || n.text == "["))
+      names.push_back(i);
+  }
+  return names;
+}
+
+void rule_thread_local_in_parallel(const Source& s,
+                                   std::vector<Finding>& out) {
+  // A lambda never captures a variable with thread storage duration: the
+  // name resolves to the instance of whichever thread runs the body.  A
+  // function-scope thread_local named inside a parallel body therefore
+  // reads each pool worker's own (unsized or stale) copy, not the
+  // caller's.  Bind a reference to it before the launch and name that.
+  if (s.in_parallel_engine()) return;
+  const Tokens& t = s.lx.tokens;
+
+  for (const FunctionInfo& fn : s.functions) {
+    std::map<std::string, std::size_t> tls;  // name -> declaring token
+    for (std::size_t i = fn.body_begin + 1; i < fn.body_end; ++i)
+      if (is_ident(t[i], "thread_local"))
+        for (std::size_t d : declarator_names(t, i + 1))
+          tls.emplace(t[d].text, d);
+    if (tls.empty()) continue;
+
+    for (std::size_t k = fn.body_begin + 1; k < fn.body_end; ++k) {
+      if (t[k].kind != Tok::Ident || !is_launch_name(t[k].text)) continue;
+      const std::optional<LaunchBody> lb = launch_body(t, k);
+      if (!lb) continue;
+      std::set<std::string> reported;
+      for (std::size_t p = lb->body_open + 1; p < lb->body_close; ++p) {
+        if (t[p].kind != Tok::Ident || is_member_access(t, p)) continue;
+        const auto it = tls.find(t[p].text);
+        if (it == tls.end() || it->second > k) continue;
+        if (declared_in(t, lb->params_b, lb->params_e, it->first)) continue;
+        if (!reported.insert(it->first).second) continue;
+        const int line = t[p].line;
+        if (s.suppressed("thread-local-in-parallel", line)) continue;
+        out.push_back(
+            {s.path, line, "thread-local-in-parallel",
+             "thread_local '" + it->first + "' (declared on line " +
+                 std::to_string(t[it->second].line) + ") named inside a " +
+                 t[k].text +
+                 " body: a lambda does not capture it, so every pool worker "
+                 "reads its own instance, not the caller's; bind a "
+                 "reference before the launch and name that instead"});
+      }
     }
   }
 }
@@ -783,6 +858,7 @@ std::string module_of(const Source& s, const LayerSpec& spec) {
 void run_file_rules(const Source& s, std::vector<Finding>& out) {
   rule_race_shared_accum(s, out);
   rule_fp_accum_discipline(s, out);
+  rule_thread_local_in_parallel(s, out);
   rule_no_std_rand(s, out);
   rule_no_naked_new(s, out);
   rule_pragma_once(s, out);

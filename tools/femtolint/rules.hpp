@@ -71,8 +71,8 @@ void run_trace_category_rule(const Program& prog,
 std::string module_of(const Source& s, const LayerSpec& spec);
 
 /// All single-file rules: race-shared-accum, fp-accumulation-discipline,
-/// no-std-rand, no-naked-new, pragma-once, header-hygiene, cast,
-/// raw-intrinsics.
+/// thread-local-in-parallel, no-std-rand, no-naked-new, pragma-once,
+/// header-hygiene, cast, raw-intrinsics.
 void run_file_rules(const Source& s, std::vector<Finding>& out);
 
 /// All whole-program passes (layering skipped when !spec.loaded).

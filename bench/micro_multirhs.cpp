@@ -1,16 +1,17 @@
 // Microbenchmark: batched multi-RHS dslash (DESIGN.md §12) — for each
 // batch size B, the best dslash_multi configuration (kernel variant x
-// grain) against B independent dslash() calls, reporting seconds per RHS,
-// GFLOP/s, effective GB/s from the charged traffic model, the charged
-// bytes/site amortisation curve, and the speedup vs the best B=1 path.
+// grain) against B independent dslash() calls (the B = 1 row: dslash() is
+// the batch of one), reporting seconds per RHS, GFLOP/s, effective GB/s
+// from the charged traffic model, the charged bytes/site amortisation
+// curve, and the speedup vs the best B=1 path.
 //
-// The headline study is float at l5 = 1 (4D Wilson shape): there the
-// fifth-dim-vectorized variants degenerate to scalar arithmetic with
-// gather overhead, so the single-RHS kernel runs scalar while the batched
-// kernel vectorises ACROSS right-hand sides (lane j = RHS j, links
-// broadcast once per site) — the clean win batching buys on top of link
+// The headline study is float at l5 = 1 (4D Wilson shape): there a single
+// RHS fills one lane of the l = s*B + r lane axis, so the B = 1 kernel is
+// scalar arithmetic (plus gather overhead on the vector variants) while
+// the batched kernel fills all W lanes with right-hand sides, links
+// broadcast once per site — the clean win batching buys on top of link
 // amortisation.  l5 = 8 rows for both precisions complete the curve in
-// the regime where single-RHS vectorization already works.
+// the regime where B = 1 already fills the lanes with fifth-dim slices.
 //
 // Results land in BENCH_multirhs.json (repo root) so
 // scripts/bench_multirhs.sh can gate the >= 1.3x at B >= 4 claim and
@@ -203,9 +204,9 @@ int main() {
               femto::simd::kWidth<float>);
 
   std::vector<Study> studies;
-  // Headline: 4D shape where batching unlocks RHS-lane vectorization.
+  // Headline: 4D shape where batching fills the lanes.
   studies.push_back(run_study<float>(geom, 1, batches));
-  // Amortisation curve where single-RHS vectorization already works.
+  // Amortisation curve where B = 1 already fills the lanes.
   studies.push_back(run_study<float>(geom, 8, batches));
   studies.push_back(run_study<double>(geom, 8, batches));
   for (const auto& s : studies) print_study(s);

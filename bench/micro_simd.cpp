@@ -5,7 +5,10 @@
 //
 // Timing is min-of-reps wall clock over a short inner loop, the same
 // convention as the autotuner: the minimum is the least-noisy estimator
-// of the achievable rate on a shared machine.  Results land in
+// of the achievable rate on a shared machine.  The kernels compared in
+// one row run round-robin inside every rep, so a machine-state change
+// (frequency step, noisy neighbour) hits all of them alike instead of
+// whichever one was being timed at the moment.  Results land in
 // BENCH_simd.json (repo root, like BENCH_blas.json / BENCH_obs.json) so
 // scripts/bench_simd.sh can gate the vectorization claim and successive
 // PRs can track the trajectory.
@@ -33,18 +36,23 @@ using clock_type = std::chrono::steady_clock;
 constexpr int kInner = 4;   // kernel calls per timed sample
 constexpr int kReps = 12;   // timed samples; min is reported
 
-// Seconds per single call, min over kReps samples of kInner calls each.
-double time_best(const std::function<void()>& fn) {
-  fn();
-  fn();  // warm: faults the pages, spins up the pool
-  double best = 1e300;
-  for (int r = 0; r < kReps; ++r) {
-    const auto t0 = clock_type::now();
-    for (int i = 0; i < kInner; ++i) fn();
-    const double s =
-        std::chrono::duration<double>(clock_type::now() - t0).count() / kInner;
-    best = std::min(best, s);
+// Seconds per single call of each of @p fns, min over kReps samples of
+// kInner calls each; every rep times all of them, one after another.
+std::vector<double> time_best(const std::vector<std::function<void()>>& fns) {
+  for (const auto& fn : fns) {
+    fn();
+    fn();  // warm: faults the pages, spins up the pool
   }
+  std::vector<double> best(fns.size(), 1e300);
+  for (int r = 0; r < kReps; ++r)
+    for (std::size_t k = 0; k < fns.size(); ++k) {
+      const auto t0 = clock_type::now();
+      for (int i = 0; i < kInner; ++i) fns[k]();
+      const double s =
+          std::chrono::duration<double>(clock_type::now() - t0).count() /
+          kInner;
+      best[k] = std::min(best[k], s);
+    }
   return best;
 }
 
@@ -90,21 +98,23 @@ DslashStudy dslash_study(const std::shared_ptr<const femto::Geometry>& geom,
   study.precision = sizeof(T) == 4 ? "float" : "double";
   const double site_flops =
       1320.0 * static_cast<double>(geom->half_volume()) * l5;
-  double scalar_seconds = 0.0;
+  std::vector<std::function<void()>> calls;
   for (const auto v : variants) {
     femto::DslashTuning tune;
     tune.variant = v;
-    const auto call = [&] {
+    calls.emplace_back([&, tune] {
       femto::dslash<T>(femto::view(out), u, femto::cview(in), 0, false, tune);
-    };
+    });
+  }
+  const std::vector<double> seconds = time_best(calls);
+  for (std::size_t k = 0; k < variants.size(); ++k) {
     VariantRow row;
-    row.name = femto::to_string(v);
-    row.seconds = time_best(call);
+    row.name = femto::to_string(variants[k]);
+    row.seconds = seconds[k];
     row.gflops = site_flops / row.seconds / 1e9;
     row.gbps =
-        static_cast<double>(charged_bytes(call)) / row.seconds / 1e9;
-    if (v == femto::DslashVariant::kScalar) scalar_seconds = row.seconds;
-    row.speedup = scalar_seconds / row.seconds;
+        static_cast<double>(charged_bytes(calls[k])) / row.seconds / 1e9;
+    row.speedup = seconds[0] / row.seconds;  // variants[0] is scalar
     study.best_speedup = std::max(study.best_speedup, row.speedup);
     study.rows.push_back(row);
   }
@@ -130,8 +140,9 @@ WidthRow width_row(const std::string& kernel, const std::string& precision,
   row.precision = precision;
   row.width = width;
   const double bytes = static_cast<double>(charged_bytes(scalar));
-  row.scalar_seconds = time_best(scalar);
-  row.vector_seconds = time_best(vec);
+  const std::vector<double> seconds = time_best({scalar, vec});
+  row.scalar_seconds = seconds[0];
+  row.vector_seconds = seconds[1];
   row.scalar_gbps = bytes / row.scalar_seconds / 1e9;
   row.vector_gbps = bytes / row.vector_seconds / 1e9;
   row.speedup = row.scalar_seconds / row.vector_seconds;

@@ -2,14 +2,15 @@
 # Benchmark the batched multi-RHS dslash and emit BENCH_multirhs.json.
 #
 # Runs bench/micro_multirhs: for each batch size B in {1, 2, 4, 8, 16} the
-# best dslash_multi configuration (variant x grain) vs the best single-RHS
-# path, reporting seconds per RHS, GFLOP/s, effective GB/s, the charged
-# bytes/site amortisation curve, and the speedup vs B = 1.  The JSON lands
-# in the repo root so successive PRs can track the trajectory.
+# best dslash_multi configuration (variant x grain) vs B independent
+# dslash() calls (the B = 1 row: dslash() is the batch of one), reporting
+# seconds per RHS, GFLOP/s, effective GB/s, the charged bytes/site
+# amortisation curve, and the speedup vs B = 1.  The JSON lands in the
+# repo root so successive PRs can track the trajectory.
 #
-# The gate is this PR's batching claim: on a SIMD build the float l5 = 1
-# study (where batching unlocks RHS-lane vectorization on top of link
-# amortisation) must reach >= 1.3x the B = 1 path at some B >= 4.  A
+# The gate is the batching claim: on a SIMD build the float l5 = 1 study
+# (where a single RHS fills one lane and a batch fills all of them, on top
+# of link amortisation) must reach >= 1.3x the B = 1 path at some B >= 4.  A
 # FEMTO_SIMD=OFF build reports width 1 and the gate is skipped: without
 # lanes, batching only amortises link loads, which a compute-bound machine
 # does not reward with 1.3x.

@@ -49,116 +49,6 @@ bool within_codec_tolerance(std::span<const SpinorField<T>> got,
 }  // namespace
 
 template <typename T>
-std::string DslashTunable<T>::key() const {
-  std::ostringstream os;
-  const auto& d = u_->geom();
-  // The ISA/width tag keeps femtotune cache entries from a vectorized
-  // build out of a scalar (FEMTO_SIMD=OFF) build and vice versa: the
-  // variant knob below only means something at the width it was tuned at.
-  os << "dslash,vol=" << d.extent(0) << "x" << d.extent(1) << "x"
-     << d.extent(2) << "x" << d.extent(3) << ",l5=" << l5_
-     << ",parity=" << out_parity_ << ",prec=" << sizeof(T)
-     << ",simd=" << simd::kIsaName << "/" << simd::kWidth<T>
-     << ",fmt=" << static_cast<int>(formats_);
-  return os.str();
-}
-
-template <typename T>
-std::vector<TuneParam> DslashTunable<T>::candidates() const {
-  // Variant is the outer loop (scalar first, so the first candidate is the
-  // reference kernel at the smallest grain) and the grain sweep is inner,
-  // ending with the whole half-volume in one chunk.  The vector variants
-  // only enter the search when the build actually has lanes; at W == 1
-  // they are the scalar arithmetic with extra gather overhead.
-  std::vector<DslashVariant> variants = {DslashVariant::kScalar};
-  if constexpr (simd::kWidth<T> > 1) {
-    variants.push_back(DslashVariant::kVector);
-    variants.push_back(DslashVariant::kVectorBlocked);
-  }
-  std::vector<TuneParam> cands;
-  const std::int64_t volh = u_->geom().half_volume();
-  // Format is the outermost axis (full18 first, so the reference kernel on
-  // reference storage leads the search); every (format, variant) pair gets
-  // the identical grain sweep.
-  for (const GaugeFormat f : format_set_members(formats_)) {
-    for (const DslashVariant v : variants) {
-      std::size_t base = cands.size();
-      for (std::int64_t grain = 16; grain <= volh; grain *= 4) {
-        TuneParam p;
-        p.knobs["format"] = static_cast<std::int64_t>(f);
-        p.knobs["variant"] = static_cast<std::int64_t>(v);
-        p.knobs["grain"] = grain;
-        cands.push_back(p);
-      }
-      TuneParam whole;
-      whole.knobs["format"] = static_cast<std::int64_t>(f);
-      whole.knobs["variant"] = static_cast<std::int64_t>(v);
-      whole.knobs["grain"] = volh;
-      if (cands.size() == base || !(cands.back() == whole))
-        cands.push_back(whole);
-    }
-  }
-  return cands;
-}
-
-template <typename T>
-void DslashTunable<T>::apply(const TuneParam& p) {
-  DslashTuning tune;
-  tune.grain = static_cast<std::size_t>(p.get("grain", 512));
-  tune.variant = static_cast<DslashVariant>(p.get("variant", 0));
-  tune.format = static_cast<GaugeFormat>(p.get("format", 0));
-  if (const auto* c = recon12_for(tune.format, *u_, u_r12_))
-    dslash<T>(view(out_), *c, cview(in_), out_parity_, false, tune);
-  else
-    dslash<T>(view(out_), *u_, cview(in_), out_parity_, false, tune);
-}
-
-template <typename T>
-void DslashTunable<T>::save_reference() {
-  ref_ = out_;
-}
-
-template <typename T>
-bool DslashTunable<T>::matches_reference() const {
-  return within_codec_tolerance<T>({&out_, 1}, {&ref_, 1});
-}
-
-template <typename T>
-std::int64_t DslashTunable<T>::flops_per_call() const {
-  return flops::kWilsonDslashPerSite * u_->geom().half_volume() * l5_;
-}
-
-template <typename T>
-std::int64_t DslashTunable<T>::bytes_per_call() const {
-  // Read 8 neighbour spinors + 8 links, write 1 spinor, per site and slice
-  // (links re-read per slice in this layout).
-  const std::int64_t volh = u_->geom().half_volume();
-  const std::int64_t spinor = kSpinorReals * sizeof(T);
-  const std::int64_t link = kLinkReals * sizeof(T);
-  return volh * l5_ * (9 * spinor + 8 * link);
-}
-
-template <typename T>
-DslashTuning tuned_dslash_grain(std::shared_ptr<const GaugeField<T>> u,
-                                int l5, int out_parity, FormatSet formats) {
-  DslashTunable<T> tunable(std::move(u), l5, out_parity, formats);
-  const TuneEntry& e = Autotuner::global().tune(tunable);
-  DslashTuning t;
-  t.grain = static_cast<std::size_t>(e.param.get("grain", 512));
-  t.variant = static_cast<DslashVariant>(e.param.get("variant", 0));
-  t.format = static_cast<GaugeFormat>(e.param.get("format", 0));
-  // Surface the winners in the femtoscope registry; the run report's simd
-  // block decodes the variant and format ordinals (see obs/report.cpp).
-  const char* prec = sizeof(T) == 4 ? "f" : "d";
-  obs::gauge(std::string("dslash.variant_") + prec)
-      .set(static_cast<double>(e.param.get("variant", 0)));
-  obs::gauge(std::string("dslash.format_") + prec)
-      .set(static_cast<double>(e.param.get("format", 0)));
-  obs::gauge(std::string("dslash.gbytes_") + prec).set(e.gbytes);
-  return t;
-}
-
-template <typename T>
 DslashMultiTunable<T>::DslashMultiTunable(
     std::shared_ptr<const GaugeField<T>> u, int l5, int out_parity,
     std::size_t bmax, FormatSet formats)
@@ -183,6 +73,9 @@ template <typename T>
 std::string DslashMultiTunable<T>::key() const {
   std::ostringstream os;
   const auto& d = u_->geom();
+  // The ISA/width tag keeps femtotune cache entries from a vectorized
+  // build out of a scalar (FEMTO_SIMD=OFF) build and vice versa: the
+  // variant knob below only means something at the width it was tuned at.
   os << "dslash_multi,vol=" << d.extent(0) << "x" << d.extent(1) << "x"
      << d.extent(2) << "x" << d.extent(3) << ",l5=" << l5_
      << ",parity=" << out_parity_ << ",prec=" << sizeof(T)
@@ -193,6 +86,13 @@ std::string DslashMultiTunable<T>::key() const {
 
 template <typename T>
 std::vector<TuneParam> DslashMultiTunable<T>::candidates() const {
+  // Format is the outermost axis and variant the next (full18 and scalar
+  // first, so the reference kernel on reference storage at the smallest
+  // batch and grain leads the search); every (format, variant, nrhs)
+  // triple gets the identical grain sweep, ending with the whole
+  // half-volume in one chunk.  The vector variants only enter the search
+  // when the build actually has lanes; at W == 1 they are the scalar
+  // arithmetic with extra gather overhead.
   std::vector<DslashVariant> variants = {DslashVariant::kScalar};
   if constexpr (simd::kWidth<T> > 1) {
     variants.push_back(DslashVariant::kVector);
@@ -267,8 +167,9 @@ std::int64_t DslashMultiTunable<T>::flops_per_call() const {
 
 template <typename T>
 std::int64_t DslashMultiTunable<T>::bytes_per_call() const {
-  // Charged with the unamortised (B=1) traffic model so candidate gbytes
-  // are comparable across batch sizes: a candidate that amortises link
+  // Read 8 neighbour spinors + 8 links, write 1 spinor, per site, slice
+  // and RHS: the unamortised (B=1) traffic model, so candidate gbytes are
+  // comparable across batch sizes -- a candidate that amortises link
   // loads shows up as HIGHER effective bandwidth, not lower traffic.
   const std::int64_t volh = u_->geom().half_volume();
   const std::int64_t spinor = kSpinorReals * sizeof(T);
@@ -288,23 +189,19 @@ MultiRhsTuning tuned_multi_rhs(std::shared_ptr<const GaugeField<T>> u,
   t.dslash.variant = static_cast<DslashVariant>(e.param.get("variant", 0));
   t.dslash.format = static_cast<GaugeFormat>(e.param.get("format", 0));
   t.nrhs = static_cast<std::size_t>(e.param.get("nrhs", 1));
+  // Surface the winners in the femtoscope registry; the run report's simd
+  // block decodes the variant and format ordinals (see obs/report.cpp).
   const char* prec = sizeof(T) == 4 ? "f" : "d";
+  obs::gauge(std::string("dslash.variant_") + prec)
+      .set(static_cast<double>(e.param.get("variant", 0)));
+  obs::gauge(std::string("dslash.format_") + prec)
+      .set(static_cast<double>(e.param.get("format", 0)));
+  obs::gauge(std::string("dslash.gbytes_") + prec).set(e.gbytes);
   obs::gauge(std::string("dslash_multi.nrhs_") + prec)
       .set(static_cast<double>(t.nrhs));
-  obs::gauge(std::string("dslash_multi.variant_") + prec)
-      .set(static_cast<double>(e.param.get("variant", 0)));
-  obs::gauge(std::string("dslash_multi.format_") + prec)
-      .set(static_cast<double>(e.param.get("format", 0)));
-  obs::gauge(std::string("dslash_multi.gbytes_") + prec).set(e.gbytes);
   return t;
 }
 
-template class DslashTunable<double>;
-template class DslashTunable<float>;
-template DslashTuning tuned_dslash_grain<double>(
-    std::shared_ptr<const GaugeField<double>>, int, int, FormatSet);
-template DslashTuning tuned_dslash_grain<float>(
-    std::shared_ptr<const GaugeField<float>>, int, int, FormatSet);
 template class DslashMultiTunable<double>;
 template class DslashMultiTunable<float>;
 template MultiRhsTuning tuned_multi_rhs<double>(

@@ -22,11 +22,8 @@ MobiusOperator<T>::MobiusOperator(std::shared_ptr<const GaugeField<T>> u,
     : u_(std::move(u)),
       params_(params),
       tune_(tune),
-      tmp_e_(u_->geom_ptr(), params.l5, Subset::Even),
-      tmp_e2_(u_->geom_ptr(), params.l5, Subset::Even),
-      tmp_o_(u_->geom_ptr(), params.l5, Subset::Odd),
-      tmp_f_(u_->geom_ptr(), params.l5, Subset::Full),
-      tmp_f2_(u_->geom_ptr(), params.l5, Subset::Full) {
+      tmp_f_(u_->geom_ptr(), params.l5, Subset::Full) {
+  ensure_workspace(1);
   const int l5 = params_.l5;
   const double a = 4.0 + params_.m5;
   lambda_ = affine_lambda(l5, params_.mf, 0.0, 1.0);
@@ -48,20 +45,9 @@ const CompressedGaugeField<T>* MobiusOperator<T>::recon12() const {
 }
 
 template <typename T>
-void MobiusOperator<T>::dslash_fmt(const SpinorView<T>& out,
-                                   const SpinorView<const T>& in,
+void MobiusOperator<T>::dslash_fmt(std::span<const SpinorView<T>> out,
+                                   std::span<const SpinorView<const T>> in,
                                    int out_parity, bool dagger) const {
-  if (const auto* c = recon12())
-    dslash<T>(out, *c, in, out_parity, dagger, tune_);
-  else
-    dslash<T>(out, *u_, in, out_parity, dagger, tune_);
-}
-
-template <typename T>
-void MobiusOperator<T>::dslash_fmt_multi(
-    std::span<const SpinorView<T>> out,
-    std::span<const SpinorView<const T>> in, int out_parity,
-    bool dagger) const {
   if (const auto* c = recon12())
     dslash_multi<T>(out, *c, in, out_parity, dagger, tune_);
   else
@@ -105,44 +91,26 @@ template <typename T>
 void MobiusOperator<T>::apply_schur(SpinorField<T>& out,
                                     const SpinorField<T>& in,
                                     bool dagger) const {
-  assert(out.subset() == Subset::Odd && in.subset() == Subset::Odd);
-  if (!dagger) {
-    // Mhat = C - 1/4 Dslash (B C^-1) Dslash B, applied right to left.
-    b_.apply<T>(view(tmp_o_), view(in));
-    dslash_fmt(view(tmp_e_), cview(tmp_o_), /*out_parity=*/0, false);
-    bcinv_.apply<T>(view(tmp_e2_), cview(tmp_e_));
-    dslash_fmt(view(out), cview(tmp_e2_), /*out_parity=*/1, false);
-    // out = C in - 1/4 out
-    c_.apply<T>(view(tmp_o_), view(in));
-  } else {
-    // Mhat^dag = C^T - 1/4 B^T Dslash^dag (B C^-1)^T Dslash^dag, applied
-    // right to left; the dagger dslash kernel with out parity p computes
-    // the (p, 1-p) block of Dslash^dag.
-    dslash_fmt(view(tmp_e_), view(in), /*out_parity=*/0, true);
-    bcinvt_.apply<T>(view(tmp_e2_), cview(tmp_e_));
-    dslash_fmt(view(tmp_o_), cview(tmp_e2_), /*out_parity=*/1, true);
-    bt_.apply<T>(view(out), cview(tmp_o_));
-    ct_.apply<T>(view(tmp_o_), view(in));
-  }
-  blas::axpby<T>(1.0, tmp_o_, -0.25, out);
+  SpinorField<T>* o = &out;
+  const SpinorField<T>* i = &in;
+  apply_schur_multi({&o, 1}, {&i, 1}, dagger);
 }
 
 template <typename T>
 void MobiusOperator<T>::apply_normal(SpinorField<T>& out,
                                      const SpinorField<T>& in) const {
-  assert(out.subset() == Subset::Odd && in.subset() == Subset::Odd);
-  SpinorField<T> mid(u_->geom_ptr(), params_.l5, Subset::Odd);
-  apply_schur(mid, in, false);
-  apply_schur(out, mid, true);
+  SpinorField<T>* o = &out;
+  const SpinorField<T>* i = &in;
+  apply_normal_multi({&o, 1}, {&i, 1});
 }
 
 template <typename T>
-void MobiusOperator<T>::ensure_multi(std::size_t n) const {
-  while (mtmp_e_.size() < n) {
-    mtmp_e_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Even);
-    mtmp_e2_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Even);
-    mtmp_o_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Odd);
-    mtmp_mid_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Odd);
+void MobiusOperator<T>::ensure_workspace(std::size_t n) const {
+  while (tmp_e_.size() < n) {
+    tmp_e_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Even);
+    tmp_e2_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Even);
+    tmp_o_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Odd);
+    tmp_mid_.emplace_back(u_->geom_ptr(), params_.l5, Subset::Odd);
   }
 }
 
@@ -153,19 +121,19 @@ void MobiusOperator<T>::apply_schur_multi(
   const std::size_t nb = out.size();
   assert(in.size() == nb);
   if (nb == 0) return;
-  ensure_multi(nb);
+  ensure_workspace(nb);
   // Per-stage view batches over the RHS workspaces.
   std::vector<SpinorView<T>> ve, ve2, vo, vout;
   std::vector<SpinorView<const T>> cve, cve2, cvo, cvin;
   for (std::size_t r = 0; r < nb; ++r) {
     assert(out[r]->subset() == Subset::Odd && in[r]->subset() == Subset::Odd);
-    ve.push_back(view(mtmp_e_[r]));
-    ve2.push_back(view(mtmp_e2_[r]));
-    vo.push_back(view(mtmp_o_[r]));
+    ve.push_back(view(tmp_e_[r]));
+    ve2.push_back(view(tmp_e2_[r]));
+    vo.push_back(view(tmp_o_[r]));
     vout.push_back(view(*out[r]));
-    cve.push_back(cview(mtmp_e_[r]));
-    cve2.push_back(cview(mtmp_e2_[r]));
-    cvo.push_back(cview(mtmp_o_[r]));
+    cve.push_back(cview(tmp_e_[r]));
+    cve2.push_back(cview(tmp_e2_[r]));
+    cvo.push_back(cview(tmp_o_[r]));
     cvin.push_back(view(*in[r]));
   }
   if (!dagger) {
@@ -173,21 +141,21 @@ void MobiusOperator<T>::apply_schur_multi(
     // site-diagonal fifth-dim matvecs stay per RHS (no cross-RHS reuse to
     // be had — they touch no gauge links), the two dslash stages batch.
     for (std::size_t r = 0; r < nb; ++r) b_.apply<T>(vo[r], cvin[r]);
-    dslash_fmt_multi(ve, cvo, /*out_parity=*/0, false);
+    dslash_fmt(ve, cvo, /*out_parity=*/0, false);
     for (std::size_t r = 0; r < nb; ++r) bcinv_.apply<T>(ve2[r], cve[r]);
-    dslash_fmt_multi(vout, cve2, /*out_parity=*/1, false);
+    dslash_fmt(vout, cve2, /*out_parity=*/1, false);
     for (std::size_t r = 0; r < nb; ++r) c_.apply<T>(vo[r], cvin[r]);
   } else {
-    dslash_fmt_multi(ve, cvin, /*out_parity=*/0, true);
+    dslash_fmt(ve, cvin, /*out_parity=*/0, true);
     for (std::size_t r = 0; r < nb; ++r) bcinvt_.apply<T>(ve2[r], cve[r]);
-    dslash_fmt_multi(vo, cve2, /*out_parity=*/1, true);
+    dslash_fmt(vo, cve2, /*out_parity=*/1, true);
     for (std::size_t r = 0; r < nb; ++r) {
       bt_.apply<T>(vout[r], cvo[r]);
       ct_.apply<T>(vo[r], cvin[r]);
     }
   }
   for (std::size_t r = 0; r < nb; ++r)
-    blas::axpby<T>(1.0, mtmp_o_[r], -0.25, *out[r]);
+    blas::axpby<T>(1.0, tmp_o_[r], -0.25, *out[r]);
 }
 
 template <typename T>
@@ -197,12 +165,12 @@ void MobiusOperator<T>::apply_normal_multi(
   const std::size_t nb = out.size();
   assert(in.size() == nb);
   if (nb == 0) return;
-  ensure_multi(nb);
+  ensure_workspace(nb);
   std::vector<SpinorField<T>*> mid;
   std::vector<const SpinorField<T>*> cmid;
   for (std::size_t r = 0; r < nb; ++r) {
-    mid.push_back(&mtmp_mid_[r]);
-    cmid.push_back(&mtmp_mid_[r]);
+    mid.push_back(&tmp_mid_[r]);
+    cmid.push_back(&tmp_mid_[r]);
   }
   apply_schur_multi(mid, in, false);
   apply_schur_multi(out, cmid, true);
@@ -214,16 +182,18 @@ void MobiusOperator<T>::prepare_source(SpinorField<T>& bhat_odd,
   assert(bhat_odd.subset() == Subset::Odd);
   assert(b_full.subset() == Subset::Full);
   // tmp_e = (B C^-1) b_e
-  bcinv_.apply<T>(view(tmp_e_), parity_view(b_full, 0));
+  bcinv_.apply<T>(view(tmp_e_[0]), parity_view(b_full, 0));
   // bhat = Dslash_oe tmp_e
-  dslash_fmt(view(bhat_odd), cview(tmp_e_), /*out_parity=*/1, false);
+  const SpinorView<T> bh = view(bhat_odd);
+  const SpinorView<const T> te = cview(tmp_e_[0]);
+  dslash_fmt({&bh, 1}, {&te, 1}, /*out_parity=*/1, false);
   // bhat = b_o + 1/2 bhat
-  // Copy the odd half of b into tmp_o_ first.
+  // Copy the odd half of b into tmp_o first.
   const auto bo = parity_view(b_full, 1);
-  const auto to = view(tmp_o_);
+  const auto to = view(tmp_o_[0]);
   for (int s = 0; s < params_.l5; ++s)
     for (std::int64_t i = 0; i < to.sites; ++i) to.store(s, i, bo.load(s, i));
-  blas::axpby<T>(1.0, tmp_o_, 0.5, bhat_odd);
+  blas::axpby<T>(1.0, tmp_o_[0], 0.5, bhat_odd);
 }
 
 template <typename T>
@@ -232,16 +202,18 @@ void MobiusOperator<T>::reconstruct(SpinorField<T>& x_full,
                                     const SpinorField<T>& b_full) const {
   assert(x_full.subset() == Subset::Full && x_odd.subset() == Subset::Odd);
   // tmp_o = B x_o ; tmp_e = Dslash_eo tmp_o
-  b_.apply<T>(view(tmp_o_), view(x_odd));
-  dslash_fmt(view(tmp_e_), cview(tmp_o_), /*out_parity=*/0, false);
+  b_.apply<T>(view(tmp_o_[0]), view(x_odd));
+  const SpinorView<T> ve = view(tmp_e_[0]);
+  const SpinorView<const T> co = cview(tmp_o_[0]);
+  dslash_fmt({&ve, 1}, {&co, 1}, /*out_parity=*/0, false);
   // tmp_e = b_e + 1/2 tmp_e
   const auto be = parity_view(b_full, 0);
-  const auto te = view(tmp_e2_);
+  const auto te = view(tmp_e2_[0]);
   for (int s = 0; s < params_.l5; ++s)
     for (std::int64_t i = 0; i < te.sites; ++i) te.store(s, i, be.load(s, i));
-  blas::axpby<T>(1.0, tmp_e2_, 0.5, tmp_e_);
+  blas::axpby<T>(1.0, tmp_e2_[0], 0.5, tmp_e_[0]);
   // x_e = C^-1 tmp_e
-  cinv_.apply<T>(parity_view(x_full, 0), cview(tmp_e_));
+  cinv_.apply<T>(parity_view(x_full, 0), cview(tmp_e_[0]));
   // x_o = x_odd
   const auto xo = parity_view(x_full, 1);
   const auto xi = view(x_odd);

@@ -70,23 +70,25 @@ class MobiusOperator {
   void apply_full(SpinorField<T>& out, const SpinorField<T>& in,
                   bool dagger = false) const;
 
-  /// Schur-complement operator Mhat on Subset::Odd fields.
+  /// Schur-complement operator Mhat on Subset::Odd fields: the batch of
+  /// one of apply_schur_multi.
   void apply_schur(SpinorField<T>& out, const SpinorField<T>& in,
                    bool dagger = false) const;
 
   /// Normal operator Mhat^dag Mhat on Subset::Odd fields (what CGNE
-  /// inverts).
+  /// inverts): the batch of one of apply_normal_multi.
   void apply_normal(SpinorField<T>& out, const SpinorField<T>& in) const;
 
-  /// Batched Schur operator over B right-hand sides: the two dslash
-  /// stages run through dslash_multi (links loaded once per block), the
-  /// site-diagonal fifth-dim stages per RHS.  Per-RHS output is bitwise
-  /// identical to apply_schur on the same field, whatever the batch.
+  /// Schur operator over B right-hand sides: the two dslash stages run
+  /// batched (links loaded once per call), the site-diagonal fifth-dim
+  /// stages per RHS.  Per-RHS output is bitwise independent of the batch:
+  /// apply_schur on the same field gives the same bits.
   void apply_schur_multi(std::span<SpinorField<T>* const> out,
                          std::span<const SpinorField<T>* const> in,
                          bool dagger = false) const;
 
-  /// Batched normal operator (what block_mixed_cg applies).
+  /// Normal operator over B right-hand sides (what block_mixed_cg
+  /// applies).
   void apply_normal_multi(std::span<SpinorField<T>* const> out,
                           std::span<const SpinorField<T>* const> in) const;
 
@@ -113,11 +115,9 @@ class MobiusOperator {
   // immutable here), under the same documented non-thread-safe contract
   // as the workspaces.  recon12() is null when the tier is full18.
   const CompressedGaugeField<T>* recon12() const;
-  void dslash_fmt(const SpinorView<T>& out, const SpinorView<const T>& in,
-                  int out_parity, bool dagger) const;
-  void dslash_fmt_multi(std::span<const SpinorView<T>> out,
-                        std::span<const SpinorView<const T>> in,
-                        int out_parity, bool dagger) const;
+  void dslash_fmt(std::span<const SpinorView<T>> out,
+                  std::span<const SpinorView<const T>> in, int out_parity,
+                  bool dagger) const;
   void wilson_op_fmt(SpinorField<T>& out, const SpinorField<T>& in,
                      bool dagger) const;
 
@@ -127,13 +127,12 @@ class MobiusOperator {
   mutable std::unique_ptr<CompressedGaugeField<T>> u_r12_;
   FifthDimOp lambda_, b_, c_, cinv_, bcinv_;
   FifthDimOp bt_, ct_, bcinvt_;  // transposes for the dagger application
-  // Workspaces (documented non-thread-safe: one solve per operator).
-  mutable SpinorField<T> tmp_e_, tmp_e2_, tmp_o_;
-  mutable SpinorField<T> tmp_f_, tmp_f2_;
-  // Per-RHS workspaces for the batched applications, grown on demand to
-  // the largest batch seen (same non-thread-safe contract).
-  void ensure_multi(std::size_t n) const;
-  mutable std::vector<SpinorField<T>> mtmp_e_, mtmp_e2_, mtmp_o_, mtmp_mid_;
+  // Workspaces (documented non-thread-safe: one solve per operator).  The
+  // per-RHS half-field ones grow on demand to the largest batch seen;
+  // entry 0 also serves prepare_source and reconstruct.
+  void ensure_workspace(std::size_t n) const;
+  mutable SpinorField<T> tmp_f_;
+  mutable std::vector<SpinorField<T>> tmp_e_, tmp_e2_, tmp_o_, tmp_mid_;
 };
 
 extern template class MobiusOperator<double>;

@@ -1,6 +1,7 @@
 #include "dirac/wilson.hpp"
 
 #include <type_traits>
+#include <vector>
 
 #include "lattice/blas.hpp"
 #include "lattice/blocked_spinor.hpp"
@@ -12,15 +13,22 @@ namespace femto {
 
 namespace {
 
-// All three stencil variants share the arithmetic: Spinor<E>, project(),
-// mul()/adj_mul(), reconstruct_add() are element-type generic, so the
-// vector kernels instantiate them with E = simd::Vec<T, W> where lane j
-// carries fifth-dim slice s0+j.  The gauge links are constant across the
-// fifth dimension, so they broadcast to all lanes — the natural DWF
-// vectorization (QUDA does the same with its fifth-dim-blocked kernels).
+// One stencil, batched.  A call applies the dslash to B right-hand sides
+// of l5 slices each, and the vector variants run over one flattened lane
+// axis
+//     l = s*B + r        (RHS index fastest, l < l5*B)
+// W lanes at a time.  Every lane of a block sits at the same 4D site, so
+// the site's 8 gauge links (constant across s5 and across RHSs) broadcast
+// to all lanes, and lane arithmetic is elementwise: Spinor<E>, project(),
+// mul()/adj_mul() and reconstruct_add() are element-type generic, so each
+// (s, r) lane does exactly the scalar reference's arithmetic and per-RHS
+// output is bitwise independent of the batch and of the variant.  At
+// B = 1 the lanes are fifth-dim slices (QUDA's DWF vectorization); when W
+// divides B every block holds W right-hand sides of one slice.  The
+// single-RHS entry points are the batch of one.
 //
 // The time-boundary phases (+-1) are folded into the per-site link copies
-// once, outside the s5 loop: multiplying a link by -1 is exact and
+// once, outside the lane loop: multiplying a link by -1 is exact and
 // distributes exactly over the mat-vec, so this is bitwise identical to
 // the seed kernel's per-s5 `h *= phase` branch while removing the branch
 // from the inner loop entirely.
@@ -28,9 +36,9 @@ namespace {
 template <typename T, int W>
 using V = simd::Vec<T, W>;
 
-/// Deducible width tag: lets dslash_kernel select a width without explicit
-/// template brackets at the call site (which would also hide the call from
-/// femtolint's name-based kernel-traffic graph).
+/// Deducible width tag: lets dslash_kernel_multi select a width without
+/// explicit template brackets at the call site (which would also hide the
+/// call from femtolint's name-based kernel-traffic graph).
 template <int W>
 using WidthTag = std::integral_constant<int, W>;
 
@@ -46,42 +54,35 @@ ColorMat<V<T, W>> broadcast_mat(const ColorMat<T>& u) {
   return r;
 }
 
-/// Gather a W-lane spinor from the standard layout: lane j reads the
-/// spinor at fifth-dim slice s0+j (stride v.stride * kSpinorReals reals).
+/// Gather a W-lane spinor: lane j reads the spinor at bases[j] + off.
 /// Lanes >= nl stay zero.
 template <int W, typename T>
-Spinor<V<T, W>> gather_spinor(const SpinorView<const T>& v, int s0,
-                              std::int64_t i, int nl) {
-  const T* base = v.data + v.offset(s0, i);
-  const std::int64_t sstride = v.stride * kSpinorReals;
+Spinor<V<T, W>> gather_lanes(const T* const* bases, std::int64_t off,
+                             int nl) {
   Spinor<V<T, W>> p;
   for (int sp = 0; sp < kNs; ++sp)
     for (int c = 0; c < kNc; ++c) {
-      const int k = (sp * kNc + c) * 2;
+      const std::int64_t k = off + (sp * kNc + c) * 2;
       V<T, W> re, im;
       for (int j = 0; j < nl; ++j) {
-        const T* q = base + j * sstride;
-        re.set(j, q[k]);
-        im.set(j, q[k + 1]);
+        re.set(j, bases[j][k]);
+        im.set(j, bases[j][k + 1]);
       }
       p[sp][c] = {re, im};
     }
   return p;
 }
 
-/// Scatter lanes [0, nl) back to the standard layout.
+/// Scatter lanes [0, nl) back to bases[j] + off.
 template <int W, typename T>
-void scatter_spinor(const SpinorView<T>& v, int s0, std::int64_t i, int nl,
-                    const Spinor<V<T, W>>& p) {
-  T* base = v.data + v.offset(s0, i);
-  const std::int64_t sstride = v.stride * kSpinorReals;
+void scatter_lanes(T* const* bases, std::int64_t off, int nl,
+                   const Spinor<V<T, W>>& p) {
   for (int sp = 0; sp < kNs; ++sp)
     for (int c = 0; c < kNc; ++c) {
-      const int k = (sp * kNc + c) * 2;
+      const std::int64_t k = off + (sp * kNc + c) * 2;
       for (int j = 0; j < nl; ++j) {
-        T* q = base + j * sstride;
-        q[k] = p[sp][c].re[j];
-        q[k + 1] = p[sp][c].im[j];
+        bases[j][k] = p[sp][c].re[j];
+        bases[j][k + 1] = p[sp][c].im[j];
       }
     }
 }
@@ -109,7 +110,7 @@ void store_blocked(T* q, const Spinor<V<T, W>>& p) {
 }
 
 /// Per-site stencil context: the 8 phased links and neighbour indices,
-/// gathered once and reused across the whole fifth dimension.
+/// gathered once and reused across every slice and right-hand side.
 template <typename T, typename GaugeT>
 struct SiteLinks {
   ColorMat<T> ufwd[4], ubwd[4];
@@ -133,14 +134,17 @@ struct SiteLinks {
   }
 };
 
-/// The reference path: one 5D site at a time (phases pre-folded into the
-/// links; otherwise the seed kernel).
+/// The bitwise reference: one 5D site of one right-hand side at a time,
+/// the links kept in registers across the batch (otherwise the seed
+/// kernel).
 template <typename T, typename GaugeT>
-void dslash_body_scalar(const SpinorView<T>& out, const GaugeT& u,
-                        const SpinorView<const T>& in, int out_parity,
-                        bool dagger, std::size_t grain) {
+void dslash_multi_body_scalar(std::span<const SpinorView<T>> out,
+                              const GaugeT& u,
+                              std::span<const SpinorView<const T>> in,
+                              int out_parity, bool dagger,
+                              std::size_t grain) {
   const Geometry& geom = u.geom();
-  const int l5 = out.l5;
+  const int l5 = out[0].l5;
   const int fsign = dagger ? -1 : +1;
   par::parallel_for_chunked(
       0, static_cast<std::size_t>(geom.half_volume()),
@@ -148,37 +152,46 @@ void dslash_body_scalar(const SpinorView<T>& out, const GaugeT& u,
         for (std::size_t cbs = lo; cbs < hi; ++cbs) {
           const auto cb = static_cast<std::int64_t>(cbs);
           const SiteLinks<T, GaugeT> lk(geom, u, out_parity, cb);
-          for (int s = 0; s < l5; ++s) {
-            Spinor<T> acc;  // zero
-            for (int mu = 0; mu < 4; ++mu) {
-              // Forward: U_mu(x) (1 -+ g_mu) psi(x+mu)
-              reconstruct_add(
-                  mu, fsign,
-                  mul(lk.ufwd[mu], project(mu, fsign, in.load(s, lk.nf[mu]))),
-                  acc);
-              // Backward: U_mu(x-mu)^dag (1 +- g_mu) psi(x-mu)
-              reconstruct_add(mu, -fsign,
-                              adj_mul(lk.ubwd[mu],
-                                      project(mu, -fsign,
-                                              in.load(s, lk.nb[mu]))),
-                              acc);
+          for (std::size_t r = 0; r < out.size(); ++r) {
+            const SpinorView<const T>& vin = in[r];
+            for (int s = 0; s < l5; ++s) {
+              Spinor<T> acc;  // zero
+              for (int mu = 0; mu < 4; ++mu) {
+                // Forward: U_mu(x) (1 -+ g_mu) psi(x+mu)
+                reconstruct_add(
+                    mu, fsign,
+                    mul(lk.ufwd[mu],
+                        project(mu, fsign, vin.load(s, lk.nf[mu]))),
+                    acc);
+                // Backward: U_mu(x-mu)^dag (1 +- g_mu) psi(x-mu)
+                reconstruct_add(
+                    mu, -fsign,
+                    adj_mul(lk.ubwd[mu],
+                            project(mu, -fsign, vin.load(s, lk.nb[mu]))),
+                    acc);
+              }
+              out[r].store(s, cb, acc);
             }
-            out.store(s, cb, acc);
           }
         }
       },
       grain);
 }
 
-/// Fifth-dim-vectorized over the standard layout: lane loads are W-way
-/// gathers, the 1320 flops/site run W lanes wide.
+/// Lane-vectorized over the standard layouts: each W-lane load is a
+/// gather through the per-lane slice bases (lane_bases, computed once per
+/// call), links broadcast once per site.
 template <int W, typename T, typename GaugeT>
-void dslash_body_vector(WidthTag<W>, const SpinorView<T>& out, const GaugeT& u,
-                        const SpinorView<const T>& in, int out_parity,
-                        bool dagger, std::size_t grain) {
+void dslash_multi_body_vector(WidthTag<W>, std::span<const SpinorView<T>> out,
+                              const GaugeT& u,
+                              std::span<const SpinorView<const T>> in,
+                              int out_parity, bool dagger,
+                              std::size_t grain) {
   const Geometry& geom = u.geom();
-  const int l5 = out.l5;
   const int fsign = dagger ? -1 : +1;
+  const std::vector<const T*> ib = lane_bases(in);
+  const std::vector<T*> ob = lane_bases(out);
+  const int lanes = static_cast<int>(ib.size());
   par::parallel_for_chunked(
       0, static_cast<std::size_t>(geom.half_volume()),
       [&](std::size_t lo, std::size_t hi) {
@@ -190,53 +203,60 @@ void dslash_body_vector(WidthTag<W>, const SpinorView<T>& out, const GaugeT& u,
             vfwd[mu] = broadcast_mat<W>(lk.ufwd[mu]);
             vbwd[mu] = broadcast_mat<W>(lk.ubwd[mu]);
           }
-          for (int s0 = 0; s0 < l5; s0 += W) {
-            const int nl = s0 + W <= l5 ? W : l5 - s0;
+          for (int l0 = 0; l0 < lanes; l0 += W) {
+            const int nl = l0 + W <= lanes ? W : lanes - l0;
+            const T* const* b = ib.data() + l0;
             Spinor<V<T, W>> acc;  // zero
             for (int mu = 0; mu < 4; ++mu) {
               reconstruct_add(
                   mu, fsign,
                   mul(vfwd[mu],
                       project(mu, fsign,
-                              gather_spinor<W>(in, s0, lk.nf[mu], nl))),
+                              gather_lanes<W>(b, lk.nf[mu] * kSpinorReals,
+                                              nl))),
                   acc);
               reconstruct_add(
                   mu, -fsign,
                   adj_mul(vbwd[mu],
                           project(mu, -fsign,
-                                  gather_spinor<W>(in, s0, lk.nb[mu], nl))),
+                                  gather_lanes<W>(
+                                      b, lk.nb[mu] * kSpinorReals, nl))),
                   acc);
             }
-            scatter_spinor<W>(out, s0, cb, nl, acc);
+            scatter_lanes<W>(ob.data() + l0, cb * kSpinorReals, nl, acc);
           }
         }
       },
       grain);
 }
 
-/// Fifth-dim-vectorized over the lane-blocked transpose: pack the input
-/// parity, run the stencil with contiguous vector loads/stores, unpack the
-/// output.  Charges the pack/unpack traffic on top of the compulsory
-/// stencil traffic (see dslash_kernel).
+/// Lane-vectorized over the lane-blocked transpose: pack the B inputs
+/// into [lane_block][site][real][lane] scratch, run the stencil with
+/// contiguous vector loads/stores, unpack the B outputs.  Charges the
+/// pack/unpack traffic on top of the compulsory stencil traffic (see
+/// dslash_kernel_multi).
 template <int W, typename T, typename GaugeT>
-void dslash_body_blocked(WidthTag<W>, const SpinorView<T>& out,
-                         const GaugeT& u, const SpinorView<const T>& in,
-                         int out_parity, bool dagger, std::size_t grain) {
+void dslash_multi_body_blocked(WidthTag<W>, std::span<const SpinorView<T>> out,
+                               const GaugeT& u,
+                               std::span<const SpinorView<const T>> in,
+                               int out_parity, bool dagger,
+                               std::size_t grain) {
   const Geometry& geom = u.geom();
-  const int l5 = out.l5;
+  const int l5 = out[0].l5;
   const int fsign = dagger ? -1 : +1;
+  const int nb = static_cast<int>(out.size());
 
-  // Thread-local scratch reused across calls (one pair per calling
-  // thread); see BlockedSpinorView::reshape for why allocating fresh
-  // buffers here would eat most of the blocked variant's win.  The body
-  // below must see the CALLER's pair: a thread_local named inside the
-  // parallel lambda is not captured, it resolves to each pool worker's
-  // own (unsized) instance.  Hence the references.
-  thread_local BlockedSpinorView<T, W> tl_in(0, 0), tl_out(0, 0);
-  BlockedSpinorView<T, W>& bin = tl_in;
-  BlockedSpinorView<T, W>& bout = tl_out;
-  bin.reshape(in.sites, l5);
-  bout.reshape(out.sites, l5);
+  // Thread-local scratch reused across calls (one pair per calling thread,
+  // shared by every batch size); see BlockedMultiSpinor::reshape for why
+  // allocating fresh buffers here would eat most of the blocked variant's
+  // win.  The body below must see the CALLER's pair: a thread_local named
+  // inside the parallel lambda is not captured, it resolves to each pool
+  // worker's own (unsized) instance.  Hence the references.
+  thread_local BlockedMultiSpinor<T, W> tl_in(0, 0, 0), tl_out(0, 0, 0);
+  BlockedMultiSpinor<T, W>& bin = tl_in;
+  BlockedMultiSpinor<T, W>& bout = tl_out;
+  bin.reshape(in[0].sites, l5, nb);
+  bout.reshape(out[0].sites, l5, nb);
   bin.pack(in, grain);
 
   par::parallel_for_chunked(
@@ -273,229 +293,28 @@ void dslash_body_blocked(WidthTag<W>, const SpinorView<T>& out,
       grain);
 
   bout.unpack(out, grain);
-  // Pack reads the input parity and writes the blocked copy; unpack does
-  // the reverse for the output.  Extra traffic the autotuner must see.
-  const std::int64_t plain_bytes =
-      in.sites * l5 * kSpinorReals * static_cast<std::int64_t>(sizeof(T));
-  flops::add_bytes(2 * plain_bytes + bin.bytes() + bout.bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Multi-RHS bodies (DESIGN.md §12).  All of them hoist the SiteLinks
-// gather outside the RHS loop so the 8 phased links are loaded once per
-// site for the whole block; the vector bodies additionally lay the RHS
-// axis across SIMD lanes (lane j = RHS r0+j), broadcasting each link to
-// all lanes — the fifth dimension stays outermost because the RHS axis is
-// uniform by construction, so every lane runs the identical stencil and
-// per-RHS output stays bitwise equal to the scalar reference.
-// ---------------------------------------------------------------------------
-
-/// Gather a W-lane spinor whose lane j reads RHS j's spinor at @p bases[j]
-/// (one common offset, per-RHS base pointers).  Lanes >= nl stay zero.
-template <int W, typename T>
-Spinor<V<T, W>> gather_rhs(const T* const* bases, int nl) {
-  Spinor<V<T, W>> p;
-  for (int sp = 0; sp < kNs; ++sp)
-    for (int c = 0; c < kNc; ++c) {
-      const int k = (sp * kNc + c) * 2;
-      V<T, W> re, im;
-      for (int j = 0; j < nl; ++j) {
-        re.set(j, bases[j][k]);
-        im.set(j, bases[j][k + 1]);
-      }
-      p[sp][c] = {re, im};
-    }
-  return p;
-}
-
-/// Scatter lanes [0, nl) back to per-RHS spinors.
-template <int W, typename T>
-void scatter_rhs(T* const* bases, int nl, const Spinor<V<T, W>>& p) {
-  for (int sp = 0; sp < kNs; ++sp)
-    for (int c = 0; c < kNc; ++c) {
-      const int k = (sp * kNc + c) * 2;
-      for (int j = 0; j < nl; ++j) {
-        bases[j][k] = p[sp][c].re[j];
-        bases[j][k + 1] = p[sp][c].im[j];
-      }
-    }
-}
-
-/// Reference multi path: per site, gather links once, then loop RHS x s5.
-/// Per-RHS arithmetic is exactly dslash_body_scalar's.
-template <typename T, typename GaugeT>
-void dslash_multi_body_scalar(std::span<const SpinorView<T>> out,
-                              const GaugeT& u,
-                              std::span<const SpinorView<const T>> in,
-                              int out_parity, bool dagger,
-                              std::size_t grain) {
-  const Geometry& geom = u.geom();
-  const int l5 = out[0].l5;
-  const int fsign = dagger ? -1 : +1;
-  const std::size_t nb = out.size();
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(geom.half_volume()),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t cbs = lo; cbs < hi; ++cbs) {
-          const auto cb = static_cast<std::int64_t>(cbs);
-          const SiteLinks<T, GaugeT> lk(geom, u, out_parity, cb);
-          for (std::size_t r = 0; r < nb; ++r) {
-            for (int s = 0; s < l5; ++s) {
-              Spinor<T> acc;  // zero
-              for (int mu = 0; mu < 4; ++mu) {
-                reconstruct_add(
-                    mu, fsign,
-                    mul(lk.ufwd[mu],
-                        project(mu, fsign, in[r].load(s, lk.nf[mu]))),
-                    acc);
-                reconstruct_add(
-                    mu, -fsign,
-                    adj_mul(lk.ubwd[mu],
-                            project(mu, -fsign, in[r].load(s, lk.nb[mu]))),
-                    acc);
-              }
-              out[r].store(s, cb, acc);
-            }
-          }
-        }
-      },
-      grain);
-}
-
-/// RHS-vectorized over the standard layouts: lane loads are W-way gathers
-/// across the B input fields, links broadcast once per site.
-template <int W, typename T, typename GaugeT>
-void dslash_multi_body_vector(WidthTag<W>, std::span<const SpinorView<T>> out,
-                              const GaugeT& u,
-                              std::span<const SpinorView<const T>> in,
-                              int out_parity, bool dagger,
-                              std::size_t grain) {
-  const Geometry& geom = u.geom();
-  const int l5 = out[0].l5;
-  const int fsign = dagger ? -1 : +1;
-  const std::size_t nb = out.size();
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(geom.half_volume()),
-      [&](std::size_t lo, std::size_t hi) {
-        const T* bases[W];
-        T* obases[W];
-        for (std::size_t cbs = lo; cbs < hi; ++cbs) {
-          const auto cb = static_cast<std::int64_t>(cbs);
-          const SiteLinks<T, GaugeT> lk(geom, u, out_parity, cb);
-          ColorMat<V<T, W>> vfwd[4], vbwd[4];
-          for (int mu = 0; mu < 4; ++mu) {
-            vfwd[mu] = broadcast_mat<W>(lk.ufwd[mu]);
-            vbwd[mu] = broadcast_mat<W>(lk.ubwd[mu]);
-          }
-          for (std::size_t r0 = 0; r0 < nb; r0 += W) {
-            const int nl = r0 + W <= nb ? W : static_cast<int>(nb - r0);
-            for (int s = 0; s < l5; ++s) {
-              Spinor<V<T, W>> acc;  // zero
-              for (int mu = 0; mu < 4; ++mu) {
-                const std::int64_t offf = in[r0].offset(s, lk.nf[mu]);
-                for (int j = 0; j < nl; ++j)
-                  bases[j] = in[r0 + std::size_t(j)].data + offf;
-                reconstruct_add(
-                    mu, fsign,
-                    mul(vfwd[mu],
-                        project(mu, fsign, gather_rhs<W>(bases, nl))),
-                    acc);
-                const std::int64_t offb = in[r0].offset(s, lk.nb[mu]);
-                for (int j = 0; j < nl; ++j)
-                  bases[j] = in[r0 + std::size_t(j)].data + offb;
-                reconstruct_add(
-                    mu, -fsign,
-                    adj_mul(vbwd[mu],
-                            project(mu, -fsign, gather_rhs<W>(bases, nl))),
-                    acc);
-              }
-              const std::int64_t offo = out[r0].offset(s, cb);
-              for (int j = 0; j < nl; ++j)
-                obases[j] = out[r0 + std::size_t(j)].data + offo;
-              scatter_rhs<W>(obases, nl, acc);
-            }
-          }
-        }
-      },
-      grain);
-}
-
-/// RHS-vectorized over the lane-blocked transpose: pack the B inputs into
-/// [s5][rhs_block][site][real][lane] scratch, run the stencil with
-/// contiguous vector loads/stores, unpack the B outputs.  Charges the
-/// pack/unpack traffic on top of the compulsory stencil traffic.
-template <int W, typename T, typename GaugeT>
-void dslash_multi_body_blocked(WidthTag<W>, std::span<const SpinorView<T>> out,
-                               const GaugeT& u,
-                               std::span<const SpinorView<const T>> in,
-                               int out_parity, bool dagger,
-                               std::size_t grain) {
-  const Geometry& geom = u.geom();
-  const int l5 = out[0].l5;
-  const int fsign = dagger ? -1 : +1;
-  const int nb = static_cast<int>(out.size());
-
-  // Caller's scratch, bound by reference (see dslash_body_blocked).
-  thread_local BlockedMultiSpinor<T, W> tl_in(0, 0, 0), tl_out(0, 0, 0);
-  BlockedMultiSpinor<T, W>& bin = tl_in;
-  BlockedMultiSpinor<T, W>& bout = tl_out;
-  bin.reshape(in[0].sites, l5, nb);
-  bout.reshape(out[0].sites, l5, nb);
-  bin.pack(in, grain);
-
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(geom.half_volume()),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t cbs = lo; cbs < hi; ++cbs) {
-          const auto cb = static_cast<std::int64_t>(cbs);
-          const SiteLinks<T, GaugeT> lk(geom, u, out_parity, cb);
-          ColorMat<V<T, W>> vfwd[4], vbwd[4];
-          for (int mu = 0; mu < 4; ++mu) {
-            vfwd[mu] = broadcast_mat<W>(lk.ufwd[mu]);
-            vbwd[mu] = broadcast_mat<W>(lk.ubwd[mu]);
-          }
-          for (int s = 0; s < l5; ++s) {
-            for (int b = 0; b < bin.blocks(); ++b) {
-              Spinor<V<T, W>> acc;  // zero
-              for (int mu = 0; mu < 4; ++mu) {
-                reconstruct_add(
-                    mu, fsign,
-                    mul(vfwd[mu],
-                        project(mu, fsign,
-                                load_blocked<W>(bin.block(s, b, lk.nf[mu])))),
-                    acc);
-                reconstruct_add(
-                    mu, -fsign,
-                    adj_mul(vbwd[mu],
-                            project(mu, -fsign,
-                                    load_blocked<W>(
-                                        bin.block(s, b, lk.nb[mu])))),
-                    acc);
-              }
-              store_blocked<W>(bout.block(s, b, cb), acc);
-            }
-          }
-        }
-      },
-      grain);
-
-  bout.unpack(out, grain);
+  // Pack reads the B input parities and writes the blocked copy; unpack
+  // does the reverse for the outputs.  Extra traffic the autotuner must
+  // see.
   const std::int64_t plain_bytes =
       static_cast<std::int64_t>(nb) * in[0].sites * l5 * kSpinorReals *
       static_cast<std::int64_t>(sizeof(T));
   flops::add_bytes(2 * plain_bytes + bin.bytes() + bout.bytes());
 }
 
-/// Batched dispatch + traffic model.  The flop charge scales with B; the
-/// compulsory byte charge streams each per-RHS spinor pair but the gauge
-/// field ONCE per block — the amortization the femtoscope AI derivation
-/// sees (bytes/site(B) in DESIGN.md §12).
+/// The stencil, generic over the gauge container (full 18-real storage or
+/// reconstruct-12 compressed -- the container's load() is the only thing
+/// that differs).  Dispatches on the tuned variant; the vector paths run
+/// at the build's native width (Vec<T, 1> when FEMTO_SIMD=OFF).  The flop
+/// charge scales with B; the compulsory byte charge streams each per-RHS
+/// spinor pair but the gauge field ONCE per call -- the amortization the
+/// femtoscope AI derivation sees (bytes/site(B) in DESIGN.md §12).
 template <typename T, typename GaugeT>
 void dslash_kernel_multi(std::span<const SpinorView<T>> out, const GaugeT& u,
                          std::span<const SpinorView<const T>> in,
                          int out_parity, bool dagger,
                          const DslashTuning& tune) {
-  FEMTO_TRACE_SCOPE("dirac", "dslash_multi");
+  FEMTO_TRACE_SCOPE("dirac", "dslash");
   const std::size_t nb = out.size();
   if (nb == 0) return;
   FEMTO_ASSERT(in.size() == nb);
@@ -526,47 +345,32 @@ void dslash_kernel_multi(std::span<const SpinorView<T>> out, const GaugeT& u,
              volh * l5);
   // Compulsory traffic: each RHS streams its input parity in and output
   // parity out, but the gauge field is gathered once per SITE for the
-  // whole block (SiteLinks hoisted above the RHS loop) — links cost
-  // u.bytes() per batched call, not per RHS.
+  // whole batch (SiteLinks hoisted above the lane loop; s5 and RHS
+  // re-reads are register hits) -- links cost u.bytes() per call.
   const std::int64_t spinor_bytes =
       volh * l5 * kSpinorReals * static_cast<std::int64_t>(sizeof(T));
   flops::add_bytes(static_cast<std::int64_t>(nb) * 2 * spinor_bytes +
                    u.bytes());
 }
 
-/// The stencil body, generic over the gauge container (full 18-real
-/// storage or reconstruct-12 compressed) — the container's load() is the
-/// only thing that differs.  Dispatches on the tuned variant; the vector
-/// paths run at the build's native width (Vec<T, 1> when FEMTO_SIMD=OFF).
 template <typename T, typename GaugeT>
-void dslash_kernel(const SpinorView<T>& out, const GaugeT& u,
-                   const SpinorView<const T>& in, int out_parity,
-                   bool dagger, const DslashTuning& tune) {
-  FEMTO_TRACE_SCOPE("dirac", "dslash");
-  constexpr int W = simd::kWidth<T>;
-  switch (tune.variant) {
-    case DslashVariant::kVector:
-      dslash_body_vector(WidthTag<W>{}, out, u, in, out_parity, dagger,
-                         tune.grain);
-      break;
-    case DslashVariant::kVectorBlocked:
-      dslash_body_blocked(WidthTag<W>{}, out, u, in, out_parity, dagger,
-                          tune.grain);
-      break;
-    default:
-      dslash_body_scalar(out, u, in, out_parity, dagger, tune.grain);
-      break;
+void wilson_op_kernel(SpinorField<T>& out, const GaugeT& u,
+                      const SpinorField<T>& in, double mass, bool dagger,
+                      const DslashTuning& tune) {
+  assert(out.subset() == Subset::Full && in.subset() == Subset::Full);
+  assert(out.l5() == in.l5());
+  // Hopping term parity by parity, each a batch of one.
+  for (int par = 0; par < 2; ++par) {
+    const SpinorView<T> o = parity_view(out, par);
+    const SpinorView<const T> i = parity_view(in, 1 - par);
+    dslash_kernel_multi<T>({&o, 1}, u, {&i, 1}, par, dagger, tune);
   }
-
-  const std::int64_t volh = u.geom().half_volume();
-  const int l5 = out.l5;
-  flops::add(flops::kWilsonDslashPerSite * volh * l5);
-  // Compulsory traffic: stream the input parity once, the gauge field once
-  // (8 links per output site = one pass over all 4 volh * 2 links; s5
-  // re-reads are cache hits), and write the output parity.
-  const std::int64_t spinor_bytes =
-      volh * l5 * kSpinorReals * static_cast<std::int64_t>(sizeof(T));
-  flops::add_bytes(2 * spinor_bytes + u.bytes());
+  // out = (4+mass) in - 1/2 out, honoring the tuned dslash grain (given in
+  // 4D sites; the BLAS kernel chunks over reals).
+  const std::size_t grain_reals =
+      tune.grain * static_cast<std::size_t>(kSpinorReals) *
+      static_cast<std::size_t>(out.l5());
+  blas::axpby<T>(4.0 + mass, in, -0.5, out, grain_reals);
 }
 
 }  // namespace
@@ -575,7 +379,7 @@ template <typename T>
 void dslash(const SpinorView<T>& out, const GaugeField<T>& u,
             const SpinorView<const T>& in, int out_parity, bool dagger,
             const DslashTuning& tune) {
-  dslash_kernel<T>(out, u, in, out_parity, dagger, tune);
+  dslash_kernel_multi<T>({&out, 1}, u, {&in, 1}, out_parity, dagger, tune);
 }
 
 template <typename T>
@@ -589,7 +393,7 @@ template <typename T>
 void dslash(const SpinorView<T>& out, const CompressedGaugeField<T>& u,
             const SpinorView<const T>& in, int out_parity, bool dagger,
             const DslashTuning& tune) {
-  dslash_kernel<T>(out, u, in, out_parity, dagger, tune);
+  dslash_kernel_multi<T>({&out, 1}, u, {&in, 1}, out_parity, dagger, tune);
 }
 
 template <typename T>
@@ -599,29 +403,6 @@ void dslash_multi(std::span<const SpinorView<T>> out,
                   bool dagger, const DslashTuning& tune) {
   dslash_kernel_multi<T>(out, u, in, out_parity, dagger, tune);
 }
-
-namespace {
-
-template <typename T, typename GaugeT>
-void wilson_op_kernel(SpinorField<T>& out, const GaugeT& u,
-                      const SpinorField<T>& in, double mass, bool dagger,
-                      const DslashTuning& tune) {
-  assert(out.subset() == Subset::Full && in.subset() == Subset::Full);
-  assert(out.l5() == in.l5());
-  // Hopping term parity by parity.
-  for (int par = 0; par < 2; ++par) {
-    dslash_kernel<T>(parity_view(out, par), u, parity_view(in, 1 - par), par,
-                     dagger, tune);
-  }
-  // out = (4+mass) in - 1/2 out, honoring the tuned dslash grain (given in
-  // 4D sites; the BLAS kernel chunks over reals).
-  const std::size_t grain_reals =
-      tune.grain * static_cast<std::size_t>(kSpinorReals) *
-      static_cast<std::size_t>(out.l5());
-  blas::axpby<T>(4.0 + mass, in, -0.5, out, grain_reals);
-}
-
-}  // namespace
 
 template <typename T>
 void wilson_op(SpinorField<T>& out, const GaugeField<T>& u,

@@ -23,12 +23,17 @@
 namespace femto {
 
 /// Which stencil implementation to run (swept by the autotuner alongside
-/// the grain; see DESIGN.md §11).
-///   kScalar        one 5D site at a time (the W=1 reference path)
-///   kVector        fifth-dim-vectorized, lane-gathering from the standard
-///                  [s5][site][real] layout
-///   kVectorBlocked fifth-dim-vectorized over a lane-blocked transpose
-///                  (BlockedSpinorView): contiguous vector loads at the
+/// the grain; see DESIGN.md §11).  Each variant is one batched body; a
+/// single-RHS call is the batch of one.  The vector variants run W lanes
+/// over the flattened lane axis l = s*B + r (RHS index fastest), so at
+/// B = 1 the lanes are fifth-dim slices and when W divides B each block
+/// holds W right-hand sides of one slice.
+///   kScalar        one 5D site of one RHS at a time (the W=1 bitwise
+///                  reference)
+///   kVector        lane-vectorized, gathering each lane from the standard
+///                  [s5][site][real] layouts through per-lane slice bases
+///   kVectorBlocked lane-vectorized over a lane-blocked transpose
+///                  (BlockedMultiSpinor): contiguous vector loads at the
 ///                  cost of a pack/unpack pass per call
 enum class DslashVariant : int { kScalar = 0, kVector = 1, kVectorBlocked = 2 };
 
@@ -56,7 +61,8 @@ struct DslashTuning {
 };
 
 /// Apply the dslash from parity (1 - out_parity) sites of @p in to parity
-/// @p out_parity sites written to @p out, for every 5th-dim slice.
+/// @p out_parity sites written to @p out, for every 5th-dim slice: the
+/// batch of one of dslash_multi.
 ///
 /// @p out and @p in are views with the SAME l5; the gauge field is 4D and
 /// shared across slices.  If @p dagger, applies Dslash^dag.
@@ -67,17 +73,14 @@ void dslash(const SpinorView<T>& out, const GaugeField<T>& u,
 
 /// Multi-RHS dslash (DESIGN.md §12): apply the same stencil to B spinors
 /// in one pass, gathering each site's 8 phased links ONCE and reusing them
-/// for every RHS — the gauge stream is charged once per block instead of
-/// once per RHS, which is the solver's biggest remaining bandwidth win.
+/// for every slice and RHS — the gauge stream is charged once per call
+/// instead of once per RHS, which is the solver's biggest remaining
+/// bandwidth win.
 ///
 /// All views must share (sites, stride, l5); per-RHS output is bitwise
 /// identical to B independent dslash() calls for EVERY variant, because
-/// the vector variants lay the RHS axis across SIMD lanes (lane j = RHS
-/// r0+j) and lane arithmetic is elementwise:
-///   kScalar        loops RHSs per site, links kept in registers
-///   kVector        W-lane RHS gather from the standard layouts
-///   kVectorBlocked RHS-lane-blocked transpose (BlockedMultiSpinor) for
-///                  contiguous vector loads, pack/unpack per call
+/// every lane of the l = s*B + r axis runs the identical stencil and lane
+/// arithmetic is elementwise.
 template <typename T>
 void dslash_multi(std::span<const SpinorView<T>> out, const GaugeField<T>& u,
                   std::span<const SpinorView<const T>> in, int out_parity,

@@ -1,22 +1,28 @@
 #pragma once
-// Lane-blocked spinor storage for the fifth-dimension-vectorized dslash.
+// Lane-blocked spinor storage for the lane-vectorized dslash.
 //
-// The standard field layout [s5][site][real] makes the natural DWF
-// vectorization — lane j = fifth-dim slice s0+j, so the same 8 gauge links
-// broadcast across all lanes — load each lane from a different s5 slice:
-// a W-lane gather with stride sites*kSpinorReals reals.  BlockedSpinorView
-// transposes a view into
-//     [s5_block][site][real][lane]      (lane = s5 within the block)
+// The dslash vectorizes a batch of B right-hand sides with l5 fifth-dim
+// slices each over one flattened lane axis
+//     l = s*B + r        (RHS index fastest, l < l5*B)
+// and lane j of block b is l = b*W + j.  At B = 1 the lanes are fifth-dim
+// slices; when W divides B every block holds W right-hand sides of one
+// slice.  All lanes of a block sit at the same 4D site, so one broadcast
+// of the site's 8 links feeds every lane.  In the standard layout
+// [s5][site][real] a W-lane load is a gather across slices and fields;
+// BlockedMultiSpinor transposes the batch into
+//     [lane_block][site][real][lane]
 // so the blocked kernel's loads and stores are contiguous W-real vectors.
-// Tail lanes of the last block (l5 % W != 0) are zero; the kernel computes
-// garbage-free zeros in them and unpack() ignores them.
+// Tail lanes exist only in the last block (W not dividing l5*B) and are
+// zero; the kernel computes garbage-free zeros in them and unpack()
+// ignores them.
 //
 // pack()/unpack() cost one read + one write pass per field; the autotuner
 // decides per geometry whether the contiguous kernel pays for them (the
-// `variant` knob in DslashTunable).
+// `variant` knob in DslashMultiTunable).
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "lattice/field.hpp"
 #include "parallel/thread_pool.hpp"
@@ -24,113 +30,21 @@
 
 namespace femto {
 
-template <typename T, int W>
-class BlockedSpinorView {
- public:
-  static_assert(W >= 1, "lane count must be positive");
+/// Per-lane slice bases of a batch over the lane axis l = s*B + r: lane
+/// l's spinor at 4D site i starts at bases[l] + i * kSpinorReals.  The
+/// views must share (stride, l5).
+template <typename T>
+std::vector<T*> lane_bases(std::span<const SpinorView<T>> v) {
+  const std::size_t nb = v.size();
+  const int l5 = v[0].l5;
+  std::vector<T*> bases(nb * static_cast<std::size_t>(l5));
+  for (int s = 0; s < l5; ++s)
+    for (std::size_t r = 0; r < nb; ++r)
+      bases[static_cast<std::size_t>(s) * nb + r] =
+          v[r].data + v[r].offset(s, 0);
+  return bases;
+}
 
-  BlockedSpinorView(std::int64_t sites, int l5)
-      : sites_(sites),
-        l5_(l5),
-        nblocks_((l5 + W - 1) / W),
-        data_(static_cast<std::size_t>(nblocks_ * sites * kSpinorReals * W)) {}
-
-  std::int64_t sites() const { return sites_; }
-  int l5() const { return l5_; }
-  int blocks() const { return nblocks_; }
-
-  /// Re-point at a (sites, l5) shape, reusing the allocation when the
-  /// shape is unchanged.  The blocked dslash keeps its buffers in
-  /// thread-local scratch and reshapes per call: a fresh multi-hundred-KB
-  /// allocation every call is an mmap + zero + page-fault pass that rivals
-  /// the pack itself.  Same shape is a no-op, which also preserves the
-  /// tail-lane-zero invariant (pack never writes tail lanes, and with
-  /// zeroed inputs the kernel writes zeros back to them); any shape change
-  /// zero-fills the whole buffer again.
-  void reshape(std::int64_t sites, int l5) {
-    if (sites == sites_ && l5 == l5_) return;
-    sites_ = sites;
-    l5_ = l5;
-    nblocks_ = (l5 + W - 1) / W;
-    data_.assign(static_cast<std::size_t>(nblocks_ * sites * kSpinorReals * W),
-                 T());
-  }
-
-  /// Pointer to the kSpinorReals x W reals of (block, site).
-  T* block(int b, std::int64_t i) {
-    return data_.data() +
-           (std::int64_t(b) * sites_ + i) * (kSpinorReals * W);
-  }
-  const T* block(int b, std::int64_t i) const {
-    return data_.data() +
-           (std::int64_t(b) * sites_ + i) * (kSpinorReals * W);
-  }
-
-  /// Transpose a standard view in (lanes innermost).  Parallel over sites;
-  /// @p grain is in 4D sites, like the dslash launch grain.
-  void pack(const SpinorView<const T>& v, std::size_t grain) {
-    FEMTO_ASSERT(v.sites == sites_ && v.l5 == l5_);
-    par::parallel_for_chunked(
-        0, static_cast<std::size_t>(sites_),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            for (int b = 0; b < nblocks_; ++b) {
-              T* dst = block(b, static_cast<std::int64_t>(i));
-              const int nl = b * W + W <= l5_ ? W : l5_ - b * W;
-              for (int j = 0; j < nl; ++j) {
-                const T* src =
-                    v.data + v.offset(b * W + j, static_cast<std::int64_t>(i));
-                for (int k = 0; k < kSpinorReals; ++k) dst[k * W + j] = src[k];
-              }
-            }
-          }
-        },
-        grain);
-  }
-
-  /// Transpose back out to a standard view (tail lanes dropped).
-  void unpack(const SpinorView<T>& v, std::size_t grain) const {
-    FEMTO_ASSERT(v.sites == sites_ && v.l5 == l5_);
-    par::parallel_for_chunked(
-        0, static_cast<std::size_t>(sites_),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            for (int b = 0; b < nblocks_; ++b) {
-              const T* src = block(b, static_cast<std::int64_t>(i));
-              const int nl = b * W + W <= l5_ ? W : l5_ - b * W;
-              for (int j = 0; j < nl; ++j) {
-                T* dst =
-                    v.data + v.offset(b * W + j, static_cast<std::int64_t>(i));
-                for (int k = 0; k < kSpinorReals; ++k) dst[k] = src[k * W + j];
-              }
-            }
-          }
-        },
-        grain);
-  }
-
-  /// Bytes of blocked storage (includes tail-lane padding) — what one
-  /// pack/unpack pass writes/reads on the blocked side.
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(data_.size() * sizeof(T));
-  }
-
- private:
-  std::int64_t sites_;
-  int l5_;
-  int nblocks_;
-  simd::aligned_vector<T> data_;
-};
-
-/// Lane-blocked storage for the MULTI-RHS dslash: lane j = right-hand side
-/// r0+j, so one broadcast of the site's 8 links feeds W different spinors.
-///     [s5][rhs_block][site][real][lane]      (lane = RHS within the block)
-/// This is the RHS-axis analogue of BlockedSpinorView's fifth-dim blocking:
-/// the fifth dimension stays outermost (scalar per lane) because the RHS
-/// axis, unlike s5, is guaranteed uniform — every lane runs the identical
-/// stencil, so per-RHS results stay bitwise equal to the scalar reference.
-/// Tail lanes of the last block (B % W != 0) are zero; pack() never writes
-/// them and unpack() ignores them, exactly like the s5-blocked transpose.
 template <typename T, int W>
 class BlockedMultiSpinor {
  public:
@@ -140,58 +54,58 @@ class BlockedMultiSpinor {
       : sites_(sites),
         l5_(l5),
         nrhs_(nrhs),
-        nblocks_((nrhs + W - 1) / W),
-        data_(static_cast<std::size_t>(std::int64_t(l5) * nblocks_ * sites *
-                                       kSpinorReals * W)) {}
+        nblocks_((l5 * nrhs + W - 1) / W),
+        data_(static_cast<std::size_t>(nblocks_ * sites * kSpinorReals * W)) {}
 
-  std::int64_t sites() const { return sites_; }
-  int l5() const { return l5_; }
-  int nrhs() const { return nrhs_; }
   int blocks() const { return nblocks_; }
 
   /// Re-point at a (sites, l5, nrhs) shape, reusing the allocation when
-  /// unchanged — same thread-local-scratch rationale as
-  /// BlockedSpinorView::reshape, and the same tail-lane-zero invariant.
+  /// the site and lane counts are unchanged.  The blocked dslash keeps its
+  /// buffers in thread-local scratch and reshapes per call: a fresh
+  /// multi-hundred-KB allocation every call is an mmap + zero + page-fault
+  /// pass that rivals the pack itself.  An equal lane count is a no-op on
+  /// the storage, which also preserves the tail-lane-zero invariant (pack
+  /// never writes tail lanes, and with zeroed inputs the kernel writes
+  /// zeros back to them); any other change zero-fills the whole buffer.
   void reshape(std::int64_t sites, int l5, int nrhs) {
-    if (sites == sites_ && l5 == l5_ && nrhs == nrhs_) return;
-    sites_ = sites;
+    const bool same = sites == sites_ && l5 * nrhs == lanes();
     l5_ = l5;
     nrhs_ = nrhs;
-    nblocks_ = (nrhs + W - 1) / W;
-    data_.assign(static_cast<std::size_t>(std::int64_t(l5) * nblocks_ *
-                                          sites * kSpinorReals * W),
+    if (same) return;
+    sites_ = sites;
+    nblocks_ = (l5 * nrhs + W - 1) / W;
+    data_.assign(static_cast<std::size_t>(nblocks_ * sites * kSpinorReals * W),
                  T());
   }
 
-  /// Pointer to the kSpinorReals x W reals of (s5, rhs_block, site).
-  T* block(int s, int b, std::int64_t i) {
-    return data_.data() + ((std::int64_t(s) * nblocks_ + b) * sites_ + i) *
-                              (kSpinorReals * W);
+  /// Pointer to the kSpinorReals x W reals of (lane block, site).
+  T* block(int b, std::int64_t i) {
+    return data_.data() +
+           (std::int64_t(b) * sites_ + i) * (kSpinorReals * W);
   }
-  const T* block(int s, int b, std::int64_t i) const {
-    return data_.data() + ((std::int64_t(s) * nblocks_ + b) * sites_ + i) *
-                              (kSpinorReals * W);
+  const T* block(int b, std::int64_t i) const {
+    return data_.data() +
+           (std::int64_t(b) * sites_ + i) * (kSpinorReals * W);
   }
 
-  /// Transpose B standard views in (RHS lanes innermost).  All views must
-  /// share (sites, l5); @p grain is in 4D sites like the dslash grain.
+  /// Transpose B standard views in (lanes innermost).  All views must
+  /// share (sites, stride, l5); @p grain is in 4D sites like the dslash
+  /// grain.
   void pack(std::span<const SpinorView<const T>> in, std::size_t grain) {
     FEMTO_ASSERT(static_cast<int>(in.size()) == nrhs_);
+    const std::vector<const T*> bases = lane_bases(in);
     par::parallel_for_chunked(
         0, static_cast<std::size_t>(sites_),
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
-            for (int s = 0; s < l5_; ++s) {
-              for (int b = 0; b < nblocks_; ++b) {
-                T* dst = block(s, b, static_cast<std::int64_t>(i));
-                const int nl = b * W + W <= nrhs_ ? W : nrhs_ - b * W;
-                for (int j = 0; j < nl; ++j) {
-                  const SpinorView<const T>& v = in[std::size_t(b) * W + j];
-                  const T* src =
-                      v.data + v.offset(s, static_cast<std::int64_t>(i));
-                  for (int k = 0; k < kSpinorReals; ++k)
-                    dst[k * W + j] = src[k];
-                }
+            const auto site = static_cast<std::int64_t>(i);
+            for (int b = 0; b < nblocks_; ++b) {
+              T* dst = block(b, site);
+              const int nl = lanes_in(b);
+              for (int j = 0; j < nl; ++j) {
+                const T* src = bases[std::size_t(b * W + j)] +
+                               site * kSpinorReals;
+                for (int k = 0; k < kSpinorReals; ++k) dst[k * W + j] = src[k];
               }
             }
           }
@@ -202,20 +116,18 @@ class BlockedMultiSpinor {
   /// Transpose back out to B standard views (tail lanes dropped).
   void unpack(std::span<const SpinorView<T>> out, std::size_t grain) const {
     FEMTO_ASSERT(static_cast<int>(out.size()) == nrhs_);
+    const std::vector<T*> bases = lane_bases(out);
     par::parallel_for_chunked(
         0, static_cast<std::size_t>(sites_),
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
-            for (int s = 0; s < l5_; ++s) {
-              for (int b = 0; b < nblocks_; ++b) {
-                const T* src = block(s, b, static_cast<std::int64_t>(i));
-                const int nl = b * W + W <= nrhs_ ? W : nrhs_ - b * W;
-                for (int j = 0; j < nl; ++j) {
-                  const SpinorView<T>& v = out[std::size_t(b) * W + j];
-                  T* dst = v.data + v.offset(s, static_cast<std::int64_t>(i));
-                  for (int k = 0; k < kSpinorReals; ++k)
-                    dst[k] = src[k * W + j];
-                }
+            const auto site = static_cast<std::int64_t>(i);
+            for (int b = 0; b < nblocks_; ++b) {
+              const T* src = block(b, site);
+              const int nl = lanes_in(b);
+              for (int j = 0; j < nl; ++j) {
+                T* dst = bases[std::size_t(b * W + j)] + site * kSpinorReals;
+                for (int k = 0; k < kSpinorReals; ++k) dst[k] = src[k * W + j];
               }
             }
           }
@@ -223,12 +135,19 @@ class BlockedMultiSpinor {
         grain);
   }
 
-  /// Bytes of blocked storage (includes tail-lane padding).
+  /// Bytes of blocked storage (includes tail-lane padding) -- what one
+  /// pack/unpack pass writes/reads on the blocked side.
   std::int64_t bytes() const {
     return static_cast<std::int64_t>(data_.size() * sizeof(T));
   }
 
  private:
+  int lanes() const { return l5_ * nrhs_; }
+  /// Real (non-tail) lanes of block @p b.
+  int lanes_in(int b) const {
+    return b * W + W <= lanes() ? W : lanes() - b * W;
+  }
+
   std::int64_t sites_;
   int l5_;
   int nrhs_;

@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "lattice/gauge.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "simd/vec.hpp"
 
 namespace femto::tune {
@@ -20,19 +22,19 @@ std::shared_ptr<const GaugeField<double>> make_gauge() {
 
 TEST(DslashTunable, KeyEncodesGeometryAndPrecision) {
   auto u = make_gauge();
-  DslashTunable<double> t(u, 8, 0);
+  DslashMultiTunable<double> t(u, 8, 0, 1);
   EXPECT_NE(t.key().find("4x4x4x8"), std::string::npos);
   EXPECT_NE(t.key().find("l5=8"), std::string::npos);
   EXPECT_NE(t.key().find("prec=8"), std::string::npos);
 
   auto uf = std::make_shared<GaugeField<float>>(u->convert<float>());
-  DslashTunable<float> tf(uf, 8, 0);
+  DslashMultiTunable<float> tf(uf, 8, 0, 1);
   EXPECT_NE(tf.key(), t.key());
 }
 
 TEST(DslashTunable, CandidatesCoverGrainRange) {
   auto u = make_gauge();
-  DslashTunable<double> t(u, 4, 0);
+  DslashMultiTunable<double> t(u, 4, 0, 1);
   const auto c = t.candidates();
   ASSERT_GE(c.size(), 2u);
   EXPECT_EQ(c.front().get("grain"), 16);
@@ -42,7 +44,7 @@ TEST(DslashTunable, CandidatesCoverGrainRange) {
 
 TEST(DslashTunable, CandidatesSweepKernelVariants) {
   auto u = make_gauge();
-  DslashTunable<double> t(u, 4, 0);
+  DslashMultiTunable<double> t(u, 4, 0, 1);
   const auto c = t.candidates();
   // The reference kernel leads the search at every width.
   EXPECT_EQ(c.front().get("variant"), 0);
@@ -65,7 +67,7 @@ TEST(DslashTunable, KeyEncodesSimdBuild) {
   // build (the variant ordinal would mean a kernel that isn't profitable
   // there), so the ISA/width is part of the key.
   auto u = make_gauge();
-  DslashTunable<double> t(u, 4, 0);
+  DslashMultiTunable<double> t(u, 4, 0, 1);
   std::ostringstream want;
   want << ",simd=" << simd::kIsaName << "/" << simd::kWidth<double>;
   EXPECT_NE(t.key().find(want.str()), std::string::npos) << t.key();
@@ -94,11 +96,27 @@ TEST(DslashTunable, TunedGrainComesFromCache) {
   Autotuner::global().clear();
 }
 
+TEST(DslashTunable, SingleRhsTuningIsTheBatchOfOne) {
+  // tuned_dslash_grain runs the multi-RHS sweep at batch bound 1: the
+  // same cache entry answers a bmax = 1 tuned_multi_rhs lookup.
+  Autotuner::global().clear();
+  auto u = make_gauge();
+  const DslashTuning single = tuned_dslash_grain<double>(u, 2, 0);
+  const auto misses = Autotuner::global().cache_misses();
+  const MultiRhsTuning multi = tuned_multi_rhs<double>(u, 2, 1, 0);
+  EXPECT_EQ(Autotuner::global().cache_misses(), misses);
+  EXPECT_EQ(multi.nrhs, 1u);
+  EXPECT_EQ(multi.dslash.grain, single.grain);
+  EXPECT_EQ(multi.dslash.variant, single.variant);
+  EXPECT_EQ(multi.dslash.format, single.format);
+  Autotuner::global().clear();
+}
+
 TEST(DslashTunable, MetricsPopulated) {
   Autotuner tuner;
   tuner.set_reps(1);
   auto u = make_gauge();
-  DslashTunable<double> t(u, 2, 1);
+  DslashMultiTunable<double> t(u, 2, 1, 1);
   const auto& e = tuner.tune(t);
   EXPECT_GT(e.gflops, 0.0);
   EXPECT_GT(e.gbytes, 0.0);
@@ -112,7 +130,7 @@ TEST(DslashMultiTunable, KeyExtendsSingleRhsKeyWithBatchBound) {
   EXPECT_NE(t4.key().find("dslash_multi"), std::string::npos);
   EXPECT_NE(t4.key().find("bmax=4"), std::string::npos);
   EXPECT_NE(t4.key(), t8.key());  // batch bound is part of the cache key
-  DslashTunable<double> single(u, 2, 0);
+  DslashMultiTunable<double> single(u, 2, 0, 1);
   EXPECT_NE(t4.key(), single.key());
 }
 
@@ -126,8 +144,8 @@ TEST(DslashMultiTunable, CandidatesSweepBatchTimesGrainTimesVariant) {
     grains.insert(p.get("grain"));
     variants.insert(p.get("variant"));
   }
-  // Power-of-two batch sizes up to the bound, every grain, and the same
-  // variant set the single-RHS tunable races.
+  // Power-of-two batch sizes up to the bound, every grain, and every
+  // variant the build has lanes for.
   EXPECT_EQ(nrhs, (std::set<std::int64_t>{1, 2, 4, 8}));
   EXPECT_GE(grains.size(), 2u);
   if (simd::kWidth<double> > 1)
@@ -148,6 +166,23 @@ TEST(DslashMultiTunable, TunedMultiRhsReturnsValidBatch) {
   const MultiRhsTuning t2 = tuned_multi_rhs<double>(u, 2, 4, 0);
   EXPECT_EQ(t2.nrhs, t.nrhs);
   EXPECT_EQ(Autotuner::global().cache_misses(), misses);
+  Autotuner::global().clear();
+}
+
+TEST(DslashMultiTunable, TunedMultiRhsFeedsRunReport) {
+  // A run tuned through the batched sweep (DwfSolver::autotune_multi, the
+  // solve service's path) must report the kernel its operators run, not
+  // the registry defaults.
+  obs::Registry::global().reset();
+  Autotuner::global().clear();
+  auto u = make_gauge();
+  auto uf = std::make_shared<GaugeField<float>>(u->convert<float>());
+  const MultiRhsTuning t = tuned_multi_rhs<float>(uf, 2, 4, 0);
+  EXPECT_GT(obs::gauge("dslash.gbytes_f").get(), 0.0);
+  const std::string want = std::string("\"dslash_variant_f\":\"") +
+                           to_string(t.dslash.variant) + "\"";
+  const std::string json = obs::report_json();
+  EXPECT_NE(json.find(want), std::string::npos) << want << " in " << json;
   Autotuner::global().clear();
 }
 
@@ -175,13 +210,13 @@ TEST(DslashTunable, DefaultCandidatesStayFullFormat) {
   // Callers that never opt into tiers must see the pre-tier sweep: every
   // candidate reads full18 links.
   auto u = make_hot_gauge();
-  DslashTunable<double> t(u, 4, 0);
+  DslashMultiTunable<double> t(u, 4, 0, 1);
   for (const auto& p : t.candidates()) EXPECT_EQ(p.get("format", 0), 0);
 }
 
 TEST(DslashTunable, CandidatesSweepAllFormats) {
   auto u = make_hot_gauge();
-  DslashTunable<double> t(u, 4, 0, FormatSet::kAll);
+  DslashMultiTunable<double> t(u, 4, 0, 1, FormatSet::kAll);
   const auto c = t.candidates();
   // The reference tier leads the search (front stays full18/scalar).
   EXPECT_EQ(c.front().get("format", 0), 0);
@@ -198,8 +233,8 @@ TEST(DslashTunable, KeyEncodesFormatSet) {
   // caller that only admits full18 (the stored ordinal could name a tier
   // the caller cannot decode).
   auto u = make_hot_gauge();
-  DslashTunable<double> full(u, 4, 0);
-  DslashTunable<double> all(u, 4, 0, FormatSet::kAll);
+  DslashMultiTunable<double> full(u, 4, 0, 1);
+  DslashMultiTunable<double> all(u, 4, 0, 1, FormatSet::kAll);
   EXPECT_NE(full.key(), all.key());
   EXPECT_NE(all.key().find(",fmt=1"), std::string::npos) << all.key();
 }
@@ -225,10 +260,10 @@ TEST(DslashTunable, VerificationAcceptsEveryCorrectCandidate) {
   Autotuner tuner;
   tuner.set_reps(1);
   auto u = make_hot_gauge();
-  DslashTunable<double> td(u, 3, 0, FormatSet::kAll);
+  DslashMultiTunable<double> td(u, 3, 0, 1, FormatSet::kAll);
   EXPECT_EQ(tuner.tune(td).rejected, 0);
   auto uf = std::make_shared<GaugeField<float>>(u->convert<float>());
-  DslashTunable<float> tf(uf, 3, 0, FormatSet::kAll);
+  DslashMultiTunable<float> tf(uf, 3, 0, 1, FormatSet::kAll);
   EXPECT_EQ(tuner.tune(tf).rejected, 0);
   DslashMultiTunable<float> tm(uf, 3, 0, 3, FormatSet::kAll);
   EXPECT_EQ(tuner.tune(tm).rejected, 0);

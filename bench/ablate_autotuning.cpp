@@ -3,36 +3,15 @@
 // the gap the run-time autotuner closes automatically on every new
 // volume/precision/machine.
 
-#include <chrono>
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <vector>
 
 #include "autotune/dslash_tunable.hpp"
-#include "lattice/flops.hpp"
+#include "harness.hpp"
 #include "lattice/gauge.hpp"
-
-namespace {
-
-double time_dslash(const femto::GaugeField<double>& u,
-                   const femto::SpinorField<double>& in,
-                   femto::SpinorField<double>& out, std::size_t grain,
-                   int reps) {
-  femto::DslashTuning t;
-  t.grain = grain;
-  // Warm up.
-  femto::dslash<double>(femto::view(out), u, femto::cview(in), 0, false, t);
-  double best = 1e30;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    femto::dslash<double>(femto::view(out), u, femto::cview(in), 0, false,
-                          t);
-    best = std::min(best, std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
-  }
-  return best;
-}
-
-}  // namespace
 
 int main() {
   using namespace femto;
@@ -46,37 +25,47 @@ int main() {
   std::printf("== Ablation: dslash launch-grain autotuning, 8^3x16 L5=8 "
               "==\n\n");
 
-  tune::Autotuner::global().clear();
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto tuned = tune::tuned_dslash_grain<double>(u, l5, 0);
-  const double tune_cost =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  auto& tuner = tune::Autotuner::global();
+  tuner.clear();
+  DslashTuning tuned;
+  const double tune_cost = bench::min_seconds(
+      {[&] { tuned = tune::tuned_dslash_grain<double>(u, l5, 0); }}, 1, 1,
+      0)[0];
+  const std::int64_t hits = tuner.cache_hits();
+  tune::tuned_dslash_grain<double>(u, l5, 0);
+  const bool cache_hit = tuner.cache_hits() == hits + 1;
 
-  const double t_tuned = time_dslash(*u, in, out, tuned.grain, 5);
-  const std::int64_t site_flops =
-      flops::kWilsonDslashPerSite * geom->half_volume() * l5;
+  // calls[0] is the tuned grain, the rest are fixed.
+  const std::vector<std::size_t> grains = {
+      tuned.grain, 16, 256, 4096,
+      static_cast<std::size_t>(geom->half_volume())};
+  std::vector<std::function<void()>> calls;
+  for (const std::size_t grain : grains) {
+    DslashTuning t;
+    t.grain = grain;
+    calls.emplace_back([&, t] {
+      dslash<double>(view(out), *u, cview(in), 0, false, t);
+    });
+  }
+  const std::vector<double> seconds = bench::min_seconds(calls, 1, 5, 1);
+  const std::int64_t flops = bench::charge(calls[0]).flops;
 
   std::printf("%12s %14s %12s\n", "grain", "time (ms)", "GFLOP/s");
   double worst = 0;
-  for (std::size_t grain : {std::size_t{16}, std::size_t{256},
-                            std::size_t{4096},
-                            static_cast<std::size_t>(geom->half_volume())}) {
-    const double t = time_dslash(*u, in, out, grain, 5);
-    worst = std::max(worst, t);
-    std::printf("%12zu %14.4f %12.2f\n", grain, t * 1e3,
-                static_cast<double>(site_flops) / t / 1e9);
+  for (std::size_t k = 1; k < grains.size(); ++k) {
+    worst = std::max(worst, seconds[k]);
+    std::printf("%12zu %14.4f %12.2f\n", grains[k], seconds[k] * 1e3,
+                bench::giga_per_s(flops, seconds[k]));
   }
   std::printf("%12s %14.4f %12.2f   <- autotuned (grain %zu)\n", "tuned",
-              t_tuned * 1e3, static_cast<double>(site_flops) / t_tuned / 1e9,
+              seconds[0] * 1e3, bench::giga_per_s(flops, seconds[0]),
               tuned.grain);
 
   std::printf("\none-time tuning cost: %.1f ms; worst fixed grain is "
               "%.2fx slower than the tuned kernel\n",
-              tune_cost * 1e3, worst / t_tuned);
-  std::printf("second lookup is a cache hit: %s\n",
-              tune::Autotuner::global().cache_hits() >= 0 ? "yes" : "no");
-  // The tuned choice must be within measurement noise of the best fixed
-  // grain we tried (it searched the same space).
-  return t_tuned <= worst * 1.05 ? 0 : 1;
+              tune_cost * 1e3, worst / seconds[0]);
+  std::printf("second lookup is a cache hit: %s\n", cache_hit ? "yes" : "NO");
+  // The tuned grain searched the same space, so it must be no slower than
+  // the worst fixed grain, allowing 5% for timing noise.
+  return cache_hit && seconds[0] <= worst * 1.05 ? 0 : 1;
 }

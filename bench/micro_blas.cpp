@@ -1,180 +1,70 @@
 // Microbenchmark: the BLAS-1 kernels of the CG solver ("50-100 flops per
 // lattice site, i.e., they are extremely bandwidth bound").
 //
-// Besides the usual google-benchmark timings this binary runs a fused vs
-// unfused traffic study over the solver's per-iteration kernel sequences
-// (plain CG, single-precision triple-update CG, and the half-precision
-// quantised iteration), reporting effective GB/s from the byte counter and
-// emitting the results as machine-readable BENCH_blas.json so future PRs
-// can track the trajectory.
+// A fused vs unfused traffic study over the solver's per-iteration kernel
+// sequences (plain CG, single-precision triple-update CG, and the
+// half-precision quantised iteration), reporting the charged bytes per
+// iteration, GB/s and the reductions fusion buys.  Results land in
+// BENCH_blas.json as info rows: tracked by benchdiff, never gated.
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "lattice/blas.hpp"
-#include "lattice/flops.hpp"
 #include "solver/half.hpp"
 
 namespace {
 
-std::shared_ptr<const femto::Geometry> geom() {
-  static auto g = std::make_shared<femto::Geometry>(8, 8, 8, 16);
-  return g;
+constexpr int kInner = 20;  // sequence calls per timed sample
+constexpr int kReps = 1;    // one sample: the mean over kInner calls
+constexpr int kWarm = 2;
+
+// Charges and times one sequence in both forms and reports the row.
+void sequence_row(femto::bench::Report& rep, const std::string& name,
+                  const std::function<void()>& unfused,
+                  const std::function<void()>& fused) {
+  const std::int64_t unfused_bytes = femto::bench::charge(unfused).bytes;
+  const std::int64_t fused_bytes = femto::bench::charge(fused).bytes;
+  const std::vector<double> seconds =
+      femto::bench::min_seconds({unfused, fused}, kInner, kReps, kWarm);
+  const double unfused_gbps =
+      femto::bench::giga_per_s(unfused_bytes, seconds[0]);
+  const double fused_gbps = femto::bench::giga_per_s(fused_bytes, seconds[1]);
+  const double traffic_pct =
+      100.0 * (1.0 - static_cast<double>(fused_bytes) /
+                         static_cast<double>(unfused_bytes));
+  const double wallclock_pct = 100.0 * (1.0 - seconds[1] / seconds[0]);
+
+  rep.set(name + ".unfused.bytes_per_iter",
+          static_cast<double>(unfused_bytes));
+  rep.set(name + ".unfused.seconds_per_iter", seconds[0]);
+  rep.set(name + ".unfused.gbps", unfused_gbps);
+  rep.set(name + ".fused.bytes_per_iter", static_cast<double>(fused_bytes));
+  rep.set(name + ".fused.seconds_per_iter", seconds[1]);
+  rep.set(name + ".fused.gbps", fused_gbps);
+  rep.set(name + ".traffic_reduction_pct", traffic_pct);
+  rep.set(name + ".wallclock_reduction_pct", wallclock_pct);
+  std::printf(
+      "  %-22s traffic %6.2f%% less (%lld -> %lld bytes), "
+      "wall-clock %6.2f%% less (%.3e -> %.3e s), %.2f -> %.2f GB/s\n",
+      name.c_str(), traffic_pct, static_cast<long long>(unfused_bytes),
+      static_cast<long long>(fused_bytes), wallclock_pct, seconds[0],
+      seconds[1], unfused_gbps, fused_gbps);
 }
 
-void bm_axpy(benchmark::State& state) {
-  femto::SpinorField<double> x(geom(), 8, femto::Subset::Odd),
-      y(geom(), 8, femto::Subset::Odd);
-  x.gaussian(1);
-  y.gaussian(2);
-  for (auto _ : state) {
-    femto::blas::axpy(1.00001, x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetBytesProcessed(state.iterations() * 3 * x.bytes());
-}
+}  // namespace
 
-void bm_norm2(benchmark::State& state) {
-  femto::SpinorField<double> x(geom(), 8, femto::Subset::Odd);
-  x.gaussian(5);
-  double sink = 0;
-  for (auto _ : state) {
-    sink += femto::blas::norm2(x);
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetBytesProcessed(state.iterations() * x.bytes());
-}
-
-void bm_cdot(benchmark::State& state) {
-  femto::SpinorField<double> x(geom(), 8, femto::Subset::Odd),
-      y(geom(), 8, femto::Subset::Odd);
-  x.gaussian(6);
-  y.gaussian(7);
-  double sink = 0;
-  for (auto _ : state) {
-    sink += femto::blas::cdot(x, y).re;
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetBytesProcessed(state.iterations() * 2 * x.bytes());
-}
-
-void bm_axpy_norm2(benchmark::State& state) {
-  femto::SpinorField<double> x(geom(), 8, femto::Subset::Odd),
-      y(geom(), 8, femto::Subset::Odd);
-  x.gaussian(8);
-  y.gaussian(9);
-  double sink = 0;
-  for (auto _ : state) {
-    sink += femto::blas::axpy_norm2(1e-6, x, y);
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetBytesProcessed(state.iterations() * 3 * x.bytes());
-}
-
-void bm_triple_cg_update(benchmark::State& state) {
-  femto::SpinorField<float> p(geom(), 8, femto::Subset::Odd),
-      ap(geom(), 8, femto::Subset::Odd), x(geom(), 8, femto::Subset::Odd),
-      r(geom(), 8, femto::Subset::Odd);
-  p.gaussian(10);
-  ap.gaussian(11);
-  x.gaussian(12);
-  r.gaussian(13);
-  double sink = 0;
-  for (auto _ : state) {
-    sink += femto::blas::triple_cg_update(1e-6, p, ap, x, r);
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetBytesProcessed(state.iterations() * 6 * p.bytes());
-}
-
-void bm_axpy_zpbx(benchmark::State& state) {
-  femto::SpinorField<double> p(geom(), 8, femto::Subset::Odd),
-      x(geom(), 8, femto::Subset::Odd), z(geom(), 8, femto::Subset::Odd);
-  p.gaussian(14);
-  x.gaussian(15);
-  z.gaussian(16);
-  for (auto _ : state) {
-    femto::blas::axpy_zpbx(1e-6, p, x, z, 1e-6);
-    benchmark::DoNotOptimize(p.data());
-  }
-  state.SetBytesProcessed(state.iterations() * 5 * p.bytes());
-}
-
-void bm_half_axpy_roundtrip(benchmark::State& state) {
-  femto::SpinorField<float> x(geom(), 8, femto::Subset::Odd),
-      y(geom(), 8, femto::Subset::Odd);
-  x.gaussian(17);
-  y.gaussian(18);
-  femto::HalfSpinorField h(geom(), 8, femto::Subset::Odd);
-  for (auto _ : state) {
-    h.axpy_roundtrip(1e-6, x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          (3 * x.bytes() + h.bytes()));
-}
-
-// ---------------------------------------------------------------------------
-// Fused vs unfused traffic study -> BENCH_blas.json
-// ---------------------------------------------------------------------------
-
-struct SequenceResult {
-  std::string name;
-  std::int64_t unfused_bytes = 0, fused_bytes = 0;
-  double unfused_seconds = 0.0, fused_seconds = 0.0;
-
-  double traffic_reduction_pct() const {
-    return 100.0 * (1.0 - static_cast<double>(fused_bytes) /
-                              static_cast<double>(unfused_bytes));
-  }
-  double wallclock_reduction_pct() const {
-    return 100.0 * (1.0 - fused_seconds / unfused_seconds);
-  }
-  static double gbps(std::int64_t bytes, double seconds) {
-    return seconds > 0 ? static_cast<double>(bytes) / seconds / 1e9 : 0.0;
-  }
-};
-
-// Times one kernel sequence and reads its byte-counter charge.
-SequenceResult run_sequence(const std::string& name,
-                            const std::function<void()>& unfused,
-                            const std::function<void()>& fused, int reps) {
-  SequenceResult res;
-  res.name = name;
-  femto::flops::reset();
-  unfused();
-  res.unfused_bytes = femto::flops::bytes();
-  femto::flops::reset();
-  fused();
-  res.fused_bytes = femto::flops::bytes();
-
-  using clock = std::chrono::steady_clock;
-  for (int warm = 0; warm < 2; ++warm) {
-    unfused();
-    fused();
-  }
-  auto t0 = clock::now();
-  for (int i = 0; i < reps; ++i) unfused();
-  res.unfused_seconds =
-      std::chrono::duration<double>(clock::now() - t0).count() / reps;
-  t0 = clock::now();
-  for (int i = 0; i < reps; ++i) fused();
-  res.fused_seconds =
-      std::chrono::duration<double>(clock::now() - t0).count() / reps;
-  return res;
-}
-
-std::vector<SequenceResult> traffic_study() {
-  const auto g = geom();
+int main() {
+  const auto g = std::make_shared<femto::Geometry>(8, 8, 8, 16);
   const int l5 = 8;
   const auto sub = femto::Subset::Odd;
-  const int reps = 20;
-  std::vector<SequenceResult> results;
+  femto::bench::Report rep;
+  std::printf("fused vs unfused solver iteration sequences (%s):\n",
+              "8x8x8x16, l5=8, odd subset");
 
   {
     // Plain CG iteration body beyond the matvec (double precision).
@@ -184,8 +74,8 @@ std::vector<SequenceResult> traffic_study() {
     ap.gaussian(22);
     x.gaussian(23);
     r.gaussian(24);
-    results.push_back(run_sequence(
-        "cg_iteration_double",
+    sequence_row(
+        rep, "cg_iteration_double",
         [&] {
           femto::blas::redot(p, ap);
           femto::blas::axpy(1e-6, p, x);
@@ -197,8 +87,7 @@ std::vector<SequenceResult> traffic_study() {
           femto::blas::redot(p, ap);
           femto::blas::axpy_norm2(-1e-6, ap, r);
           femto::blas::axpy_zpbx(1e-6, p, x, r, 1e-6);
-        },
-        reps));
+        });
   }
 
   {
@@ -209,8 +98,8 @@ std::vector<SequenceResult> traffic_study() {
     ap.gaussian(32);
     x.gaussian(33);
     r.gaussian(34);
-    results.push_back(run_sequence(
-        "cg_iteration_single",
+    sequence_row(
+        rep, "cg_iteration_single",
         [&] {
           femto::blas::redot(p, ap);
           femto::blas::axpy(1e-6f, p, x);
@@ -222,8 +111,7 @@ std::vector<SequenceResult> traffic_study() {
           femto::blas::redot(p, ap);
           femto::blas::triple_cg_update(1e-6, p, ap, x, r);
           femto::blas::xpay(r, 1e-6, p);
-        },
-        reps));
+        });
   }
 
   {
@@ -235,8 +123,8 @@ std::vector<SequenceResult> traffic_study() {
     x.gaussian(43);
     r.gaussian(44);
     femto::HalfSpinorField store(g, l5, sub);
-    results.push_back(run_sequence(
-        "cg_iteration_half",
+    sequence_row(
+        rep, "cg_iteration_half",
         [&] {
           femto::blas::redot(p, ap);
           femto::blas::axpy(1e-6f, p, x);
@@ -255,74 +143,8 @@ std::vector<SequenceResult> traffic_study() {
           store.axpy_roundtrip(1e-6, p, x);
           store.axpy_roundtrip_norm2(-1e-6, ap, r);
           store.xpay_roundtrip(r, 1e-6, p);
-        },
-        reps));
+        });
   }
 
-  return results;
-}
-
-void write_json(const std::vector<SequenceResult>& results,
-                const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) return;
-  const auto& d = *geom();
-  std::fprintf(f, "{\n  \"volume\": [%d, %d, %d, %d],\n  \"l5\": 8,\n",
-               d.extent(0), d.extent(1), d.extent(2), d.extent(3));
-  std::fprintf(f, "  \"sequences\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\",\n"
-                 "     \"unfused\": {\"bytes_per_iter\": %lld, "
-                 "\"seconds_per_iter\": %.3e, \"gbps\": %.3f},\n"
-                 "     \"fused\": {\"bytes_per_iter\": %lld, "
-                 "\"seconds_per_iter\": %.3e, \"gbps\": %.3f},\n"
-                 "     \"traffic_reduction_pct\": %.2f,\n"
-                 "     \"wallclock_reduction_pct\": %.2f}%s\n",
-                 r.name.c_str(), static_cast<long long>(r.unfused_bytes),
-                 r.unfused_seconds,
-                 SequenceResult::gbps(r.unfused_bytes, r.unfused_seconds),
-                 static_cast<long long>(r.fused_bytes), r.fused_seconds,
-                 SequenceResult::gbps(r.fused_bytes, r.fused_seconds),
-                 r.traffic_reduction_pct(), r.wallclock_reduction_pct(),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-}  // namespace
-
-BENCHMARK(bm_axpy)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_norm2)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_cdot)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_axpy_norm2)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_triple_cg_update)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_axpy_zpbx)->Unit(benchmark::kMicrosecond);
-BENCHMARK(bm_half_axpy_roundtrip)->Unit(benchmark::kMicrosecond);
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  const auto results = traffic_study();
-  std::printf("\nfused vs unfused solver iteration sequences (%s):\n",
-              "8x8x8x16, l5=8, odd subset");
-  for (const auto& r : results) {
-    std::printf(
-        "  %-22s traffic %6.2f%% less (%lld -> %lld bytes), "
-        "wall-clock %6.2f%% less (%.3e -> %.3e s), %.2f -> %.2f GB/s\n",
-        r.name.c_str(), r.traffic_reduction_pct(),
-        static_cast<long long>(r.unfused_bytes),
-        static_cast<long long>(r.fused_bytes), r.wallclock_reduction_pct(),
-        r.unfused_seconds, r.fused_seconds,
-        SequenceResult::gbps(r.unfused_bytes, r.unfused_seconds),
-        SequenceResult::gbps(r.fused_bytes, r.fused_seconds));
-  }
-  write_json(results, "BENCH_blas.json");
-  std::printf("wrote BENCH_blas.json\n");
-  return 0;
+  return rep.write("BENCH_blas.json") ? 0 : 1;
 }

@@ -1,14 +1,16 @@
 // Microbenchmark: gauge storage tiers (DESIGN.md §16) -- full18 vs
 // recon12.
 //
-// Two studies, both on hot (random SU(3)) links:
+// Two studies, both on hot (random SU(3)) links, each timing its two
+// formats round-robin:
 //
 //  * stream -- the GATED study: a DRAM-resident float gauge field is
 //    streamed link by link (load + trace accumulate) per format.  This is
 //    the bandwidth-bound regime the paper's compression argument lives
 //    in: fewer stored bytes -> fewer streamed bytes -> more sites per
-//    second.  The gate (kRecon12Gate, checked by scripts/bench_compress.sh)
-//    requires recon12 to beat full18 per-site throughput by >= 1.2x.
+//    second.  The claim: recon12 beats full18 per-site throughput by
+//    >= kRecon12Gate.  The loop is local to this bench, so the library
+//    does not charge it; its GB/s is the stored bytes over time.
 //
 //  * dslash -- INFO-ONLY: the end-to-end float dslash per format on a
 //    cache-unfriendly volume.  On wide-SIMD, bandwidth-starved machines
@@ -17,12 +19,10 @@
 //    exactly why the autotuner sweeps the format axis per machine instead
 //    of hard-coding a tier.
 //
-// Timing is min-of-reps wall clock (the autotuner's convention).  Results
-// land in BENCH_compress.json (repo root) for scripts/bench_compress.sh
-// and the benchdiff sentinel.
+// Results land in BENCH_compress.json, gated by benchdiff.  Run it at
+// FEMTO_THREADS=1 (scripts/bench_all.sh does): the stream loop is
+// single-threaded, and idle pool workers only add spread.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -31,44 +31,44 @@
 #include <vector>
 
 #include "dirac/wilson.hpp"
+#include "harness.hpp"
 #include "lattice/compressed_gauge.hpp"
-#include "lattice/flops.hpp"
 #include "lattice/gauge.hpp"
 #include "simd/vec.hpp"
 
 namespace {
 
-using clock_type = std::chrono::steady_clock;
-
 constexpr int kInner = 2;  // kernel calls per timed sample
 constexpr int kReps = 8;   // timed samples; min is reported
+constexpr int kWarm = 1;   // untimed call: faults the pages
+// The gate auto-passes on scalar builds: with no SIMD the reference
+// study is not bandwidth-bound and the compression claim is vacuous.
+// The threshold sits below the noise: 20 runs at FEMTO_THREADS=1 on a
+// 4-core sse2 box read x1.38-x2.10 (median x1.60, interquartile spread
+// x0.15), and the gate is min - IQR rounded down.
+constexpr double kRecon12Gate = 1.2;
 
-double time_best(const std::function<void()>& fn) {
-  fn();  // warm: faults the pages
-  double best = 1e300;
-  for (int r = 0; r < kReps; ++r) {
-    const auto t0 = clock_type::now();
-    for (int i = 0; i < kInner; ++i) fn();
-    const double s =
-        std::chrono::duration<double>(clock_type::now() - t0).count() / kInner;
-    best = std::min(best, s);
+// Reports one study's rows per format: seconds, GB/s of @p bytes, Msites/s
+// of @p sites, and the speedup over full18.  Returns recon12's speedup.
+double report_study(femto::bench::Report& rep, const std::string& study,
+                    const std::vector<double>& seconds,
+                    const std::vector<std::int64_t>& bytes, double sites) {
+  const char* const formats[] = {"full18", "recon12"};
+  std::printf("%s:\n", study.c_str());
+  for (std::size_t k = 0; k < 2; ++k) {
+    const std::string key = study + "." + formats[k];
+    const double gbps = femto::bench::giga_per_s(bytes[k], seconds[k]);
+    const double msites = sites / seconds[k] / 1e6;
+    const double speedup = seconds[0] / seconds[k];
+    rep.set(key + ".seconds", seconds[k]);
+    rep.set(key + ".gbps", gbps);
+    rep.set(key + ".msites_per_s", msites);
+    rep.set(key + ".speedup", speedup);
+    std::printf("  %-8s %9.3e s  %7.2f GB/s  %8.2f Msites/s  (x%.3f)\n",
+                formats[k], seconds[k], gbps, msites, speedup);
   }
-  return best;
+  return seconds[0] / seconds[1];
 }
-
-std::int64_t charged_bytes(const std::function<void()>& fn) {
-  femto::flops::reset();
-  fn();
-  return femto::flops::bytes();
-}
-
-struct FormatRow {
-  std::string name;
-  double seconds = 0.0;
-  double gbps = 0.0;         // stored bytes streamed / second
-  double msites_per_s = 0.0;  // per-site throughput (the gated ratio)
-  double speedup = 1.0;       // full18 seconds / this format's seconds
-};
 
 // ---------------------------------------------------------------------------
 // Study 1 (gated): DRAM link stream per format.
@@ -90,44 +90,29 @@ double stream_links(const GaugeT& u) {
   return sink;
 }
 
-template <typename GaugeT>
-FormatRow stream_row(const std::string& name, const GaugeT& u,
-                     double full18_seconds) {
-  FormatRow row;
-  row.name = name;
-  double sink = 0.0;
-  row.seconds = time_best([&] { sink += stream_links(u); });
-  const double sites = static_cast<double>(u.geom().volume());
-  row.gbps = static_cast<double>(u.bytes()) / row.seconds / 1e9;
-  row.msites_per_s = sites / row.seconds / 1e6;
-  row.speedup =
-      full18_seconds > 0.0 ? full18_seconds / row.seconds : 1.0;
-  // Keep the sink alive without polluting the report.
-  if (sink == 0.123456789) std::printf("sink %f\n", sink);
-  return row;
-}
-
-std::vector<FormatRow> stream_study(
-    const std::shared_ptr<const femto::Geometry>& geom) {
+double stream_study(const std::shared_ptr<const femto::Geometry>& geom,
+                    femto::bench::Report& rep) {
   femto::GaugeField<double> ud(geom);
   femto::hot_gauge(ud, 7);
   const auto u = ud.convert<float>();
   const femto::CompressedGaugeField<float> r12(u);
 
-  std::vector<FormatRow> rows;
-  rows.push_back(stream_row("full18", u, 0.0));
-  const double base = rows[0].seconds;
-  rows[0].speedup = 1.0;
-  rows.push_back(stream_row("recon12", r12, base));
-  return rows;
+  double sink = 0.0;
+  const std::vector<double> seconds = femto::bench::min_seconds(
+      {[&] { sink += stream_links(u); }, [&] { sink += stream_links(r12); }},
+      kInner, kReps, kWarm);
+  // Keep the sink alive without polluting the report.
+  if (sink == 0.123456789) std::printf("sink %f\n", sink);
+  return report_study(rep, "stream", seconds, {u.bytes(), r12.bytes()},
+                      static_cast<double>(geom->volume()));
 }
 
 // ---------------------------------------------------------------------------
 // Study 2 (info-only): end-to-end float dslash per format.
 // ---------------------------------------------------------------------------
 
-std::vector<FormatRow> dslash_study(
-    const std::shared_ptr<const femto::Geometry>& geom, int l5) {
+void dslash_study(const std::shared_ptr<const femto::Geometry>& geom, int l5,
+                  femto::bench::Report& rep) {
   femto::GaugeField<double> ud(geom);
   femto::hot_gauge(ud, 11);
   const auto u = ud.convert<float>();
@@ -142,81 +127,21 @@ std::vector<FormatRow> dslash_study(
                      ? femto::DslashVariant::kVector
                      : femto::DslashVariant::kScalar;
 
-  const auto row_for = [&](const std::string& name,
-                           const std::function<void()>& call,
-                           double base) {
-    FormatRow row;
-    row.name = name;
-    row.seconds = time_best(call);
-    row.gbps = static_cast<double>(charged_bytes(call)) / row.seconds / 1e9;
-    row.msites_per_s = static_cast<double>(geom->half_volume()) * l5 /
-                       row.seconds / 1e6;
-    row.speedup = base > 0.0 ? base / row.seconds : 1.0;
-    return row;
-  };
-
-  std::vector<FormatRow> rows;
-  rows.push_back(row_for(
-      "full18",
+  const std::vector<std::function<void()>> calls = {
       [&] {
         femto::dslash<float>(femto::view(out), u, femto::cview(in), 0,
                              false, tune);
       },
-      0.0));
-  const double base = rows[0].seconds;
-  rows[0].speedup = 1.0;
-  rows.push_back(row_for(
-      "recon12",
       [&] {
         femto::dslash<float>(femto::view(out), r12, femto::cview(in), 0,
                              false, tune);
-      },
-      base));
-  return rows;
-}
-
-// ---------------------------------------------------------------------------
-// Report.
-// ---------------------------------------------------------------------------
-
-void print_rows(const char* title, const std::vector<FormatRow>& rows) {
-  std::printf("%s:\n", title);
-  for (const auto& r : rows)
-    std::printf("  %-8s %9.3e s  %7.2f GB/s  %8.2f Msites/s  (x%.3f)\n",
-                r.name.c_str(), r.seconds, r.gbps, r.msites_per_s,
-                r.speedup);
-}
-
-double speedup_of(const std::vector<FormatRow>& rows,
-                  const std::string& name) {
-  for (const auto& r : rows)
-    if (r.name == name) return r.speedup;
-  return 0.0;
-}
-
-void write_json(const std::vector<FormatRow>& stream,
-                const std::vector<FormatRow>& dslash, int gate_ok) {
-  std::FILE* f = std::fopen("BENCH_compress.json", "w");
-  if (!f) return;
-  std::fprintf(f,
-               "{\n  \"isa\": \"%s\",\n  \"width_float\": %d,\n",
-               femto::simd::kIsaName, femto::simd::kWidth<float>);
-  const auto dump = [f](const char* key, const std::vector<FormatRow>& rows) {
-    std::fprintf(f, "  \"%s\": {\n", key);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
-      std::fprintf(f,
-                   "    \"%s\": {\"seconds\": %.3e, \"gbps\": %.3f, "
-                   "\"msites_per_s\": %.3f, \"speedup\": %.3f}%s\n",
-                   r.name.c_str(), r.seconds, r.gbps, r.msites_per_s,
-                   r.speedup, i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  },\n");
-  };
-  dump("stream", stream);
-  dump("dslash", dslash);
-  std::fprintf(f, "  \"recon12_gate_ok\": %d\n}\n", gate_ok);
-  std::fclose(f);
+      }};
+  const std::vector<double> seconds =
+      femto::bench::min_seconds(calls, kInner, kReps, kWarm);
+  report_study(rep, "dslash", seconds,
+               {femto::bench::charge(calls[0]).bytes,
+                femto::bench::charge(calls[1]).bytes},
+               static_cast<double>(geom->half_volume()) * l5);
 }
 
 }  // namespace
@@ -224,6 +149,8 @@ void write_json(const std::vector<FormatRow>& stream,
 int main() {
   std::printf("gauge storage tier microbenchmark: isa=%s, float W=%d\n",
               femto::simd::kIsaName, femto::simd::kWidth<float>);
+  femto::bench::Report rep;
+  rep.set("width_float", femto::simd::kWidth<float>);
 
   // DRAM-resident stream: 16x16x16x32 = 131k sites -> 37.7 MB of full18
   // float links (25.2 MB for recon12), well past any LLC on the target
@@ -233,29 +160,17 @@ int main() {
               static_cast<double>(4 * geom_stream->volume() * 18 *
                                   static_cast<std::int64_t>(sizeof(float))) /
                   1e6);
-  const auto stream = stream_study(geom_stream);
-  print_rows("link stream (gated study)", stream);
+  const double r12_speedup = stream_study(geom_stream, rep);
   std::printf("\n");
 
   // End-to-end dslash: modest volume, info-only.
   auto geom_dslash = std::make_shared<femto::Geometry>(8, 8, 8, 16);
-  const int l5 = 8;
-  const auto dslash = dslash_study(geom_dslash, l5);
-  print_rows("float dslash 8x8x8x16 l5=8 (info only)", dslash);
+  dslash_study(geom_dslash, 8, rep);
 
-  // The gate auto-passes on scalar builds: with no SIMD the reference
-  // study is not bandwidth-bound and the compression claim is vacuous.
-  // The threshold sits below the noise: 20 runs at FEMTO_THREADS=1 on a
-  // 4-core sse2 box read x1.38-x2.10 (median x1.60, interquartile spread
-  // x0.15), and the gate is min - IQR rounded down.
-  constexpr double kRecon12Gate = 1.2;
-  const double r12_speedup = speedup_of(stream, "recon12");
-  const int gate_ok =
-      femto::simd::kWidth<float> <= 1 || r12_speedup >= kRecon12Gate ? 1 : 0;
+  const bool ok =
+      femto::simd::kWidth<float> <= 1 || r12_speedup >= kRecon12Gate;
+  rep.set("recon12_gate_ok", ok);
   std::printf("\nrecon12 stream speedup x%.3f (gate x%.2f) -> %s\n",
-              r12_speedup, kRecon12Gate, gate_ok ? "OK" : "FAIL");
-
-  write_json(stream, dslash, gate_ok);
-  std::printf("wrote BENCH_compress.json\n");
-  return 0;
+              r12_speedup, kRecon12Gate, ok ? "OK" : "FAIL");
+  return rep.write("BENCH_compress.json") ? 0 : 1;
 }

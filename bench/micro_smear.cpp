@@ -1,68 +1,52 @@
 // Microbenchmark: APE link smearing and Wuppertal source smearing — the
-// gauge/source conditioning steps of production nucleon measurements.
+// gauge/source conditioning steps of production nucleon measurements —
+// plus the Wilson-loop and action-density observables.  Stdout only.
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
+#include <functional>
+#include <memory>
+#include <vector>
 
+#include "harness.hpp"
 #include "lattice/gauge.hpp"
 #include "lattice/observables.hpp"
 #include "lattice/smear.hpp"
 
 namespace {
 
-std::shared_ptr<const femto::Geometry> geom() {
-  static auto g = std::make_shared<femto::Geometry>(8, 8, 8, 8);
-  return g;
-}
-
-void bm_ape_step(benchmark::State& state) {
-  femto::GaugeField<double> u(geom());
-  femto::weak_gauge(u, 1, 0.25);
-  for (auto _ : state) {
-    femto::ape_smear_step(u, 0.5);
-    benchmark::DoNotOptimize(u.data());
-  }
-  state.counters["links/s"] = benchmark::Counter(
-      4.0 * static_cast<double>(geom()->volume()) * state.iterations(),
-      benchmark::Counter::kIsRate);
-}
-
-void bm_wuppertal(benchmark::State& state) {
-  femto::GaugeField<double> u(geom());
-  femto::weak_gauge(u, 2, 0.25);
-  femto::SpinorField<double> psi(geom(), 1, femto::Subset::Full);
-  psi.gaussian(3);
-  for (auto _ : state) {
-    femto::wuppertal_smear(psi, u, {0.25, 1});
-    benchmark::DoNotOptimize(psi.data());
-  }
-  state.counters["sites/s"] = benchmark::Counter(
-      static_cast<double>(geom()->volume()) * state.iterations(),
-      benchmark::Counter::kIsRate);
-}
-
-void bm_wilson_loop_2x2(benchmark::State& state) {
-  femto::GaugeField<double> u(geom());
-  femto::weak_gauge(u, 4, 0.25);
-  double sink = 0;
-  for (auto _ : state) {
-    sink += femto::wilson_loop(u, 2, 2);
-    benchmark::DoNotOptimize(sink);
-  }
-}
-
-void bm_action_density(benchmark::State& state) {
-  femto::GaugeField<double> u(geom());
-  femto::weak_gauge(u, 5, 0.25);
-  double sink = 0;
-  for (auto _ : state) {
-    sink += femto::action_density(u);
-    benchmark::DoNotOptimize(sink);
-  }
-}
+constexpr int kReps = 5;  // timed samples of one call; min is reported
+constexpr int kWarm = 1;
 
 }  // namespace
 
-BENCHMARK(bm_ape_step)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_wuppertal)->Unit(benchmark::kMillisecond);
-BENCHMARK(bm_wilson_loop_2x2)->Unit(benchmark::kMillisecond)->Iterations(3);
-BENCHMARK(bm_action_density)->Unit(benchmark::kMillisecond)->Iterations(3);
+int main() {
+  const auto geom = std::make_shared<femto::Geometry>(8, 8, 8, 8);
+  femto::GaugeField<double> ape(geom), wup(geom), loop(geom), act(geom);
+  femto::weak_gauge(ape, 1, 0.25);
+  femto::weak_gauge(wup, 2, 0.25);
+  femto::weak_gauge(loop, 4, 0.25);
+  femto::weak_gauge(act, 5, 0.25);
+  femto::SpinorField<double> psi(geom, 1, femto::Subset::Full);
+  psi.gaussian(3);
+  double sink = 0.0;
+
+  const char* const names[] = {"ape_step", "wuppertal", "wilson_loop_2x2",
+                               "action_density"};
+  const std::vector<std::function<void()>> calls = {
+      [&] { femto::ape_smear_step(ape, 0.5); },
+      [&] { femto::wuppertal_smear(psi, wup, {0.25, 1}); },
+      [&] { sink += femto::wilson_loop(loop, 2, 2); },
+      [&] { sink += femto::action_density(act); }};
+  const std::vector<double> seconds =
+      femto::bench::min_seconds(calls, 1, kReps, kWarm);
+
+  std::printf("smearing and gauge observables, 8^4\n");
+  for (std::size_t k = 0; k < calls.size(); ++k) {
+    const auto c = femto::bench::charge(calls[k]);
+    std::printf("  %-16s %9.3f ms  %7.2f GFLOP/s  %7.2f GB/s\n", names[k],
+                seconds[k] * 1e3, femto::bench::giga_per_s(c.flops, seconds[k]),
+                femto::bench::giga_per_s(c.bytes, seconds[k]));
+  }
+  if (sink == 0.123456789) std::printf("sink %f\n", sink);
+  return 0;
+}

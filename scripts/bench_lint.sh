@@ -76,13 +76,14 @@ print(j["effect_pass_ms"], j["lockorder_pass_ms"], j["protocol_pass_ms"])' \
 }
 read -r EFFECT_MS LOCKORDER_MS PROTOCOL_MS <<< "$(min_pass_ms)"
 
-# Gate: the two v4 passes together must stay under half the parallel
-# whole-tree scan, i.e. total lint time stays under 2x its pre-v4 cost.
-# A failure here means a closure went superlinear (usually an unmemoized
-# walk over a dense region of the call graph) and must be fixed, not
-# absorbed into the edit loop.
+# The claim: the two v4 passes together stay under CONCURRENCY_GATE_FRAC
+# of the parallel whole-tree scan, i.e. total lint time stays under 2x its
+# pre-v4 cost.  A 0 here means a closure went superlinear (usually an
+# unmemoized walk over a dense region of the call graph) and must be
+# fixed, not absorbed into the edit loop.  benchdiff judges the row.
+CONCURRENCY_GATE_FRAC=0.5
 GATE_OK=$(awk -v l="$LOCKORDER_MS" -v r="$PROTOCOL_MS" -v p="$PARALLEL_MS" \
-          'BEGIN { print (l + r < p / 2.0) ? 1 : 0 }')
+          -v f="$CONCURRENCY_GATE_FRAC" 'BEGIN { print (l + r < p * f) ? 1 : 0 }')
 
 cat > BENCH_lint.json <<EOF
 {
@@ -102,10 +103,5 @@ EOF
 
 echo "bench_lint: serial ${SERIAL_MS} ms, parallel ${PARALLEL_MS} ms (x${SPEEDUP})"
 echo "bench_lint: effect ${EFFECT_MS} ms, lockorder ${LOCKORDER_MS} ms, protocol ${PROTOCOL_MS} ms"
+echo "bench_lint: concurrency_gate_ok ${GATE_OK}"
 echo "bench_lint: wrote BENCH_lint.json"
-
-if [[ "$GATE_OK" != "1" ]]; then
-  echo "bench_lint: FAIL concurrency passes (${LOCKORDER_MS}+${PROTOCOL_MS} ms)" \
-       "exceed half the parallel scan (${PARALLEL_MS} ms): total lint > 2x pre-v4" >&2
-  exit 1
-fi

@@ -363,50 +363,6 @@ double axpy_norm2(double a, const SpinorField<T>& x, SpinorField<T>& y,
   return n2;
 }
 
-/// y = x + a*y, returning <x, y_new> (real part) of the updated y.
-template <typename T, int W = simd::kWidth<T>>
-double xpay_redot(const SpinorField<T>& x, double a, SpinorField<T>& y,
-                  std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "xpay_redot");
-  assert(y.compatible(x));
-  const T aa = static_cast<T>(a);
-  T* yd = y.data();
-  const T* xd = x.data();
-  double dot = 0.0;
-  par::ThreadPool::global().parallel_reduce_n(
-      0, static_cast<std::size_t>(y.reals()), 1,
-      [&](std::size_t lo, std::size_t hi, double* acc) {
-        detail::xpay_chunk<W>(xd, aa, yd, lo, hi);
-        acc[0] = detail::redot_chunk<W>(xd, yd, lo, hi);
-      },
-      &dot, grain);
-  flops::add(4 * y.reals());
-  flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return dot;
-}
-
-/// y = a*x + b*y, returning ||y||^2 of the updated y.
-template <typename T, int W = simd::kWidth<T>>
-double axpby_norm2(double a, const SpinorField<T>& x, double b,
-                   SpinorField<T>& y, std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "axpby_norm2");
-  assert(y.compatible(x));
-  const T aa = static_cast<T>(a), bb = static_cast<T>(b);
-  T* yd = y.data();
-  const T* xd = x.data();
-  double n2 = 0.0;
-  par::ThreadPool::global().parallel_reduce_n(
-      0, static_cast<std::size_t>(y.reals()), 1,
-      [&](std::size_t lo, std::size_t hi, double* acc) {
-        detail::axpby_chunk<W>(aa, xd, bb, yd, lo, hi);
-        acc[0] = detail::norm2_chunk<W>(yd, lo, hi);
-      },
-      &n2, grain);
-  flops::add(5 * y.reals());
-  flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return n2;
-}
-
 /// The QUDA tripleCGUpdate: x += alpha*p; r -= alpha*ap; return ||r||^2 —
 /// the whole CG vector update in one pass over the four fields.
 template <typename T, int W = simd::kWidth<T>>

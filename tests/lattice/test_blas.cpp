@@ -112,26 +112,6 @@ TEST_F(BlasTest, AxpyNorm2MatchesUnfusedBitwise) {
     EXPECT_EQ(w.data()[k], z.data()[k]);
 }
 
-TEST_F(BlasTest, XpayRedotMatchesUnfused) {
-  z = y;
-  blas::xpay(x, -0.5, z);
-  const double want = blas::redot(x, z);
-  SpinorField<double> w = y;
-  const double got = blas::xpay_redot(x, -0.5, w);
-  EXPECT_EQ(got, want);
-  for (std::int64_t k = 0; k < w.reals(); k += 31)
-    EXPECT_EQ(w.data()[k], z.data()[k]);
-}
-
-TEST_F(BlasTest, AxpbyNorm2MatchesUnfused) {
-  z = y;
-  blas::axpby(2.0, x, -1.0, z);
-  const double want = blas::norm2(z);
-  SpinorField<double> w = y;
-  const double got = blas::axpby_norm2(2.0, x, -1.0, w);
-  EXPECT_EQ(got, want);
-}
-
 TEST_F(BlasTest, TripleCgUpdateMatchesUnfusedBitwise) {
   // Seed iteration body: x += alpha p; r -= alpha ap; rsq = norm2(r).
   SpinorField<double> p(g, 4, Subset::Odd), ap(g, 4, Subset::Odd);

@@ -2,9 +2,9 @@
 // tracing OFF costs one relaxed atomic load and a branch -- this test
 // asserts the instrumented loop stays within noise of the bare loop, so a
 // regression that sneaks a clock read or a lock into the disabled path
-// fails CI.  (Enabled-mode overhead is characterised by
-// scripts/bench_obs.sh on a real BLAS workload, not unit-tested: wall
-// clock bounds under CI load would flake.)
+// fails CI.  (Enabled-mode overhead is characterised by bench/micro_obs
+// against cg<double>'s per-iteration BLAS and gated by benchdiff, not
+// unit-tested: wall clock bounds under CI load would flake.)
 
 #include <gtest/gtest.h>
 

@@ -1,12 +1,13 @@
-// benchdiff: the BENCH regression sentinel.
+// benchdiff: the BENCH regression sentinel and the only judge of bench
+// gates.
 //
-// The bench harness leaves BENCH_*.json files in the repo root (tracer
-// overhead from micro_obs, lint-scan cost from bench_lint.sh, SIMD and
-// multi-RHS speedups, ...).  Committing them tracks the trajectory, but
-// nothing *failed* when a number quietly got worse.  benchdiff closes the
-// loop: a committed baseline (bench/baseline.json) annotates each metric
-// with a direction and a noise band, and CI fails when a gated metric
-// regresses past its band.
+// The microbenches (bench/harness.hpp) and scripts/bench_lint.sh leave
+// BENCH_*.json files in the repo root.  A bench that makes a claim writes
+// it as a `<claim>_gate_ok` 0/1 row, computed next to the claim's named
+// threshold in its source (micro_compress's recon12_gate_ok, ...).  A
+// committed baseline (bench/baseline.json) annotates each metric with a
+// direction and a noise band, and CI fails when a gated metric regresses
+// past its band.
 //
 // Baseline schema ("femtobench-baseline-v1"):
 //
@@ -26,8 +27,8 @@
 // A metric regresses when it moves in the bad direction past BOTH bands:
 // |change| > noise_pct% of the baseline AND |change| > abs_tol.  Absolute
 // wall-clock numbers are machine-bound and should stay direction "info";
-// the gates belong on machine-portable ratios (overhead percentages,
-// speedups, pass/fail booleans).
+// bench/baseline.json gates only the benches' `*_gate_ok` booleans
+// (direction "higher", value 1, no band), so a 0 reading regresses.
 //
 // Metric names are "<file-basename>:<dotted.json.path>"; arrays index as
 // "[i]".  Numbers and booleans (as 0/1) are metrics; strings are ignored.
@@ -36,10 +37,13 @@
 //   benchdiff --baseline FILE BENCH_a.json [BENCH_b.json ...]
 //   benchdiff --baseline FILE --write-baseline BENCH_a.json [...]
 //
-// --write-baseline refreshes the accepted values while PRESERVING the
-// human-edited direction/noise/gate annotations of metrics already in the
-// baseline; new metrics enter as ungated "info" rows for a human to
-// promote.  Exit: 0 clean, 1 regression, 2 usage or I/O error.
+// --write-baseline first judges the given files like a plain run, and
+// refuses (exit 1, baseline untouched) when a gated metric regressed.
+// Otherwise it refreshes the accepted values of the given files while
+// PRESERVING the human-edited direction/noise/gate annotations; rows of
+// files not given are kept as they are, and new metrics enter as ungated
+// "info" rows for a human to promote.  The baseline must exist in both
+// modes.  Exit: 0 clean, 1 regression, 2 usage or I/O error.
 
 #include <algorithm>
 #include <cctype>
@@ -355,8 +359,9 @@ int usage() {
       "BENCH.json...\n"
       "  compares flattened numeric metrics of each BENCH file against\n"
       "  the baseline; exits 1 when a gated metric regresses past its\n"
-      "  noise band, 2 on bad input.  --write-baseline refreshes values\n"
-      "  while keeping existing direction/noise/gate annotations.\n");
+      "  noise band, 2 on bad input.  --write-baseline then refreshes\n"
+      "  the given files' values, keeping annotations and other files'\n"
+      "  rows; it writes nothing when a gated metric regressed.\n");
   return 2;
 }
 
@@ -397,48 +402,27 @@ int main(int argc, char** argv) {
   }
 
   Baseline baseline;
-  const bool have_baseline = load_baseline(baseline_path, baseline, err);
-
-  if (do_write) {
-    // Annotations survive the refresh; values are replaced; metrics that
-    // vanished from the inputs are dropped (their files were re-run).
-    Baseline next;
-    for (const auto& kv : current) {
-      Metric m;
-      const auto old = baseline.find(kv.first);
-      if (old != baseline.end()) m = old->second;
-      m.value = kv.second;
-      next[kv.first] = m;
-    }
-    if (!write_baseline(baseline_path, next)) {
-      std::fprintf(stderr, "benchdiff: cannot write %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::printf("benchdiff: wrote %zu metric(s) to %s\n", next.size(),
-                baseline_path.c_str());
-    return 0;
-  }
-
-  if (!have_baseline) {
+  if (!load_baseline(baseline_path, baseline, err)) {
     std::fprintf(stderr, "benchdiff: %s\n", err.c_str());
     return 2;
   }
 
-  int regressions = 0;
-  int checked = 0;
   // Only judge baseline entries whose file was actually passed in: a run
   // that benches one subsystem must not fail on the files it skipped.
   std::map<std::string, bool> given;
   for (const std::string& f : files) given[basename_of(f)] = true;
+  const auto is_given = [&given](const std::string& name) {
+    const std::size_t colon = name.find(':');
+    return colon != std::string::npos &&
+           given.find(name.substr(0, colon)) != given.end();
+  };
 
+  int regressions = 0;
+  int checked = 0;
   for (const auto& kv : baseline) {
     const std::string& name = kv.first;
     const Metric& m = kv.second;
-    const std::size_t colon = name.find(':');
-    if (colon == std::string::npos ||
-        given.find(name.substr(0, colon)) == given.end())
-      continue;
+    if (!is_given(name)) continue;
     const auto cur = current.find(name);
     if (cur == current.end()) {
       if (m.gate) {
@@ -460,6 +444,39 @@ int main(int argc, char** argv) {
       ++regressions;
     }
   }
+  std::printf("benchdiff: %d metric(s) checked, %d regression(s)\n", checked,
+              regressions);
+
+  if (do_write) {
+    // A refresh never accepts a regression: the run's readings would
+    // become the new baseline and move or disarm the gate.
+    if (regressions > 0) {
+      std::printf("benchdiff: not writing %s: gated metric(s) regressed\n",
+                  baseline_path.c_str());
+      return 1;
+    }
+    // Rows of files not given stay as they are.  Rows of given files take
+    // the new readings and keep their annotations; rows those files no
+    // longer report are dropped, and new ones enter as ungated info rows.
+    Baseline next;
+    for (const auto& kv : baseline)
+      if (!is_given(kv.first)) next.insert(kv);
+    for (const auto& kv : current) {
+      Metric m;
+      const auto old = baseline.find(kv.first);
+      if (old != baseline.end()) m = old->second;
+      m.value = kv.second;
+      next[kv.first] = m;
+    }
+    if (!write_baseline(baseline_path, next)) {
+      std::fprintf(stderr, "benchdiff: cannot write %s\n",
+                   baseline_path.c_str());
+      return 2;
+    }
+    std::printf("benchdiff: wrote %zu metric(s) to %s\n", next.size(),
+                baseline_path.c_str());
+    return 0;
+  }
 
   int unbaselined = 0;
   for (const auto& kv : current)
@@ -469,8 +486,5 @@ int main(int argc, char** argv) {
         "benchdiff: %d new metric(s) not in the baseline "
         "(refresh with --write-baseline, then annotate gates)\n",
         unbaselined);
-
-  std::printf("benchdiff: %d metric(s) checked, %d regression(s)\n", checked,
-              regressions);
   return regressions == 0 ? 0 : 1;
 }

@@ -1,9 +1,9 @@
 // femtoscope end-to-end: run a tiny but REAL slice of the paper's
 // campaign -- the Fig. 2 workflow (gauge -> propagators -> contractions),
 // an autotune warm-up, the mpi_jm wire protocol, a multi-rank halo-style
-// exchange, and batched SolveService solves -- with tracing, the sampling
-// profiler, and the crash flight recorder all armed, then export and
-// self-validate the femtoscope artifacts:
+// exchange, and batched SolveService solves -- with tracing and the crash
+// flight recorder armed, then export and self-validate the femtoscope
+// artifacts:
 //
 //   observed_trace.json     merged multi-rank Chrome trace_event JSON
 //                           (one process row per rank, s/f flow arrows;
@@ -11,17 +11,21 @@
 //   observed_report.json    schema-versioned run report with the measured
 //                           sustained-performance block (S VI-VII)
 //   observed_flame.txt      collapsed span stacks (flamegraph.pl /
-//                           speedscope input) from the sampling profiler
+//                           speedscope input): self time per stack, in
+//                           nanoseconds, derived from the trace spans
 //   observed_blackbox.json  flight-recorder state dump (the same document
 //                           a FEMTO_CHECK failure or fatal signal writes)
 //
 // Exit status is the smoke test: non-zero if any artifact fails to parse,
-// the flow arrows are missing, the critical path is empty, or the derived
-// block is missing its measured inputs.
+// the flow arrows are missing, the critical path is empty, the flamegraph
+// misses the workflow stages or does not add up to the traced time, or
+// the derived block is missing its measured inputs.
 //
 //   ./observed_run [output_dir]       (default: current directory)
 
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
@@ -38,7 +42,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "service/solve_service.hpp"
 
@@ -72,13 +75,10 @@ int main(int argc, char** argv) {
   if (std::getenv("FEMTO_LOG") == nullptr)
     femto::obs::set_log_level(femto::obs::LogLevel::Info);
 
-  // Arm the flight recorder and the sampling profiler for the whole run:
-  // a FEMTO_CHECK failure or fatal signal anywhere below dumps the
-  // blackbox, and every sweep of the sampler attributes a sample to the
-  // live span stack.
+  // Arm the flight recorder for the whole run: a FEMTO_CHECK failure or
+  // fatal signal anywhere below dumps the blackbox.
   const std::string blackbox_path = out_dir + "/observed_blackbox.json";
   femto::obs::blackbox_install(blackbox_path);
-  femto::obs::sampler_start();
 
   // --- 1. the Fig. 2 workflow on a tiny lattice: real solves feed the
   // solver.* metrics, per-solve residual histories, and workflow spans.
@@ -188,14 +188,24 @@ int main(int argc, char** argv) {
   ok &= check(cp.edges_matched > 0, "flow edges matched");
   ok &= check(!cp.chain.empty(), "critical path non-empty");
 
-  // Sampling profiler: stop, then export the collapsed stacks.
-  femto::obs::sampler_stop();
-  const auto samp = femto::obs::sampler_snapshot();
+  // Flamegraph: the spans' self time per stack.  Every thread is
+  // quiescent, so the export and this snapshot see the same spans, and
+  // the weights must add up to the snapshot's top-level span time.
   const std::string flame_path = out_dir + "/observed_flame.txt";
   ok &= check(femto::obs::write_collapsed_stacks(flame_path),
               "writing collapsed stacks");
-  ok &= check(samp.samples > 0, "sampler attributed samples");
-  ok &= check(!slurp(flame_path).empty(), "collapsed stacks non-empty");
+  const std::string flame = slurp(flame_path);
+  std::int64_t flame_ns = 0;  // each line: "stack weight"
+  for (std::size_t at = 0, eol = 0;
+       (eol = flame.find('\n', at)) != std::string::npos; at = eol + 1)
+    flame_ns += std::strtoll(flame.c_str() + flame.rfind(' ', eol) + 1,
+                             nullptr, 10);
+  ok &= check(!flame.empty(), "collapsed stacks non-empty");
+  ok &= check(has(flame, "workflow:propagators"),
+              "flamegraph shows the workflow stage spans");
+  ok &= check(flame_ns == femto::obs::top_level_span_ns(
+                              femto::obs::trace_snapshot()),
+              "flamegraph weights add up to the top-level span time");
 
   // Flight recorder: an operator-style mid-run dump must be the same
   // valid document a crash would produce.

@@ -168,9 +168,9 @@ void World::run(const std::function<void(RankHandle&)>& fn) {
   threads.reserve(static_cast<size_t>(n_ranks_));
   for (int r = 0; r < n_ranks_; ++r) {
     threads.emplace_back([this, r, &fn, &errors] {
-      // Every span this rank thread records (and every sampler stack
-      // sweep of it) is tagged with the rank, so multi-rank traces merge
-      // into per-rank Chrome process rows.
+      // Every span and log line this rank thread records is tagged with
+      // the rank, so multi-rank traces merge into per-rank Chrome process
+      // rows and flamegraph roots.
       obs::set_trace_rank(r);
       RankHandle h(this, r);
       try {

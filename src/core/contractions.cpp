@@ -39,6 +39,16 @@ SpinMat color_block(const Propagator::SiteMatrix& m, int snk_c, int src_c) {
   return s;
 }
 
+/// The correlator held in the 2*nt (re, im) timeslice sums that
+/// parallel_reduce_n combines in chunk order, so its bits do not depend on
+/// the thread count.
+Correlator to_correlator(const std::vector<double>& sums) {
+  Correlator corr(sums.size() / 2);
+  for (std::size_t t = 0; t < corr.size(); ++t)
+    corr[t] = cdouble{sums[2 * t], sums[2 * t + 1]};
+  return corr;
+}
+
 /// Nucleon contraction from the Wick theorem.  With the interpolator
 /// chi = eps_abc (u_a^T G d_b) u_c, G = C g5, the projected correlator is
 ///
@@ -62,13 +72,10 @@ Correlator contract(const Propagator& u, const Propagator* fh,
   const bool has_p =
       momentum[0] != 0 || momentum[1] != 0 || momentum[2] != 0;
 
-  std::vector<cdouble> corr(static_cast<std::size_t>(nt), cdouble{});
-  std::mutex mu;
-
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(geom.volume()),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<cdouble> local(static_cast<std::size_t>(nt), cdouble{});
+  std::vector<double> sums(2 * static_cast<std::size_t>(nt));
+  par::parallel_reduce_n(
+      0, static_cast<std::size_t>(geom.volume()), sums.size(),
+      [&](std::size_t lo, std::size_t hi, double* part) {
         for (std::size_t ss = lo; ss < hi; ++ss) {
           const auto site = static_cast<std::int64_t>(ss);
           const auto x = geom.coord(site);
@@ -118,21 +125,18 @@ Correlator contract(const Propagator& u, const Propagator* fh,
                        geom.extent(i);
             acc = acc * cdouble{std::cos(phase), std::sin(phase)};
           }
-          local[static_cast<std::size_t>(t)] += acc;
+          part[2 * t] += acc.re;
+          part[2 * t + 1] += acc.im;
         }
-        std::lock_guard<std::mutex> lk(mu);
-        for (int t = 0; t < nt; ++t)
-          corr[static_cast<std::size_t>(t)] +=
-              local[static_cast<std::size_t>(t)];
       },
-      64);
+      sums.data(), 64);
 
   // 36 Levi-Civita pairs per site, twice when the FH substitution doubles
   // the Wick terms; traffic is one read pass per propagator streamed.
   flops::add(geom.volume() * 36 * kEpsPairFlops * (fh != nullptr ? 2 : 1));
   flops::add_bytes(geom.volume() * kPropSiteBytes *
                    (fh != nullptr ? 3 : 2));
-  return corr;
+  return to_correlator(sums);
 }
 
 }  // namespace
@@ -153,12 +157,10 @@ Correlator pion_two_point(const Propagator& quark, int t_src,
                           std::array<int, 3> momentum) {
   const auto& geom = quark.geom();
   const int nt = geom.extent(3);
-  std::vector<cdouble> corr(static_cast<std::size_t>(nt), cdouble{});
-  std::mutex mu;
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(geom.volume()),
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<cdouble> local(static_cast<std::size_t>(nt), cdouble{});
+  std::vector<double> sums(2 * static_cast<std::size_t>(nt));
+  par::parallel_reduce_n(
+      0, static_cast<std::size_t>(geom.volume()), sums.size(),
+      [&](std::size_t lo, std::size_t hi, double* part) {
         for (std::size_t ss = lo; ss < hi; ++ss) {
           const auto site = static_cast<std::int64_t>(ss);
           const auto x = geom.coord(site);
@@ -173,20 +175,16 @@ Correlator pion_two_point(const Propagator& quark, int t_src,
           for (int i = 0; i < 3; ++i)
             phase -= 2.0 * std::numbers::pi * momentum[i] * x[i] /
                      geom.extent(i);
-          local[static_cast<std::size_t>(t)] +=
-              cdouble{a2 * std::cos(phase), a2 * std::sin(phase)};
+          part[2 * t] += a2 * std::cos(phase);
+          part[2 * t + 1] += a2 * std::sin(phase);
         }
-        std::lock_guard<std::mutex> lk(mu);
-        for (int t = 0; t < nt; ++t)
-          corr[static_cast<std::size_t>(t)] +=
-              local[static_cast<std::size_t>(t)];
       },
-      64);
+      sums.data(), 64);
   // Per site: |column|^2 over 12 sources x 4 sink spins (3 flops per
   // complex norm) plus the momentum phase; one propagator read pass.
   flops::add(geom.volume() * (12 * 4 * kNc + 24));
   flops::add_bytes(geom.volume() * kPropSiteBytes);
-  return corr;
+  return to_correlator(sums);
 }
 
 Correlator nucleon_fh_three_point(const Propagator& up,

@@ -10,7 +10,6 @@
 #include "core/check.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace femto::obs {
@@ -36,13 +35,7 @@ bool write_dump(const char* reason, const char* file, int line,
                 const char* expr, const char* msg) {
   const std::string* path = g_path.load(std::memory_order_acquire);
   if (path == nullptr) return false;
-  const std::string body = blackbox_json(reason, file, line, expr, msg);
-  std::FILE* f = std::fopen(path->c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = (n == body.size()) && (std::fclose(f) == 0);
-  if (n != body.size()) std::fclose(f);
-  return ok;
+  return write_file(*path, blackbox_json(reason, file, line, expr, msg));
 }
 
 // Control-plane state: install/uninstall/register run under mu_; the dump
@@ -175,7 +168,7 @@ void Recorder::install(const std::string& path) {
   g_path.store(new std::string(path), std::memory_order_release);
   if (installed_) return;
   installed_ = true;
-  detail::span_stack_retain();
+  detail::set_span_stack_enabled(true);
   check::set_fail_hook(&check_fail_hook);
   for (std::size_t i = 0; i < std::size(kSignals); ++i)
     previous_[i] = std::signal(kSignals[i], &fatal_signal_handler);
@@ -190,7 +183,7 @@ void Recorder::uninstall() {
   for (std::size_t i = 0; i < std::size(kSignals); ++i)
     std::signal(kSignals[i],
                 previous_[i] != SIG_ERR ? previous_[i] : SIG_DFL);
-  detail::span_stack_release();
+  detail::set_span_stack_enabled(false);
 }
 
 }  // namespace

@@ -8,9 +8,9 @@
 // thread's live TraceScope stack, the last-N recorded spans across all
 // threads, a metrics snapshot, and every registered subsystem provider's
 // state (SolveService registers its in-flight queue) -- then lets the
-// abort proceed.  Installing also retains span-stack upkeep (the same
-// kStackBit the sampler uses), so the failing thread's stack is known
-// even when the sampler never ran.
+// abort proceed.  Installing also arms the tracer's per-thread span stack
+// (kStackBit), which exists for the recorder alone, so the failing
+// thread's stack is known.
 //
 // The dump path is best-effort by design: a fatal-signal context is not
 // async-signal-safe and a check can fire with arbitrary locks held, so

@@ -48,6 +48,14 @@ std::string json_number(std::int64_t v) {
   return buf;
 }
 
+bool write_file(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool wrote =
+      std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  return std::fclose(f) == 0 && wrote;
+}
+
 namespace {
 
 // Recursive-descent validator.  Depth-limited so a hostile/corrupt file

@@ -1,8 +1,9 @@
 #pragma once
 // Minimal JSON utilities for the femtoscope observability layer: string
 // escaping and number formatting for the writers (trace export, run
-// report), plus a strict recursive-descent validator used by tests and
-// the trace-export smoke binary.  This is NOT a general JSON parser --
+// report), the one file writer every export uses, plus a strict
+// recursive-descent validator used by tests and the trace-export smoke
+// binary.  This is NOT a general JSON parser --
 // validate() answers "is this byte string well-formed JSON?" and nothing
 // else, which is exactly what schema smoke tests need.
 
@@ -22,6 +23,11 @@ std::string json_number(double v);
 
 // Format an integer as a JSON number.
 std::string json_number(std::int64_t v);
+
+// Write @p body to @p path, replacing the file; false on any I/O failure.
+// Takes no lock, so the crash flight recorder can call it from a dying
+// thread.
+bool write_file(const std::string& path, const std::string& body);
 
 // Strict well-formedness check over the complete input (trailing garbage
 // rejected; duplicate keys within one object rejected -- a femtoscope

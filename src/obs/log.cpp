@@ -8,6 +8,7 @@
 #include <mutex>
 
 #include "core/check.hpp"
+#include "obs/trace.hpp"
 
 namespace femto::obs {
 
@@ -41,11 +42,6 @@ LogLevel level_from_env() {
 std::atomic<int>& level_state() {
   static std::atomic<int> level{static_cast<int>(level_from_env())};
   return level;
-}
-
-std::atomic<int>& rank_state() {
-  static std::atomic<int> rank{-1};
-  return rank;
 }
 
 std::atomic<LogSink>& sink_state() {
@@ -110,12 +106,6 @@ const char* log_level_name(LogLevel level) {
   return "?";
 }
 
-void set_log_rank(int rank) {
-  rank_state().store(rank, std::memory_order_relaxed);
-}
-
-int log_rank() { return rank_state().load(std::memory_order_relaxed); }
-
 void set_log_sink(LogSink sink) {
   sink_state().store(sink, std::memory_order_relaxed);
 }
@@ -125,7 +115,7 @@ void log_line(LogLevel level, const char* category,
   if (!log_enabled(level)) return;
   const double elapsed_s = static_cast<double>(uptime_ns()) * 1e-9;
   char prefix[96];
-  const int rank = log_rank();
+  const int rank = trace_rank();
   if (rank >= 0) {
     std::snprintf(prefix, sizeof(prefix), "[%10.6f][%-5s][rank %d][%s] ",
                   elapsed_s, log_level_name(level), rank, category);

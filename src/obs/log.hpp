@@ -35,10 +35,6 @@ LogLevel log_level();
 bool log_enabled(LogLevel level);
 const char* log_level_name(LogLevel level);
 
-// Rank prefix for multi-rank runs; -1 (default) omits the field.
-void set_log_rank(int rank);
-int log_rank();
-
 // Redirect formatted lines (tests capture output this way); nullptr
 // restores the default stderr sink.  The sink receives the fully
 // formatted line without a trailing newline.
@@ -47,7 +43,9 @@ using LogSink = void (*)(LogLevel level, const char* category,
 void set_log_sink(LogSink sink);
 
 // Format and emit one line (already level-checked by the macros; calling
-// directly also re-checks, so it is safe on its own).
+// directly also re-checks, so it is safe on its own).  A thread running
+// under a rank (set_trace_rank, which comm::World::run sets for each rank
+// thread) gets a `[rank N]` field; rank -1 omits it.
 void log_line(LogLevel level, const char* category,
               const std::string& message);
 

@@ -418,13 +418,7 @@ bool report_validate(const std::string& text, std::string* err) {
 }
 
 bool write_report(const std::string& path, const std::string& title) {
-  const std::string body = report_json(title);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = (n == body.size()) && (std::fclose(f) == 0);
-  if (n != body.size()) std::fclose(f);
-  return ok;
+  return write_file(path, report_json(title));
 }
 
 }  // namespace femto::obs

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -49,12 +51,6 @@ namespace detail {
 std::atomic<int> g_span_mode{-1};
 
 namespace {
-// kStackBit users (sampler running, flight recorder armed), counted so
-// either can retain the span stack independently.  Guarded by the
-// compare-exchange discipline below rather than a mutex: retain/release
-// are rare control-plane calls.
-std::atomic<int> g_stack_users{0};
-
 void apply_bit(int bit, bool on) {
   int cur = g_span_mode.load(std::memory_order_relaxed);
   for (;;) {
@@ -70,6 +66,18 @@ void apply_bit(int bit, bool on) {
       return;
   }
 }
+
+// The calling thread's live TraceScope stack.  Only its own thread reads
+// it (the flight recorder dumps from the failing thread), but a fatal
+// signal can land in the middle of a push, so the frame is written
+// BEFORE the depth that publishes it.  Constant-initialised, so a push is
+// a plain TLS access.
+constexpr int kMaxSpanDepth = 64;
+struct SpanStack {
+  SpanFrame frames[kMaxSpanDepth];
+  int depth = 0;
+};
+thread_local SpanStack t_span_stack;
 }  // namespace
 
 int span_mode_slow() {
@@ -88,14 +96,25 @@ int span_mode_slow() {
   return g_span_mode.load(std::memory_order_relaxed);
 }
 
-void span_stack_retain() {
-  if (g_stack_users.fetch_add(1, std::memory_order_relaxed) == 0)
-    apply_bit(kStackBit, true);
+void set_span_stack_enabled(bool on) { apply_bit(kStackBit, on); }
+
+int span_stack_push(const char* category, const char* name) {
+  SpanStack& s = t_span_stack;
+  const int d = s.depth;
+  if (d < kMaxSpanDepth) s.frames[d] = SpanFrame{category, name};
+  std::atomic_signal_fence(std::memory_order_release);
+  s.depth = d + 1;
+  return d;
 }
 
-void span_stack_release() {
-  if (g_stack_users.fetch_sub(1, std::memory_order_relaxed) == 1)
-    apply_bit(kStackBit, false);
+void span_stack_pop(int prev_depth) { t_span_stack.depth = prev_depth; }
+
+int current_span_stack(SpanFrame* out, int max_frames) {
+  const SpanStack& s = t_span_stack;
+  const int d = std::min({s.depth, kMaxSpanDepth, max_frames});
+  std::atomic_signal_fence(std::memory_order_acquire);
+  for (int i = 0; i < d; ++i) out[i] = s.frames[i];
+  return d > 0 ? d : 0;
 }
 }  // namespace detail
 
@@ -167,10 +186,7 @@ void set_trace_enabled(bool on) {
   detail::apply_bit(detail::kTraceBit, on);
 }
 
-void set_trace_rank(int rank) {
-  thread_context().rank = rank;
-  detail::span_stack_set_rank(rank);
-}
+void set_trace_rank(int rank) { thread_context().rank = rank; }
 
 int trace_rank() { return thread_context().rank; }
 
@@ -300,13 +316,97 @@ std::string chrome_trace_json(const ChromeTraceOptions& opt) {
 
 bool write_chrome_trace(const std::string& path,
                         const ChromeTraceOptions& opt) {
-  const std::string body = chrome_trace_json(opt);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  const bool ok = (n == body.size()) && (std::fclose(f) == 0);
-  if (n != body.size()) std::fclose(f);
-  return ok;
+  return write_file(path, chrome_trace_json(opt));
+}
+
+namespace {
+
+// Each thread's non-flow spans in nesting order: by start time, the
+// longer span first on ties, and on a full tie the later record first (a
+// span is recorded when it closes, after the spans it encloses).
+std::map<std::uint32_t, std::vector<const TraceEvent*>> nested_spans(
+    const TraceSnapshot& snap) {
+  std::map<std::uint32_t, std::vector<const TraceEvent*>> by_tid;
+  for (const TraceEvent& e : snap.events)
+    if (e.flow == FlowDir::None) by_tid[e.tid].push_back(&e);
+  for (auto& [tid, spans] : by_tid)
+    std::sort(spans.begin(), spans.end(),
+              [](const TraceEvent* a, const TraceEvent* b) {
+                if (a->t0_ns != b->t0_ns) return a->t0_ns < b->t0_ns;
+                if (a->dur_ns != b->dur_ns) return a->dur_ns > b->dur_ns;
+                return a > b;
+              });
+  return by_tid;
+}
+
+}  // namespace
+
+std::string collapsed_stacks(const TraceSnapshot& snap) {
+  std::map<std::string, std::int64_t> weights;
+  for (const auto& [tid, spans] : nested_spans(snap)) {
+    struct Open {
+      const TraceEvent* e;
+      std::int64_t end;         // clipped to the parent's end
+      std::int64_t self;        // end - t0 minus the children's time
+      std::size_t frames_len;   // `frames` before this span's frame
+    };
+    std::vector<Open> open;
+    std::string frames;  // ";cat:name" per open span, outermost first
+    const auto close_innermost = [&] {
+      const Open& o = open.back();
+      char root[32];
+      if (o.e->rank >= 0)
+        std::snprintf(root, sizeof(root), "rank%d", o.e->rank);
+      else
+        std::snprintf(root, sizeof(root), "thread%u", o.e->tid);
+      weights[root + frames] += o.self;
+      frames.resize(o.frames_len);
+      open.pop_back();
+    };
+    for (const TraceEvent* e : spans) {
+      while (!open.empty() && e->t0_ns >= open.back().end) close_innermost();
+      std::int64_t end = e->t0_ns + e->dur_ns;
+      if (!open.empty()) {
+        end = std::min(end, open.back().end);
+        open.back().self -= end - e->t0_ns;
+      }
+      open.push_back(Open{e, end, end - e->t0_ns, frames.size()});
+      frames += ';';
+      frames += e->category != nullptr ? e->category : "?";
+      frames += ':';
+      frames += e->name != nullptr ? e->name : "?";
+    }
+    while (!open.empty()) close_innermost();
+  }
+
+  std::string out;
+  char buf[32];
+  for (const auto& [key, ns] : weights) {
+    if (ns == 0) continue;
+    std::snprintf(buf, sizeof(buf), " %lld\n", static_cast<long long>(ns));
+    out += key;
+    out += buf;
+  }
+  return out;
+}
+
+std::string collapsed_stacks() { return collapsed_stacks(trace_snapshot()); }
+
+bool write_collapsed_stacks(const std::string& path) {
+  return write_file(path, collapsed_stacks());
+}
+
+std::int64_t top_level_span_ns(const TraceSnapshot& snap) {
+  std::int64_t total = 0;
+  for (const auto& [tid, spans] : nested_spans(snap)) {
+    std::int64_t end = std::numeric_limits<std::int64_t>::min();
+    for (const TraceEvent* e : spans) {
+      if (e->t0_ns < end) continue;  // nested in the current top-level span
+      total += e->dur_ns;
+      end = e->t0_ns + e->dur_ns;
+    }
+  }
+  return total;
 }
 
 }  // namespace femto::obs

@@ -2,7 +2,7 @@
 // Femtoscope span tracer: FEMTO_TRACE_SCOPE("category", "name") records a
 // complete span into a per-thread lock-free ring buffer; a quiescent-point
 // export emits Chrome trace_event JSON loadable in Perfetto or
-// chrome://tracing.
+// chrome://tracing, or collapsed span stacks for flamegraph tools.
 //
 // v2 adds the cross-rank causal layer (DESIGN.md §15): every span carries
 // the recording thread's RANK (set_trace_rank, stamped by femtocomm's
@@ -16,21 +16,19 @@
 // Cost model (the reason hot kernels can afford a scope):
 //   disabled  -- one relaxed atomic load + branch in the constructor; the
 //                destructor sees t0 < 0 and does nothing.  No clock reads.
-//                The load covers tracing AND the sampler's span stack: both
-//                enable bits live in one fused state word, so femtoscope v2
-//                keeps the v1 disabled contract.
+//                The load covers tracing AND the flight recorder's span
+//                stack: both enable bits live in one fused state word.
 //   enabled   -- two steady_clock reads plus one single-writer ring store;
 //                no locks, no allocation after a thread's first span.  With
-//                the sampler (or the crash flight recorder) armed, also two
-//                plain stores maintaining the per-thread span stack.
-// Compiling with -DFEMTO_OBS_NO_TRACE removes the scopes entirely.
+//                the crash flight recorder armed, also two plain stores
+//                maintaining the per-thread span stack.
 //
 // Buffers are bounded: when a thread outruns its ring the OLDEST spans are
 // overwritten and the export reports the drop count -- tracing never
-// stalls the traced code.  Export (trace_snapshot / chrome_trace_json) is
-// meant for quiescent points (end of run, between phases); it reads rings
-// that other threads may still append to, and concurrently appended spans
-// may or may not be included.
+// stalls the traced code.  Export (trace_snapshot / chrome_trace_json /
+// collapsed_stacks) is meant for quiescent points (end of run, between
+// phases); it reads rings that other threads may still append to, and
+// concurrently appended spans may or may not be included.
 
 #include <atomic>
 #include <cstdint>
@@ -109,24 +107,28 @@ namespace detail {
 // otherwise a bitmask.  One relaxed load of this word is the whole cost of
 // a disabled TraceScope, whatever combination of subsystems is off.
 inline constexpr int kTraceBit = 1;  ///< span recording into the rings
-inline constexpr int kStackBit = 2;  ///< span-stack upkeep (sampler/blackbox)
+inline constexpr int kStackBit = 2;  ///< span-stack upkeep (flight recorder)
 extern std::atomic<int> g_span_mode;
 // Slow path: resolves the FEMTO_TRACE env var once, then returns the
 // settled mode word.
 int span_mode_slow();
 
-// Per-thread live TraceScope stack upkeep, defined in sampler.cpp.  push
-// returns the prior depth, which pop restores (overflow-tolerant).
+// Set or clear kStackBit; blackbox_install / blackbox_uninstall own it.
+void set_span_stack_enabled(bool on);
+
+// The calling thread's live TraceScope stack.  push returns the prior
+// depth, which pop restores (overflow-tolerant).
 int span_stack_push(const char* category, const char* name);
 void span_stack_pop(int prev_depth);
-// Rank tag on the calling thread's span stack (registering the thread on
-// first use); defined in sampler.cpp.
-void span_stack_set_rank(int rank);
 
-// Refcounted kStackBit ownership: the sampler and the flight recorder each
-// retain the span stack independently; defined in trace.cpp.
-void span_stack_retain();
-void span_stack_release();
+struct SpanFrame {
+  const char* category = nullptr;
+  const char* name = nullptr;
+};
+// Copy of the CALLING thread's live span stack (outermost first); the
+// crash flight recorder dumps it from the failing thread.  Returns the
+// number of frames written (<= max_frames).
+int current_span_stack(SpanFrame* out, int max_frames);
 }  // namespace detail
 
 // Settled enable mask (kTraceBit | kStackBit).
@@ -204,9 +206,27 @@ std::string chrome_trace_json(const ChromeTraceOptions& opt = {});
 bool write_chrome_trace(const std::string& path,
                         const ChromeTraceOptions& opt = {});
 
+// Flamegraph export: one `root;cat:name;...;cat:name weight` line per
+// distinct span stack, keys sorted, for flamegraph.pl / speedscope.  Per
+// thread, the non-flow spans nest by start time (the longer span first on
+// ties); a span starting at or after the end of the innermost open span
+// closes it.  A span's weight is its self time in integer nanoseconds:
+// its duration minus its direct children's (a child that outlives its
+// parent is clipped to the parent's end).  The root frame is `rank<r>`
+// for a rank-tagged span, else `thread<tid>`.  Zero weights are left out;
+// the weights add up to top_level_span_ns(snap).  Flow spans are wait
+// edges, not frames: obs/flow.hpp reduces them to the critical path.
+std::string collapsed_stacks(const TraceSnapshot& snap);
+std::string collapsed_stacks();  // over trace_snapshot()
+bool write_collapsed_stacks(const std::string& path);
+
+// Total duration of each thread's top-level non-flow spans: the time the
+// flamegraph accounts for.
+std::int64_t top_level_span_ns(const TraceSnapshot& snap);
+
 // RAII span: start time is taken at construction iff tracing is enabled;
-// the destructor records the span.  When the sampler (or flight recorder)
-// is armed, construction/destruction also maintain the thread's span stack.
+// the destructor records the span.  When the flight recorder is armed,
+// construction/destruction also maintain the thread's span stack.
 class TraceScope {
  public:
   TraceScope(const char* category, const char* name)
@@ -236,11 +256,6 @@ class TraceScope {
 
 }  // namespace femto::obs
 
-#if defined(FEMTO_OBS_NO_TRACE)
-#define FEMTO_TRACE_SCOPE(category, name) \
-  do {                                    \
-  } while (0)
-#else
 #define FEMTO_TRACE_CONCAT2(a, b) a##b
 #define FEMTO_TRACE_CONCAT(a, b) FEMTO_TRACE_CONCAT2(a, b)
 // The scope's lifetime is the enclosing block; __LINE__ keeps two scopes
@@ -248,4 +263,3 @@ class TraceScope {
 #define FEMTO_TRACE_SCOPE(category, name)                             \
   ::femto::obs::TraceScope FEMTO_TRACE_CONCAT(femto_trace_scope_,     \
                                               __LINE__)(category, name)
-#endif

@@ -44,7 +44,8 @@ TEST(BlackboxJson, ValidatesAndCarriesTheFailingCheck) {
 }
 
 TEST(BlackboxJson, CapturesTheFailingThreadsSpanStack) {
-  detail::span_stack_retain();
+  // Installing the recorder is what arms the span stack.
+  blackbox_install(::testing::TempDir() + "femto_blackbox_stack.json");
   {
     FEMTO_TRACE_SCOPE("test", "doomed_phase");
     FEMTO_TRACE_SCOPE("test", "doomed_step");
@@ -54,7 +55,7 @@ TEST(BlackboxJson, CapturesTheFailingThreadsSpanStack) {
     // Outermost first.
     EXPECT_LT(body.find("doomed_phase"), body.find("doomed_step"));
   }
-  detail::span_stack_release();
+  blackbox_uninstall();
 }
 
 TEST(BlackboxProviders, GoodBadAndThrowingAreQuarantined) {

@@ -1,8 +1,11 @@
-// Golden-determinism probe: runs one small mixed-precision CG solve on the
-// GLOBAL thread pool (so FEMTO_THREADS controls the worker count) and
-// prints a bitwise fingerprint of the outcome on one line:
+// Golden-determinism probe: runs one small mixed-precision CG solve and
+// the three contractions of the Fig. 2 workflow on the GLOBAL thread pool
+// (so FEMTO_THREADS controls the worker count) and prints a bitwise
+// fingerprint of the outcomes on two lines:
 //
 //   fnv=<16-hex FNV-1a over the solution doubles> iters=<n> converged=<0|1>
+//   c2=<FNV-1a of nucleon_two_point> fh=<... nucleon_fh_three_point>
+//     pion=<... pion_two_point>, on Gaussian-filled 4^3x8 propagators
 //
 // test_determinism.cpp re-execs this binary under FEMTO_THREADS=1/2/7 and
 // the inherited default and compares the lines verbatim: the femtoverse
@@ -14,7 +17,9 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <vector>
 
+#include "core/contractions.hpp"
 #include "lattice/gauge.hpp"
 #include "solver/dwf_solve.hpp"
 
@@ -31,6 +36,15 @@ std::uint64_t fnv1a(const double* d, std::size_t n) {
     }
   }
   return h;
+}
+
+std::uint64_t fnv1a(const femto::core::Correlator& c) {
+  std::vector<double> d;
+  for (const auto& z : c) {
+    d.push_back(z.re);
+    d.push_back(z.im);
+  }
+  return fnv1a(d.data(), d.size());
 }
 
 }  // namespace
@@ -55,5 +69,19 @@ int main() {
   std::printf("fnv=%016" PRIx64 " iters=%d converged=%d\n",
               fnv1a(x.data(), static_cast<std::size_t>(x.reals())),
               res.iterations, res.converged ? 1 : 0);
+
+  // Contractions sum over sites into timeslices: the sum order must not
+  // depend on the worker count either.
+  const auto cgeom = std::make_shared<Geometry>(4, 4, 4, 8);
+  core::Propagator up(cgeom), fh(cgeom), down(cgeom);
+  std::uint64_t seed = 9001;
+  for (core::Propagator* p : {&up, &fh, &down})
+    for (int k = 0; k < kNs * kNc; ++k)
+      p->column(k / kNc, k % kNc).gaussian(seed++);
+  const SpinMat proj = parity_projector();
+  std::printf("c2=%016" PRIx64 " fh=%016" PRIx64 " pion=%016" PRIx64 "\n",
+              fnv1a(core::nucleon_two_point(up, down, proj, 0)),
+              fnv1a(core::nucleon_fh_three_point(up, fh, down, proj, 0)),
+              fnv1a(core::pion_two_point(up, 0)));
   return 0;
 }

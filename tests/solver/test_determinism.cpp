@@ -3,13 +3,15 @@
 // worker count is fixed at global-pool construction, so each count needs
 // a fresh process: this test re-execs the golden_probe binary (see
 // golden_probe.cpp) under FEMTO_THREADS=1/2/7 and under the inherited
-// default, and requires the four fingerprint lines to match verbatim --
-// solution checksum, iteration count, and convergence flag.
+// default, and requires the four outputs to match verbatim -- solution
+// checksum, iteration count, convergence flag, and the checksums of the
+// nucleon 2pt, FH 3pt and pion correlators.
 //
 // Everything on the solve path is covered at once: counter-based RNG
 // fills, the dslash stencils, the fused BLAS reductions (thread-count-
 // independent chunk decomposition), half-precision compression, and the
-// reliable-update control flow that consumes the reduced residuals.
+// reliable-update control flow that consumes the reduced residuals.  The
+// contractions' site sums go through the same fixed-order reduction.
 
 #include <gtest/gtest.h>
 

@@ -4,6 +4,10 @@
 #include <cassert>
 #include <cstdlib>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "obs/metrics.hpp"
 
 namespace femto::par {
@@ -12,6 +16,10 @@ namespace {
 // The pool (if any) whose worker is executing on this thread.  Used to run
 // re-entrant launches inline rather than deadlocking on the launch mutex.
 thread_local const ThreadPool* t_current_pool = nullptr;
+
+// claim_ layout: launch epoch (low 32 bits) << 32 | next chunk id.
+constexpr std::uint64_t kChunkMask = 0xffffffffu;
+std::uint64_t claim_tag(std::uint64_t epoch) { return epoch << 32; }
 
 // Upper bound on reduction partials.  The reduce decomposition must be a
 // pure function of the range (never of the worker count) for sums to be
@@ -30,6 +38,14 @@ std::size_t default_thread_count() {
     if (end != e && *end == '\0' && v >= 1)
       return static_cast<std::size_t>(v);
   }
+#if defined(__linux__)
+  // The CPUs this process may run on: a container's cpuset or a taskset
+  // mask can grant fewer than the machine has, and a pool sized to the
+  // machine would then run more workers than CPUs.
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0 && CPU_COUNT(&mask) > 0)
+    return static_cast<std::size_t>(CPU_COUNT(&mask));
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
@@ -39,7 +55,7 @@ ThreadPool::ThreadPool(std::size_t n_threads)
   // The calling thread acts as worker 0; we spawn n_threads_-1 helpers.
   workers_.reserve(n_threads_ - 1);
   for (std::size_t i = 1; i < n_threads_; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
   obs::gauge("pool.threads").set(static_cast<double>(n_threads_));
 }
@@ -69,7 +85,7 @@ std::pair<std::size_t, std::size_t> ThreadPool::chunk_range(
   return {lo, hi};
 }
 
-void ThreadPool::worker_loop(std::size_t worker_id) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen_epoch = 0;
   for (;;) {
     Task task;
@@ -82,21 +98,37 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
       seen_epoch = task.epoch;
     }
     t_current_pool = this;
-    run_chunks(task, worker_id);
+    const bool last = run_claimed(task);
     t_current_pool = nullptr;
-    {
+    if (last) {
+      // The launcher may be parked on cv_done_: notify under mu_ so the
+      // wake-up cannot fall between its predicate check and its wait.
       std::lock_guard<std::mutex> lk(mu_);
-      if (--n_running_ == 0) cv_done_.notify_all();
+      cv_done_.notify_all();
     }
   }
 }
 
-void ThreadPool::run_chunks(const Task& task, std::size_t worker_id) {
-  // Static schedule: worker w owns chunk w.  One chunk per participating
-  // worker keeps the reduction order fixed.
-  if (worker_id >= task.n_chunks) return;
-  auto [lo, hi] = chunk_range(task.begin, task.end, task.n_chunks, worker_id);
-  if (lo < hi) (*task.body)(lo, hi);
+bool ThreadPool::run_claimed(const Task& task) {
+  // A claim is valid only while claim_ still carries this task's epoch;
+  // while a chunk of it is unclaimed the launch cannot have returned, so
+  // task.body is alive whenever the compare-exchange succeeds.
+  const std::uint64_t tag = claim_tag(task.epoch);
+  bool last = false;
+  std::uint64_t cur = claim_.load(std::memory_order_acquire);
+  for (;;) {
+    if ((cur & ~kChunkMask) != tag) return last;
+    const std::size_t chunk = static_cast<std::size_t>(cur & kChunkMask);
+    if (chunk >= task.n_chunks) return last;
+    if (!claim_.compare_exchange_weak(cur, cur + 1,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire))
+      continue;
+    auto [lo, hi] = chunk_range(task.begin, task.end, task.n_chunks, chunk);
+    if (lo < hi) (*task.body)(lo, hi);
+    last = done_.fetch_add(1, std::memory_order_acq_rel) + 1 == task.n_chunks;
+    cur = claim_.load(std::memory_order_acquire);
+  }
 }
 
 void ThreadPool::parallel_for_chunked(
@@ -136,18 +168,24 @@ void ThreadPool::parallel_for_chunked(
     std::lock_guard<std::mutex> lk(mu_);
     task.epoch = ++epoch_;
     task_ = task;
-    n_running_ = n_threads_ - 1;
+    done_.store(0, std::memory_order_relaxed);
+    claim_.store(claim_tag(task.epoch), std::memory_order_release);
   }
-  cv_start_.notify_all();
+  // One wake-up per chunk beyond the caller's first.
+  for (std::size_t i = 1; i < n_chunks; ++i) cv_start_.notify_one();
 
-  // The calling thread is worker 0.
+  // The calling thread claims chunks too; if the workers are slow to
+  // wake it runs them all.
   const ThreadPool* prev = t_current_pool;
   t_current_pool = this;
-  run_chunks(task, 0);
+  run_claimed(task);
   t_current_pool = prev;
 
+  if (done_.load(std::memory_order_acquire) == n_chunks) return;
   std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] { return n_running_ == 0; });
+  cv_done_.wait(lk, [&] {
+    return done_.load(std::memory_order_acquire) == n_chunks;
+  });
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,

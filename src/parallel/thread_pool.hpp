@@ -13,11 +13,17 @@
 //     QUDA's deterministic double-precision reductions, which the
 //     mixed-precision solver relies on; see DESIGN.md §13).
 //
-// Worker threads park on a condition variable between kernels.  A kernel
-// launch costs roughly one mutex round-trip per worker; the autotuner
-// (src/autotune) measures and hides this the same way QUDA hides CUDA launch
-// latency, by tuning the work-per-thread ("block") granularity.
+// Worker threads park on a condition variable between kernels.  A launch
+// wakes one worker per extra chunk; the caller and the woken workers then
+// CLAIM chunks from a shared counter, and the launch returns once every
+// chunk has run.  A worker that wakes late (its CPU busy elsewhere) finds
+// the chunks taken and parks again, so no launch waits on a thread the
+// scheduler has not run yet.  Which thread runs a chunk never changes the
+// chunk boundaries, so results do not depend on it.  The autotuner
+// (src/autotune) hides the remaining launch cost the same way QUDA hides
+// CUDA launch latency, by tuning the work-per-thread ("block") granularity.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +38,8 @@ namespace femto::par {
 
 /// Number of workers to use when the caller does not specify: the value of
 /// the FEMTO_THREADS environment variable when set to a positive integer,
-/// otherwise the hardware concurrency, with a floor of 1.
+/// otherwise the number of CPUs in the process's affinity mask (the
+/// hardware concurrency where that is unavailable), with a floor of 1.
 std::size_t default_thread_count();
 
 /// A persistent pool of worker threads executing range-based kernels.
@@ -105,7 +112,7 @@ class ThreadPool {
 
  private:
   struct Task {
-    // Chunked task: workers pull chunk ids and run body over their range.
+    // Chunked task: threads claim chunk ids and run body over their range.
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -113,8 +120,10 @@ class ThreadPool {
     std::uint64_t epoch = 0;
   };
 
-  void worker_loop(std::size_t worker_id);
-  void run_chunks(const Task& task, std::size_t worker_id);
+  void worker_loop();
+  // Claims and runs chunks of @p task until none is left; true when this
+  // call ran the launch's last chunk.
+  bool run_claimed(const Task& task);
   static std::pair<std::size_t, std::size_t> chunk_range(std::size_t begin,
                                                          std::size_t end,
                                                          std::size_t n_chunks,
@@ -135,8 +144,15 @@ class ThreadPool {
   std::condition_variable cv_done_;
   Task task_ FEMTO_GUARDED_BY(mu_);
   std::uint64_t epoch_ FEMTO_GUARDED_BY(mu_) = 0;
-  std::size_t n_running_ FEMTO_GUARDED_BY(mu_) = 0;
   bool stop_ FEMTO_GUARDED_BY(mu_) = false;
+
+  // Chunk claims of the current launch: the epoch's low 32 bits above the
+  // next unclaimed chunk id, so a worker still holding an older task can
+  // never claim a chunk of a newer one.  Reset (with done_) under mu_ when
+  // a launch is posted.
+  std::atomic<std::uint64_t> claim_{0};
+  // Chunks of the current launch that have finished running.
+  std::atomic<std::size_t> done_{0};
 };
 
 /// Convenience wrappers over ThreadPool::global().

@@ -127,6 +127,29 @@ TEST(WilsonSimd, RepeatRunsBitwiseStable) {
   }
 }
 
+TEST(WilsonSimd, UntunedDefaultIsLaneBlockedWithScalarBits) {
+  // Callers that never autotune (run_workflow, a DwfSolver without
+  // autotune()) run DslashTuning{}: the lane-blocked body wherever the
+  // build has lanes, and the scalar reference's bits either way.
+  const DslashTuning def;
+  EXPECT_EQ(def.variant, simd::compiled_with_simd()
+                             ? DslashVariant::kVectorBlocked
+                             : DslashVariant::kScalar);
+  auto g = geom();
+  GaugeField<double> ud(g);
+  weak_gauge(ud, 97, 0.3);
+  const GaugeField<float> u = ud.convert<float>();
+  SpinorField<float> in(g, 4, Subset::Full);
+  in.gaussian(101);
+  SpinorField<float> ref(g, 4, Subset::Full), got(g, 4, Subset::Full);
+  run_variant(ref, u, in, false, DslashVariant::kScalar, def.grain);
+  for (int par = 0; par < 2; ++par)
+    dslash<float>(parity_view(got, par), u, parity_view(in, 1 - par), par,
+                  false);
+  for (std::int64_t k = 0; k < in.reals(); ++k)
+    ASSERT_EQ(got.data()[k], ref.data()[k]) << "k=" << k;
+}
+
 TEST(WilsonSimd, WilsonOpAgreesAcrossVariants) {
   auto g = geom();
   GaugeField<double> u(g);

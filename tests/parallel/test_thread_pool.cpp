@@ -6,7 +6,12 @@
 #include <cstdlib>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace femto::par {
 namespace {
@@ -122,6 +127,52 @@ TEST(ThreadPool, ManySequentialLaunches) {
   EXPECT_EQ(total.load(), 200 * 64);
 }
 
+TEST(ThreadPool, OversubscribedLaunchesRunEveryChunkOnce) {
+  // More workers than CPUs: most wake after their launch's chunks are
+  // taken, or after a newer launch is posted, and must claim nothing of
+  // it.  Every index still runs exactly once per launch.
+  ThreadPool pool(32);
+  std::vector<std::atomic<int>> hits(96);
+  for (int rep = 0; rep < 500; ++rep)
+    pool.parallel_for_chunked(0, hits.size(),
+                              [&](std::size_t lo, std::size_t hi) {
+                                for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+                              });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 500);
+}
+
+TEST(ThreadPool, NestedLaunchOnTheSamePoolRunsInline) {
+  // A chunk body that launches on its own pool (the caller's chunks and
+  // the workers' alike) runs the inner launch inline instead of waiting
+  // on the launch it is part of.
+  ThreadPool pool(4);
+  std::atomic<int> total{0};
+  pool.parallel_for(0, 4, [&](std::size_t) {
+    pool.parallel_for(0, 4, [&](std::size_t) { total++; });
+  });
+  EXPECT_EQ(total.load(), 16);
+}
+
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  // Launches from several threads serialise on the pool; each caller's
+  // chunks run exactly once and never under another caller's launch.
+  ThreadPool pool(4);
+  constexpr int kCallers = 3;
+  constexpr int kReps = 200;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(50);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c)
+    callers.emplace_back([&, c] {
+      for (int rep = 0; rep < kReps; ++rep)
+        pool.parallel_for(0, hits[c].size(),
+                          [&](std::size_t i) { hits[c][i]++; });
+    });
+  for (auto& t : callers) t.join();
+  for (const auto& h : hits)
+    for (const auto& x : h) EXPECT_EQ(x.load(), kReps);
+}
+
 TEST(ThreadPool, ReduceNMatchesSerialComponents) {
   ThreadPool pool(4);
   const std::size_t n = 10000;
@@ -227,7 +278,7 @@ TEST(ThreadPool, ReduceNDeterministicAcrossThreadCountSweep) {
 TEST(ThreadPool, DefaultThreadCountReadsFemtoThreads) {
   // FEMTO_THREADS pins the default worker count (the cross-thread-count
   // golden determinism test re-execs itself under it); garbage or zero
-  // falls back to the hardware concurrency.
+  // falls back to the CPU count.
   const char* saved = std::getenv("FEMTO_THREADS");
   const std::string restore = saved ? saved : "";
   setenv("FEMTO_THREADS", "5", 1);
@@ -241,6 +292,30 @@ TEST(ThreadPool, DefaultThreadCountReadsFemtoThreads) {
   else
     unsetenv("FEMTO_THREADS");
 }
+
+#if defined(__linux__)
+TEST(ThreadPool, DefaultThreadCountFollowsTheAffinityMask) {
+  // Without FEMTO_THREADS the default is the CPUs this thread may run on,
+  // not the machine's count: pin the thread to one of its CPUs and the
+  // default drops to 1.
+  const char* saved = std::getenv("FEMTO_THREADS");
+  const std::string restore = saved ? saved : "";
+  unsetenv("FEMTO_THREADS");
+  cpu_set_t old_mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(old_mask), &old_mask), 0);
+  EXPECT_EQ(default_thread_count(),
+            static_cast<std::size_t>(CPU_COUNT(&old_mask)));
+  int first = 0;
+  while (!CPU_ISSET(first, &old_mask)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(default_thread_count(), 1u);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(old_mask), &old_mask), 0);
+  if (saved) setenv("FEMTO_THREADS", restore.c_str(), 1);
+}
+#endif
 
 TEST(GlobalHelpers, ParallelForAndReduce) {
   std::atomic<int> n{0};

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Benchmark the femtolint v2 scan over src/ and emit BENCH_lint.json.
+# Benchmark the femtolint scan over src/ and emit BENCH_lint.json.
 #
 # femtolint runs on every tier-1 build, so its cost scales the edit loop:
 # this script times the whole-tree scan single-threaded and with the
@@ -17,7 +17,6 @@ cd "$(dirname "$0")/.."
 REPS="${1:-5}"
 BUILD_DIR="${BUILD_DIR:-build}"
 FEMTOLINT="${BUILD_DIR}/tools/femtolint/femtolint"
-LAYERS="tools/femtolint/layers.def"
 
 if [[ ! -x "$FEMTOLINT" ]]; then
   echo "bench_lint: $FEMTOLINT not built (cmake --build $BUILD_DIR --target femtolint)" >&2
@@ -41,17 +40,17 @@ min_ms() {
 N_FILES=$(find src -name '*.cpp' -o -name '*.hpp' | wc -l | tr -d ' ')
 
 echo "bench_lint: ${REPS} reps over ${N_FILES} files"
-SERIAL_MS=$(min_ms "$FEMTOLINT" --layers "$LAYERS" --threads 1 src)
-PARALLEL_MS=$(min_ms "$FEMTOLINT" --layers "$LAYERS" src)
+SERIAL_MS=$(min_ms "$FEMTOLINT" --threads 1 src)
+PARALLEL_MS=$(min_ms "$FEMTOLINT" src)
 
 SPEEDUP=$(awk -v s="$SERIAL_MS" -v p="$PARALLEL_MS" \
           'BEGIN { printf "%.2f", (p > 0) ? s / p : 0 }')
 
-# --json runs report the whole-program passes on their own clocks: the v3
-# effect-inference pass and the v4 concurrency passes (lock-order and
-# comm-protocol), so each closure's cost is tracked separately as the tree
-# grows.  Field-wise minimum over REPS runs, same estimator as the
-# wall-clock timings above (a single run is far too noisy to gate on).
+# --json runs report the whole-program passes on their own clocks: the
+# nondet-in-kernel effect pass and the lockset pass (lock-order-cycle and
+# blocking-call-under-lock), so each closure's cost is tracked separately
+# as the tree grows.  Field-wise minimum over REPS runs, same estimator as
+# the wall-clock timings above (a single run is far too noisy to gate on).
 # `|| true` inside the group: findings make femtolint exit 1 but its JSON
 # (and the timings) is still valid, and the bench must not gate on lint
 # cleanliness; `|| echo ...` only covers a broken pipe / unparseable
@@ -59,31 +58,30 @@ SPEEDUP=$(awk -v s="$SERIAL_MS" -v p="$PARALLEL_MS" \
 min_pass_ms() {
   local best="" cur
   for _ in $(seq "$REPS"); do
-    cur=$({ "$FEMTOLINT" --layers "$LAYERS" --json src 2>/dev/null || true; } \
+    cur=$({ "$FEMTOLINT" --json src 2>/dev/null || true; } \
             | python3 -c 'import json,sys; j=json.load(sys.stdin); \
-print(j["effect_pass_ms"], j["lockorder_pass_ms"], j["protocol_pass_ms"])' \
-          || echo "0 0 0")
+print(j["effect_pass_ms"], j["lockorder_pass_ms"])' \
+          || echo "0 0")
     if [[ -z "$best" ]]; then
       best="$cur"
     else
       best=$(awk -v a="$best" -v b="$cur" 'BEGIN {
         split(a, x); split(b, y);
-        for (i = 1; i <= 3; ++i) printf "%s%s", (x[i] < y[i] ? x[i] : y[i]),
-                                               (i < 3 ? " " : "\n") }')
+        for (i = 1; i <= 2; ++i) printf "%s%s", (x[i] < y[i] ? x[i] : y[i]),
+                                               (i < 2 ? " " : "\n") }')
     fi
   done
   echo "$best"
 }
-read -r EFFECT_MS LOCKORDER_MS PROTOCOL_MS <<< "$(min_pass_ms)"
+read -r EFFECT_MS LOCKORDER_MS <<< "$(min_pass_ms)"
 
-# The claim: the two v4 passes together stay under CONCURRENCY_GATE_FRAC
-# of the parallel whole-tree scan, i.e. total lint time stays under 2x its
-# pre-v4 cost.  A 0 here means a closure went superlinear (usually an
-# unmemoized walk over a dense region of the call graph) and must be
-# fixed, not absorbed into the edit loop.  benchdiff judges the row.
+# The claim: the lockset pass stays under CONCURRENCY_GATE_FRAC of the
+# parallel whole-tree scan.  A 0 here means a closure went superlinear
+# (usually an unmemoized walk over a dense region of the call graph) and
+# must be fixed, not absorbed into the edit loop.  benchdiff judges the row.
 CONCURRENCY_GATE_FRAC=0.5
-GATE_OK=$(awk -v l="$LOCKORDER_MS" -v r="$PROTOCOL_MS" -v p="$PARALLEL_MS" \
-          -v f="$CONCURRENCY_GATE_FRAC" 'BEGIN { print (l + r < p * f) ? 1 : 0 }')
+GATE_OK=$(awk -v l="$LOCKORDER_MS" -v p="$PARALLEL_MS" \
+          -v f="$CONCURRENCY_GATE_FRAC" 'BEGIN { print (l < p * f) ? 1 : 0 }')
 
 cat > BENCH_lint.json <<EOF
 {
@@ -94,7 +92,6 @@ cat > BENCH_lint.json <<EOF
   "parallel_ms": ${PARALLEL_MS},
   "effect_pass_ms": ${EFFECT_MS},
   "lockorder_pass_ms": ${LOCKORDER_MS},
-  "protocol_pass_ms": ${PROTOCOL_MS},
   "concurrency_gate_ok": ${GATE_OK},
   "speedup": ${SPEEDUP},
   "threads_parallel": "$(nproc)"
@@ -102,6 +99,6 @@ cat > BENCH_lint.json <<EOF
 EOF
 
 echo "bench_lint: serial ${SERIAL_MS} ms, parallel ${PARALLEL_MS} ms (x${SPEEDUP})"
-echo "bench_lint: effect ${EFFECT_MS} ms, lockorder ${LOCKORDER_MS} ms, protocol ${PROTOCOL_MS} ms"
+echo "bench_lint: effect ${EFFECT_MS} ms, lockorder ${LOCKORDER_MS} ms"
 echo "bench_lint: concurrency_gate_ok ${GATE_OK}"
 echo "bench_lint: wrote BENCH_lint.json"

@@ -33,7 +33,8 @@ run_stage() {
 }
 
 lint_stage() {
-  # Build just the lint tool in the default tree and run both lint tests.
+  # Build just the lint tool in the default tree and run the commands of
+  # both lint ctests (femtolint_src, femtolint_fixtures) verbatim.
   cmake -B build -S . && cmake --build build -j --target femtolint || return 1
   local bin
   bin=$(find build -name femtolint -type f | head -1)

@@ -125,7 +125,7 @@ class Autotuner {
  private:
   TuneEntry search(Tunable& t) const;
 
-  // Lock order (DESIGN.md §14): mu_ may be held while obs::Registry::mu_
+  // Lock order (DESIGN.md §8): mu_ may be held while obs::Registry::mu_
   // is taken (counter updates inside tune()); never take mu_ while
   // holding a Registry or thread-pool mutex.
   mutable std::mutex mu_;

@@ -111,10 +111,10 @@ constexpr int kTagBroadcast = (1 << 28) + 1;
 
 double RankHandle::allreduce_sum(double x) {
   // Gather to rank 0, sum in rank order (deterministic), broadcast back.
-  FEMTO_PROTOCOL_OK(
-      "root-side gather receives before it scatters; non-roots send "
-      "unconditionally first, so every root recv has a matching send "
-      "in flight");
+  // The root receives before it scatters, and the non-roots send
+  // unconditionally first, so every recv on the root has a matching send
+  // in flight and no rank waits on a message nobody sends (rendezvous
+  // transports included).
   if (rank_ == 0) {
     double sum = x;
     for (int r = 1; r < size(); ++r) {

@@ -11,14 +11,11 @@
 // protocol) is decomposition-correct in the same way an MPI code is: the
 // numerics cannot tell the difference.
 //
-// Call sites of these primitives are statically protocol-checked by
-// femtolint v4 (DESIGN.md §14): sends must pair with receives inside
-// the scanned program (`unpaired-send`), untimed receives must not
-// precede the matching same-tag send (`recv-before-send` — bless
-// deliberate rendezvous steps with FEMTO_PROTOCOL_OK(reason)), and
-// collectives must not sit under rank-dependent branches
-// (`collective-divergence`).  Prefer recv_for over recv in code that
-// can be reached with a mutex held.
+// femtolint's blocking-call-under-lock rule (DESIGN.md §8) treats every
+// call of these primitives as blocking: none may be reached with a mutex
+// held.  Pairing sends with receives is the caller's protocol; the
+// multi-rank tests (test_comm, the distributed dslash and jobmgr suites)
+// are what check it.
 
 #include <chrono>
 #include <condition_variable>

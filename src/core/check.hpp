@@ -13,56 +13,36 @@
 // aborts: checked builds fail fast and loudly instead of feeding corrupt
 // indices or non-finite residuals into a fit.  See DESIGN.md §8.
 //
-// FEMTO_GUARDED_BY(mu) is the lock-discipline annotation: it expands to
-// nothing at compile time, but femtolint's guarded-by pass verifies that an
-// annotated member is only touched inside methods that visibly take `mu`,
-// and its mutex-annotate pass requires every mutex-owning class to annotate
-// (or const/atomic-qualify) its shared mutable members.  See DESIGN.md §9.
+// The two femtolint annotations expand to nothing; DESIGN.md §8 lists the
+// rules that read them.  FEMTO_GUARDED_BY(mu) is the lock-discipline
+// annotation: femtolint's guarded-by rule verifies that an annotated member
+// is only touched inside methods that visibly take `mu`, and mutex-annotate
+// requires every mutex-owning class to annotate (or const/atomic-qualify)
+// its shared mutable members.
 //
-// FEMTO_NONDET_OK(reason) is the determinism annotation (DESIGN.md §13):
-// placed inside a function body it declares that the nondeterminism sources
-// in THAT function (clock reads, env reads, thread ids, pointer hashing)
+// FEMTO_NONDET_OK(reason) is the determinism annotation: placed inside a
+// function body it declares that the nondeterminism sources in THAT
+// function (clock reads, env reads, thread ids, libc RNG, pointer hashing)
 // are observational only and can never reach numerics.  femtolint's
-// nondet-in-kernel pass treats the function as determinism-clean; without
+// nondet-in-kernel rule treats the function as determinism-clean; without
 // the blessing, any such source reachable from a kernel-launching call
 // chain is a finding.
-//
-// FEMTO_BLOCKING_OK(reason) and FEMTO_PROTOCOL_OK(reason) are the
-// concurrency annotations (DESIGN.md §14).  BLOCKING_OK, placed inside a
-// function body, declares that the blocking operations in THAT function
-// (condition-variable waits, joins, future gets, pool launches, femtocomm
-// calls) are safe to reach while a lockset is non-empty — femtolint's
-// blocking-call-under-lock pass then skips the function.  PROTOCOL_OK
-// declares that the function's send/recv ordering is a deliberately
-// asymmetric protocol step (e.g. the gather side of a gather-scatter
-// allreduce) and exempts it from the comm-protocol ordering rules.  Both
-// reasons are audit trail: say WHY the hang the rule guards against cannot
-// happen here.
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
-// Lock-discipline annotation, enforced statically by femtolint (it never
-// reaches the compiler as anything but whitespace).  Placed after the
-// member name: `int count_ FEMTO_GUARDED_BY(mu_) = 0;`
+// Lock-discipline annotation, checked by femtolint (it never reaches the
+// compiler as anything but whitespace).  Placed after the member name:
+// `int count_ FEMTO_GUARDED_BY(mu_) = 0;`
 #define FEMTO_GUARDED_BY(mu)
 
-// Determinism blessing, enforced statically by femtolint (expands to
-// nothing).  The reason is part of the audit trail the same way a
-// `femtolint: allow` comment is: say WHY the nondeterminism cannot alter
-// any number a run produces.  First statement of the function it blesses:
+// Determinism blessing, checked by femtolint (expands to nothing).  The
+// reason is part of the audit trail the same way a `femtolint: allow`
+// comment is: say WHY the nondeterminism cannot alter any number a run
+// produces.  First statement of the function it blesses:
 //   FEMTO_NONDET_OK("telemetry-only wall clock; feeds timers, never data");
 #define FEMTO_NONDET_OK(reason)
-
-// Concurrency blessings, enforced statically by femtolint (both expand to
-// nothing).  First statement of the function they bless:
-//   FEMTO_BLOCKING_OK("lockset is a leaf mutex no other thread's wait
-//                      chain can hold");
-//   FEMTO_PROTOCOL_OK("root gathers before scattering; non-roots send
-//                      unconditionally first, so the recv always completes");
-#define FEMTO_BLOCKING_OK(reason)
-#define FEMTO_PROTOCOL_OK(reason)
 
 namespace femto::check {
 

@@ -164,11 +164,11 @@ namespace {
 constexpr std::uint64_t kMagic = 0xFE3370F17E000001ull;  // "femtofile" v1
 
 void put_u64(std::ofstream& out, std::uint64_t v) {
-  // femtolint: allow(cast): iostream byte I/O; char* may alias anything.
+  // iostream byte I/O; char* may alias anything.
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 void put_u32(std::ofstream& out, std::uint32_t v) {
-  // femtolint: allow(cast): iostream byte I/O; char* may alias anything.
+  // iostream byte I/O; char* may alias anything.
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 void put_str(std::ofstream& out, const std::string& s) {
@@ -178,14 +178,14 @@ void put_str(std::ofstream& out, const std::string& s) {
 
 std::uint64_t get_u64(std::ifstream& in) {
   std::uint64_t v = 0;
-  // femtolint: allow(cast): iostream byte I/O; char* may alias anything.
+  // iostream byte I/O; char* may alias anything.
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
   if (!in) throw IoError("fio: truncated file");
   return v;
 }
 std::uint32_t get_u32(std::ifstream& in) {
   std::uint32_t v = 0;
-  // femtolint: allow(cast): iostream byte I/O; char* may alias anything.
+  // iostream byte I/O; char* may alias anything.
   in.read(reinterpret_cast<char*>(&v), sizeof(v));
   if (!in) throw IoError("fio: truncated file");
   return v;
@@ -212,7 +212,7 @@ void File::save(const std::string& filename) const {
     put_u64(out, ds.shape.size());
     for (auto d : ds.shape) put_u64(out, static_cast<std::uint64_t>(d));
     put_u64(out, ds.raw.size());
-    // femtolint: allow(cast): iostream byte I/O; char* may alias anything.
+    // iostream byte I/O; char* may alias anything.
     out.write(reinterpret_cast<const char*>(ds.raw.data()),
               static_cast<std::streamsize>(ds.raw.size()));
     put_u32(out, crc32(ds.raw.data(), ds.raw.size()));
@@ -246,7 +246,7 @@ File File::load(const std::string& filename) {
       ds.shape.push_back(static_cast<std::int64_t>(get_u64(in)));
     const auto bytes = get_u64(in);
     ds.raw.resize(bytes);
-    // femtolint: allow(cast): iostream byte I/O; char* may alias anything.
+    // iostream byte I/O; char* may alias anything.
     in.read(reinterpret_cast<char*>(ds.raw.data()),
             static_cast<std::streamsize>(bytes));
     if (!in) throw IoError("fio: truncated dataset " + path);

@@ -167,6 +167,7 @@ inline void axpby_chunk(T aa, const T* xd, T bb, T* yd, std::size_t lo,
 template <typename T, typename U>
 void copy(SpinorField<T>& y, const SpinorField<U>& x,
           std::size_t grain = kGrain) {
+  FEMTO_TRACE_SCOPE("blas", "copy");
   assert(y.compatible(x));
   T* yd = y.data();
   const U* xd = x.data();
@@ -184,6 +185,7 @@ void copy(SpinorField<T>& y, const SpinorField<U>& x,
 template <typename T, int W = simd::kWidth<T>>
 void axpy(double a, const SpinorField<T>& x, SpinorField<T>& y,
           std::size_t grain = kGrain) {
+  FEMTO_TRACE_SCOPE("blas", "axpy");
   assert(y.compatible(x));
   const T aa = static_cast<T>(a);
   T* yd = y.data();
@@ -202,6 +204,7 @@ void axpy(double a, const SpinorField<T>& x, SpinorField<T>& y,
 template <typename T, int W = simd::kWidth<T>>
 void xpay(const SpinorField<T>& x, double a, SpinorField<T>& y,
           std::size_t grain = kGrain) {
+  FEMTO_TRACE_SCOPE("blas", "xpay");
   assert(y.compatible(x));
   const T aa = static_cast<T>(a);
   T* yd = y.data();
@@ -220,6 +223,7 @@ void xpay(const SpinorField<T>& x, double a, SpinorField<T>& y,
 template <typename T, int W = simd::kWidth<T>>
 void axpby(double a, const SpinorField<T>& x, double b, SpinorField<T>& y,
            std::size_t grain = kGrain) {
+  FEMTO_TRACE_SCOPE("blas", "axpby");
   assert(y.compatible(x));
   const T aa = static_cast<T>(a), bb = static_cast<T>(b);
   T* yd = y.data();
@@ -319,6 +323,7 @@ Cplx<double> cdot(const SpinorField<T>& x, const SpinorField<T>& y,
 template <typename T, int W = simd::kWidth<T>>
 double redot(const SpinorField<T>& x, const SpinorField<T>& y,
              std::size_t grain = kGrain) {
+  FEMTO_TRACE_SCOPE("blas", "redot");
   assert(y.compatible(x));
   const T* xd = x.data();
   const T* yd = y.data();

@@ -162,7 +162,7 @@ void fatal_signal_handler(int sig) {
 
 void Recorder::install(const std::string& path) {
   std::lock_guard<std::mutex> lk(mu_);
-  // femtolint: allow(no-naked-new): deliberately leaked — the crash path
+  // A naked new, deliberately leaked: the crash path
   // reads g_path lock-free and a freed-on-reinstall string could be read
   // mid-teardown; installs are rare control-plane events.
   g_path.store(new std::string(path), std::memory_order_release);

@@ -172,7 +172,7 @@ class Registry {
  private:
   Registry() = default;
 
-  // Lock order (DESIGN.md §14): mu_ is a LEAF — Autotuner::mu_ and
+  // Lock order (DESIGN.md §8): mu_ is a LEAF — Autotuner::mu_ and
   // SolveService::mu_ are both legitimately held while counters update
   // under it, so no code path may acquire another tracked mutex (or
   // block) while holding mu_.

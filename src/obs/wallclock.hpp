@@ -1,7 +1,7 @@
 #pragma once
 // The ONE audited wall-clock chokepoint for telemetry timing.
 //
-// The bitwise-reproducibility contract (DESIGN.md §13) says a replayed run
+// The bitwise-reproducibility contract (DESIGN.md §8) says a replayed run
 // must produce identical numbers, so clock reads may never sit on a path
 // that feeds numerics.  femtolint's nondet-in-kernel pass enforces that
 // statically: any raw std::chrono::*::now() reachable from a

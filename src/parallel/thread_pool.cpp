@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -38,16 +40,44 @@ std::size_t default_thread_count() {
     if (end != e && *end == '\0' && v >= 1)
       return static_cast<std::size_t>(v);
   }
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::size_t n = hw == 0 ? 1 : static_cast<std::size_t>(hw);
 #if defined(__linux__)
   // The CPUs this process may run on: a container's cpuset or a taskset
   // mask can grant fewer than the machine has, and a pool sized to the
   // machine would then run more workers than CPUs.
   cpu_set_t mask;
   if (sched_getaffinity(0, sizeof(mask), &mask) == 0 && CPU_COUNT(&mask) > 0)
-    return static_cast<std::size_t>(CPU_COUNT(&mask));
+    n = static_cast<std::size_t>(CPU_COUNT(&mask));
 #endif
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  // A CPU quota grants time, not CPUs: a container limited to 2 CPUs' worth
+  // of a 64-CPU mask gets its workers descheduled for most of each period.
+  const std::size_t quota = cgroup_cpu_limit();
+  return quota > 0 ? std::min(n, quota) : n;
+}
+
+std::size_t cpu_quota_cpus(const std::string& text) {
+  std::istringstream is(text);
+  std::string quota, rest;
+  long long period = 0;
+  if (!(is >> quota >> period) || period <= 0 || (is >> rest)) return 0;
+  char* end = nullptr;
+  const long long q = std::strtoll(quota.c_str(), &end, 10);
+  if (end == quota.c_str() || *end != '\0' || q <= 0) return 0;
+  return static_cast<std::size_t>((q + period - 1) / period);
+}
+
+std::size_t cgroup_cpu_limit() {
+  const auto slurp = [](const char* path) {
+    std::ifstream f(path);
+    std::ostringstream os;
+    if (f) os << f.rdbuf();
+    return os.str();
+  };
+  const std::string v2 = slurp("/sys/fs/cgroup/cpu.max");
+  if (!v2.empty()) return cpu_quota_cpus(v2);
+  return cpu_quota_cpus(slurp("/sys/fs/cgroup/cpu/cpu.cfs_quota_us") + " " +
+                        slurp("/sys/fs/cgroup/cpu/cpu.cfs_period_us"));
 }
 
 ThreadPool::ThreadPool(std::size_t n_threads)

@@ -11,7 +11,7 @@
 //     fixed order over a decomposition that depends only on the range, so
 //     reductions are bitwise identical for ANY worker count (mirroring
 //     QUDA's deterministic double-precision reductions, which the
-//     mixed-precision solver relies on; see DESIGN.md §13).
+//     mixed-precision solver relies on; see DESIGN.md §8).
 //
 // Worker threads park on a condition variable between kernels.  A launch
 // wakes one worker per extra chunk; the caller and the woken workers then
@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,8 +40,20 @@ namespace femto::par {
 /// Number of workers to use when the caller does not specify: the value of
 /// the FEMTO_THREADS environment variable when set to a positive integer,
 /// otherwise the number of CPUs in the process's affinity mask (the
-/// hardware concurrency where that is unavailable), with a floor of 1.
+/// hardware concurrency where that is unavailable), capped by the cgroup
+/// CPU quota when one is set, with a floor of 1.
 std::size_t default_thread_count();
+
+/// CPUs a cgroup CPU quota grants, ceil(quota / period), from the text
+/// "<quota> <period>": a cgroup v2 `cpu.max`, or v1's `cpu.cfs_quota_us`
+/// and `cpu.cfs_period_us` joined by a space.  0 means no limit: a quota
+/// of "max" (v2) or -1 (v1), or text that is not two such numbers.
+std::size_t cpu_quota_cpus(const std::string& text);
+
+/// cpu_quota_cpus() of the cgroup mounted at /sys/fs/cgroup (a
+/// container's own under a cgroup namespace): v2 `cpu.max`, else v1's cfs
+/// files under the cpu controller.  0 when no quota is set or readable.
+std::size_t cgroup_cpu_limit();
 
 /// A persistent pool of worker threads executing range-based kernels.
 ///
@@ -135,7 +148,7 @@ class ThreadPool {
   // Serialises concurrent launches from different caller threads; a launch
   // from inside one of this pool's own workers runs inline instead (see
   // .cpp), so re-entrant use cannot deadlock.  Lock order (DESIGN.md
-  // §14): launch_mu_ -> mu_, always in that direction.
+  // §8): launch_mu_ -> mu_, always in that direction.
   std::mutex launch_mu_;
 
   // Kernel hand-off state, shared between the launcher and every worker.

@@ -15,7 +15,7 @@ Time Engine::run() {
     // Moving out of a priority_queue requires the const_cast dance; the
     // element is popped immediately after, so the heap invariant the
     // const protects is never observed in the moved-from state.
-    // femtolint: allow(cast): priority_queue move-out; popped immediately.
+    // const_cast for the priority_queue move-out; popped immediately.
     Event ev = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     now_ = ev.t;
@@ -27,7 +27,7 @@ Time Engine::run() {
 
 Time Engine::run_until(Time t_end) {
   while (!queue_.empty() && queue_.top().t <= t_end) {
-    // femtolint: allow(cast): priority_queue move-out; popped immediately.
+    // const_cast for the priority_queue move-out; popped immediately.
     Event ev = std::move(const_cast<Event&>(queue_.top()));
     queue_.pop();
     now_ = ev.t;

@@ -24,6 +24,7 @@
 
 #include "lattice/blas.hpp"
 #include "lattice/field.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simd/vec.hpp"
 
@@ -122,6 +123,7 @@ class HalfSpinorField {
   template <int W = simd::kWidth<float>>
   double roundtrip_norm2(SpinorField<float>& f,
                          std::size_t grain = kHalfGrain) {
+    FEMTO_TRACE_SCOPE("half", "roundtrip_norm2");
     assert(f.l5() == l5_ && f.subset() == subset_);
     float* fd = f.data();
     double n2 = 0.0;
@@ -147,6 +149,7 @@ class HalfSpinorField {
   template <int W = simd::kWidth<float>>
   void axpy_roundtrip(double a, const SpinorField<float>& x,
                       SpinorField<float>& y, std::size_t grain = kHalfGrain) {
+    FEMTO_TRACE_SCOPE("half", "axpy_roundtrip");
     assert(y.compatible(x));
     assert(y.l5() == l5_ && y.subset() == subset_);
     const float aa = static_cast<float>(a);
@@ -175,6 +178,7 @@ class HalfSpinorField {
   double axpy_roundtrip_norm2(double a, const SpinorField<float>& x,
                               SpinorField<float>& y,
                               std::size_t grain = kHalfGrain) {
+    FEMTO_TRACE_SCOPE("half", "axpy_roundtrip_norm2");
     assert(y.compatible(x));
     assert(y.l5() == l5_ && y.subset() == subset_);
     const float aa = static_cast<float>(a);
@@ -206,6 +210,7 @@ class HalfSpinorField {
   template <int W = simd::kWidth<float>>
   void xpay_roundtrip(const SpinorField<float>& x, double b,
                       SpinorField<float>& y, std::size_t grain = kHalfGrain) {
+    FEMTO_TRACE_SCOPE("half", "xpay_roundtrip");
     assert(y.compatible(x));
     assert(y.l5() == l5_ && y.subset() == subset_);
     const float bb = static_cast<float>(b);

@@ -10,17 +10,13 @@
 //     list_mu_ to deliver the notification.
 //
 // arm() shows the compliant wait: the cv releases the only held mutex for
-// the duration of the block, so the effective lockset is empty.
-// drain_batches() shows the blessed shape: FEMTO_BLOCKING_OK states why
-// the held mutex can never be on the notifier's path.  Fixtures are lint
-// inputs, not build inputs.
+// the duration of the block, so the effective lockset is empty.  Fixtures
+// are lint inputs, not build inputs.
 
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
-
-#define FEMTO_BLOCKING_OK(reason)
 
 namespace femto {
 
@@ -42,15 +38,6 @@ class BatchGate {
   void arm() {
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk);  // fine: the wait releases the only held mutex
-  }
-
-  void drain_batches() {
-    FEMTO_BLOCKING_OK(
-        "private leaf mutex; the notifier never takes it, so the wait "
-        "chain cannot close");
-    std::unique_lock<std::mutex> outer(list_mu_);
-    std::unique_lock<std::mutex> inner(mu_);
-    cv_.wait(inner);
   }
 
  private:

@@ -1,11 +1,10 @@
 // femtolint-expect: clean
 //
-// A well-behaved kernel: charges flops and bytes, reduces through
-// parallel_reduce, accumulates only into locally declared or subscripted
-// storage, and carries an explicit suppression where it must cast.
+// Well-behaved kernels: they charge flops and bytes, reduce through
+// parallel_reduce, and accumulate only into body-local storage or into
+// captured storage that the chunk's own loop indexes.
 
 #include <cstddef>
-#include <cstring>
 #include <vector>
 
 namespace femto {
@@ -31,11 +30,18 @@ void axpy_clean(std::vector<double>& y, const std::vector<double>& x,
   flops::add_bytes(24 * static_cast<long long>(y.size()));
 }
 
-void serialize(std::vector<char>& out, const double* src, std::size_t n) {
-  out.resize(n * sizeof(double));
-  // femtolint: allow(cast): byte-wise serialisation through char* is
-  // aliasing-legal; memcpy never reinterprets the double representation.
-  std::memcpy(out.data(), reinterpret_cast<const char*>(src), out.size());
+// The shape of blas::scal: the induction variable starts at the chunk's
+// lower bound, so each chunk scales its own elements.
+void scal_clean(std::vector<double>& x, double a) {
+  double* xd = x.data();
+  par::parallel_for_chunked(
+      0, x.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        std::size_t k = lo;
+        for (; k < hi; ++k) xd[k] *= a;
+      },
+      64);
+  flops::add_bytes(16 * static_cast<long long>(x.size()));
 }
 
 }  // namespace femto

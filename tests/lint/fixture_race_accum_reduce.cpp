@@ -1,12 +1,11 @@
-// femtolint-expect: fp-accumulation-discipline
+// femtolint-expect: race-shared-accum
 //
 // Compound FP accumulation into a CAPTURED scalar inside a
 // parallel_reduce chunk body.  The reduce family exists precisely so
 // partials combine in a fixed chunk order; a captured accumulator updated
 // from every worker bypasses that order (and races), so the sum's bits
 // depend on scheduling.  Partials must flow through the per-chunk
-// accumulator slot / return value, or a body-local combined with
-// simd::sum_ordered.
+// accumulator slot / return value, or a body-local.
 
 #include <cstddef>
 #include <vector>

@@ -1,4 +1,3 @@
-// femtolint-module: lattice
 // femtolint-expect: raw-intrinsics
 //
 // A kernel reaching for vendor intrinsics directly.  The whole point of

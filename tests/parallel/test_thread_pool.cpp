@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
@@ -293,18 +294,35 @@ TEST(ThreadPool, DefaultThreadCountReadsFemtoThreads) {
     unsetenv("FEMTO_THREADS");
 }
 
+TEST(ThreadPool, CpuQuotaParsesCgroupText) {
+  // cgroup v2 cpu.max, and v1's quota and period files joined by a space.
+  EXPECT_EQ(cpu_quota_cpus("max 100000\n"), 0u);
+  EXPECT_EQ(cpu_quota_cpus("200000 100000\n"), 2u);
+  EXPECT_EQ(cpu_quota_cpus("150000 100000"), 2u);  // rounds up
+  EXPECT_EQ(cpu_quota_cpus("50000 100000"), 1u);
+  EXPECT_EQ(cpu_quota_cpus("-1\n 100000\n"), 0u);  // v1: no quota
+  EXPECT_EQ(cpu_quota_cpus("400000\n 100000\n"), 4u);
+  // Malformed: no limit, never a zero-worker pool.
+  for (const char* bad : {"", " ", "max", "100000", "banana 100000",
+                          "200000 0", "200000 -5", "0 100000",
+                          "200000 100000 7", "2e5 100000", "200000 1e5"})
+    EXPECT_EQ(cpu_quota_cpus(bad), 0u) << "'" << bad << "'";
+}
+
 #if defined(__linux__)
 TEST(ThreadPool, DefaultThreadCountFollowsTheAffinityMask) {
-  // Without FEMTO_THREADS the default is the CPUs this thread may run on,
-  // not the machine's count: pin the thread to one of its CPUs and the
-  // default drops to 1.
+  // Without FEMTO_THREADS the default is the CPUs this thread may run on
+  // (capped by a cgroup CPU quota when one is set), not the machine's
+  // count: pin the thread to one of its CPUs and the default drops to 1.
   const char* saved = std::getenv("FEMTO_THREADS");
   const std::string restore = saved ? saved : "";
   unsetenv("FEMTO_THREADS");
   cpu_set_t old_mask;
   ASSERT_EQ(sched_getaffinity(0, sizeof(old_mask), &old_mask), 0);
+  const auto mask_cpus = static_cast<std::size_t>(CPU_COUNT(&old_mask));
+  const std::size_t quota = cgroup_cpu_limit();
   EXPECT_EQ(default_thread_count(),
-            static_cast<std::size_t>(CPU_COUNT(&old_mask)));
+            quota > 0 ? std::min(mask_cpus, quota) : mask_cpus);
   int first = 0;
   while (!CPU_ISSET(first, &old_mask)) ++first;
   cpu_set_t one;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "dirac/mobius.hpp"
 #include "lattice/flops.hpp"
 #include "lattice/gauge.hpp"
+#include "obs/trace.hpp"
 #include "solver/half.hpp"
 
 namespace femto {
@@ -195,6 +199,57 @@ TEST(MixedCg, MatchesPureDoubleSolution) {
   ASSERT_TRUE(r2.converged);
   blas::axpy(-1.0, xd, xm);
   EXPECT_LT(std::sqrt(blas::norm2(xm) / blas::norm2(xd)), 1e-7);
+}
+
+// Every kernel a traced mixed_cg runs shows as its own frame under
+// solver:mixed_cg in the collapsed stacks, so its time is not mixed_cg's
+// self time.  Half storage runs the four round-trips, single storage runs
+// xpay; both run copy, redot, axpy and (in the Schur operator) axpby.
+TEST(MixedCg, TracedSolveFramesEveryKernelUnderTheSolver) {
+  Fixture s;
+  auto uf = std::make_shared<GaugeField<float>>(s.u->convert<float>());
+  MobiusOperator<float> opf(uf, kParams);
+  const auto g = s.u->geom_ptr();
+  SpinorField<double> b(g, kParams.l5, Subset::Odd);
+  b.gaussian(121);
+  ApplyFn<double> ad = [&](SpinorField<double>& out,
+                           const SpinorField<double>& in) {
+    s.op->apply_normal(out, in);
+  };
+  ApplyFn<float> af = [&](SpinorField<float>& out,
+                          const SpinorField<float>& in) {
+    opf.apply_normal(out, in);
+  };
+
+  obs::set_trace_enabled(true);
+  obs::trace_clear();
+  for (const Precision sloppy : {Precision::Half, Precision::Single}) {
+    SpinorField<double> x(g, kParams.l5, Subset::Odd);
+    SolverParams params;
+    params.tol = 1e-6;
+    params.sloppy = sloppy;
+    ASSERT_TRUE(mixed_cg(ad, af, x, b, params).converged);
+  }
+  const std::string stacks = obs::collapsed_stacks();
+  obs::set_trace_enabled(false);
+
+  for (const std::string frame :
+       {"blas:copy", "blas:redot", "blas:axpy", "blas:xpay", "blas:axpby",
+        "half:roundtrip_norm2", "half:axpy_roundtrip",
+        "half:axpy_roundtrip_norm2", "half:xpay_roundtrip"}) {
+    bool under_solver = false;
+    std::istringstream lines(stacks);
+    for (std::string line; std::getline(lines, line) && !under_solver;) {
+      const std::size_t solver = line.find(";solver:mixed_cg;");
+      const std::size_t at = line.find(";" + frame, solver + 1);
+      under_solver = solver != std::string::npos &&
+                     at != std::string::npos &&
+                     (line[at + 1 + frame.size()] == ';' ||
+                      line[at + 1 + frame.size()] == ' ');
+    }
+    EXPECT_TRUE(under_solver) << frame << " missing under solver:mixed_cg\n"
+                              << stacks;
+  }
 }
 
 TEST(Cg, FusedIterationTrafficMatchesModel) {

@@ -1,39 +1,18 @@
 #pragma once
-// femtolint v4 interprocedural concurrency analysis (DESIGN.md §14).
+// femtolint lockset pass (DESIGN.md §8).
 //
-// Two whole-program passes over the name-based call graph:
+// A per-body token walk tracks which mutexes are held at every call site
+// (RAII guards, explicit .lock()/.unlock(), condition-variable waits that
+// release their guard).  Acquisitions nested under a held mutex -- directly
+// or through any callee chain of the shared CallGraph -- become edges of
+// the global lock-order graph; a cycle in that graph is an interleaving
+// away from deadlock (rule: lock-order-cycle).  Blocking operations (cv
+// waits, joins, sleeps, future gets, pool launches, femtocomm calls)
+// reached while the lockset is non-empty are flagged (rule:
+// blocking-call-under-lock).
 //
-//   lockset propagation   a per-body token walk tracks which mutexes are
-//                         held at every call site (RAII guards, explicit
-//                         .lock()/.unlock(), condition-variable waits that
-//                         release their guard).  Acquisitions nested under
-//                         a held mutex — directly or through any callee
-//                         chain — become edges of the global lock-order
-//                         graph; a cycle in that graph is an interleaving
-//                         away from deadlock (rule: lock-order-cycle).
-//                         Blocking operations (cv waits, joins, future
-//                         gets, pool launches, femtocomm calls) reached
-//                         while the lockset is non-empty are flagged
-//                         (rule: blocking-call-under-lock) unless the
-//                         function is blessed with FEMTO_BLOCKING_OK.
-//
-//   comm-protocol         Communicator / HaloExchanger primitives are
-//                         modelled as typed effects — send, recv (timed
-//                         receives count for pairing but not ordering),
-//                         and collectives (barrier / allreduce /
-//                         broadcast).  Enforced: every call-graph root
-//                         whose extent sends must also receive and vice
-//                         versa (rule: unpaired-send); no collective may
-//                         be reachable only under a rank-dependent branch
-//                         (rule: collective-divergence); and a blocking
-//                         receive may not lexically precede the matching
-//                         same-tag send in one body (rule:
-//                         recv-before-send).  FEMTO_PROTOCOL_OK blesses a
-//                         deliberately asymmetric protocol step.
-//
-// Both passes are name-based like every femtolint closure: no overload
-// resolution, no aliasing — the same documented limits as DESIGN.md §9,
-// traded for a whole-tree scan that runs on every tier-1 build.
+// Name-based like every femtolint closure: no overload resolution, no
+// aliasing, traded for a whole-tree scan that runs on every tier-1 build.
 
 #include <string>
 #include <vector>
@@ -43,29 +22,22 @@
 
 namespace femtolint {
 
-/// Census of the concurrency model, reported by --json / BENCH_lint.json.
+/// Census of the lock model, reported by `femtolint --json`.
 struct ConcurrencyStats {
-  std::size_t mutexes = 0;        // distinct mutex identities seen acquired
-  std::size_t lock_edges = 0;     // edges in the global lock-order graph
-  std::size_t blocking_fns = 0;   // functions that block (transitively)
-  std::size_t comm_fns = 0;       // functions with comm effects (transitive)
-  std::size_t comm_roots = 0;     // call-graph roots with comm in the extent
+  std::size_t mutexes = 0;       // distinct mutex identities seen acquired
+  std::size_t lock_edges = 0;    // edges in the global lock-order graph
+  std::size_t blocking_fns = 0;  // functions that block (transitively)
 };
 
-/// Lockset propagation: lock-order-cycle + blocking-call-under-lock.
-/// Fills the mutex/edge/blocking fields of @p stats when non-null.
+/// lock-order-cycle + blocking-call-under-lock; fills @p stats when
+/// non-null.
 void run_lockset_pass(const Program& prog, std::vector<Finding>& out,
                       ConcurrencyStats* stats = nullptr);
 
-/// Comm-protocol checking: unpaired-send, collective-divergence,
-/// recv-before-send.  Fills the comm fields of @p stats when non-null.
-void run_protocol_pass(const Program& prog, std::vector<Finding>& out,
-                       ConcurrencyStats* stats = nullptr);
-
 /// The global mutex lock-order graph in Graphviz DOT form (--lock-graph):
-/// one node per mutex identity, one edge per blessed acquisition order,
-/// labelled with the witness call chain.  CI uploads this as an artifact
-/// so the canonical order in DESIGN.md §14 can be diffed against reality.
+/// one node per mutex identity, one edge per observed acquisition order,
+/// labelled with the witness call chain.  CI uploads it as an artifact so
+/// the canonical order in DESIGN.md §8 can be diffed against reality.
 std::string lock_graph_dot(const Program& prog);
 
 }  // namespace femtolint

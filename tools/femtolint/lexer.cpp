@@ -1,5 +1,6 @@
 #include "lexer.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
 
@@ -28,7 +29,6 @@ class Lexer {
 
   LexResult run() {
     while (i_ < s_.size()) step();
-    out_.n_lines = line_;
     return std::move(out_);
   }
 
@@ -139,9 +139,8 @@ class Lexer {
 
   // @p begin points at the opening quote.  Handles an already-consumed
   // raw-string prefix via raw_delim (see ident()).  The token keeps the
-  // literal's raw text (quotes included): rules never pattern-match inside
-  // a Str token by accident -- they must opt in by inspecting t.kind --
-  // but value-checking rules (trace-category) need the actual bytes.
+  // literal's raw text (quotes included); no rule reads inside a Str
+  // token, and a token that looks like a name is always of kind Ident.
   void string_lit(std::size_t begin) {
     const int start = line_;
     advance();  // '"'
@@ -256,5 +255,61 @@ class Lexer {
 }  // namespace
 
 LexResult lex(const std::string& src) { return Lexer(src).run(); }
+
+std::size_t match_fwd(const std::vector<Token>& t, std::size_t open) {
+  const std::string& o = t[open].text;
+  const char* c = o == "(" ? ")" : (o == "[" ? "]" : "}");
+  int depth = 0;
+  for (std::size_t i = open; i < t.size(); ++i) {
+    if (t[i].kind != Tok::Punct) continue;
+    if (t[i].text == o) ++depth;
+    if (t[i].text == c && --depth == 0) return i;
+  }
+  return t.size();
+}
+
+std::size_t skip_angles(const std::vector<Token>& t, std::size_t open) {
+  int depth = 0;
+  for (std::size_t i = open; i < t.size(); ++i) {
+    if (t[i].kind != Tok::Punct) continue;
+    const std::string& p = t[i].text;
+    if (p == "<")
+      ++depth;
+    else if (p == ">")
+      --depth;
+    else if (p == ">>")
+      depth -= 2;
+    else if (p == "<<")
+      depth += 2;
+    else if (p == ";")
+      return i;
+    if (depth <= 0) return i + 1;
+  }
+  return t.size();
+}
+
+std::size_t call_paren(const std::vector<Token>& t, std::size_t k) {
+  const std::size_t n = t.size();
+  if (k + 1 < n && is_punct(t[k + 1], "(")) return k + 1;
+  if (k + 1 >= n || !is_punct(t[k + 1], "<")) return n;
+  int depth = 0;
+  const std::size_t limit = std::min(n, k + 1 + 32);
+  for (std::size_t i = k + 1; i < limit; ++i) {
+    const Token& tk = t[i];
+    if (tk.kind == Tok::Ident || tk.kind == Tok::Number) continue;
+    if (tk.kind != Tok::Punct) return n;
+    if (tk.text == "<") {
+      ++depth;
+    } else if (tk.text == ">" || tk.text == ">>") {
+      depth -= tk.text == ">" ? 1 : 2;
+      if (depth == 0) return i + 1 < n && is_punct(t[i + 1], "(") ? i + 1 : n;
+      if (depth < 0) return n;
+    } else if (tk.text != "::" && tk.text != "," && tk.text != "*" &&
+               tk.text != "&") {
+      return n;
+    }
+  }
+  return n;
+}
 
 }  // namespace femtolint

@@ -12,15 +12,15 @@
 //   * string, char, and raw-string literals become single opaque tokens,
 //     so nothing inside a literal can ever match a rule;
 //   * a preprocessor directive (with backslash continuations joined) is
-//     one token, so `#include` graph extraction and `#pragma once` checks
-//     are trivial and `#include <new>` can no longer look like a naked
-//     `new`;
+//     one token, so the raw-intrinsics rule reads `#include` lines whole
+//     and nothing inside a directive can look like code;
 //   * punctuation is maximal-munch (`::`, `+=`, `->`, ...), which the
 //     race-accum and guarded-by passes rely on.
 //
 // The lexer does not run the preprocessor: femtolint lints what the
 // developer wrote, not what the compiler saw.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -51,7 +51,6 @@ struct Comment {
 struct LexResult {
   std::vector<Token> tokens;
   std::vector<Comment> comments;
-  int n_lines = 1;
 };
 
 /// Lex @p src.  Never fails: unterminated literals/comments are closed at
@@ -64,5 +63,20 @@ inline bool is_ident(const Token& t, const char* text) {
 inline bool is_punct(const Token& t, const char* text) {
   return t.kind == Tok::Punct && t.text == text;
 }
+
+/// Index of the `)`, `]` or `}` closing the bracket at @p open; t.size()
+/// if it is unbalanced.
+std::size_t match_fwd(const std::vector<Token>& t, std::size_t open);
+
+/// Index just past the template argument list opening at @p open (a `<`);
+/// stops at a `;` (a torn list).
+std::size_t skip_angles(const std::vector<Token>& t, std::size_t open);
+
+/// Index of the `(` opening a call of the identifier at @p k, or t.size()
+/// if it is not called.  Accepts an explicit template-argument list between
+/// the name and the paren (`norm2_multi<T>(..)`) when every token in it is
+/// type-ish (identifier, number, `::`, `,`, `*`, `&`, nested angles) and it
+/// is short; anything else means the `<` was a comparison.
+std::size_t call_paren(const std::vector<Token>& t, std::size_t k);
 
 }  // namespace femtolint

@@ -12,34 +12,25 @@ bool is_launch_name(const std::string& s) {
          s == "parallel_reduce_n";
 }
 
+bool is_ubiquitous_name(const std::string& s) {
+  static const std::set<std::string> kNames = {
+      "load",        "store",     "exchange",   "fetch_add",
+      "fetch_sub",   "compare_exchange_weak",   "compare_exchange_strong",
+      "reset",       "release",   "get",        "size",
+      "empty",       "clear",     "count",      "begin",
+      "end",         "cbegin",    "cend",       "rbegin",
+      "rend",        "front",     "back",       "data",
+      "find",        "at",        "insert",     "erase",
+      "emplace",     "emplace_back", "emplace_front",
+      "push",        "pop",       "push_back",  "push_front",
+      "pop_back",    "pop_front", "reserve",    "resize",
+      "swap",        "str",       "c_str",      "substr",
+      "append",      "length",    "value",      "has_value",
+      "test_and_set"};
+  return kNames.count(s) != 0;
+}
+
 namespace {
-
-bool is_reduce_name(const std::string& s) {
-  return s == "parallel_reduce" || s == "parallel_reduce2" ||
-         s == "parallel_reduce_n";
-}
-
-// Direct output: stream objects and C stdio writers.  String builders
-// (ostringstream) are not output until something writes them.
-const char* kEmitNames[] = {"ofstream", "fopen",  "freopen", "fprintf",
-                            "vfprintf", "printf", "puts",    "fputs",
-                            "fputc",    "putc",   "fwrite",  "cout",
-                            "cerr",     "clog"};
-
-bool is_emit_name(const std::string& s) {
-  for (const char* n : kEmitNames)
-    if (s == n) return true;
-  return false;
-}
-
-const char* kUnorderedNames[] = {"unordered_map", "unordered_set",
-                                 "unordered_multimap", "unordered_multiset"};
-
-bool is_unordered_name(const std::string& s) {
-  for (const char* n : kUnorderedNames)
-    if (s == n) return true;
-  return false;
-}
 
 bool is_control_kw(const std::string& s) {
   return s == "if" || s == "for" || s == "while" || s == "switch" ||
@@ -47,74 +38,19 @@ bool is_control_kw(const std::string& s) {
          s == "decltype" || s == "static_assert";
 }
 
-// Token index just past a template argument list opening at @p open
-// (which must be '<'); @p n bounds the scan.
-std::size_t skip_angle_list(const std::vector<Token>& t, std::size_t open,
-                            std::size_t n) {
-  int depth = 0;
-  for (std::size_t i = open; i < n; ++i) {
-    if (t[i].kind != Tok::Punct) continue;
-    const std::string& p = t[i].text;
-    if (p == "<")
-      ++depth;
-    else if (p == ">")
-      --depth;
-    else if (p == ">>")
-      depth -= 2;
-    else if (p == "<<")
-      depth += 2;
-    else if (p == ";")
-      return i;  // torn list: bail at statement end
-    if (depth <= 0) return i + 1;
-  }
-  return n;
-}
-
-bool is_future_name(const std::string& s) {
-  return s == "future" || s == "shared_future";
-}
-
-// Names declared with a type matching @p is_type, one alias hop deep.
-// `std::unordered_map<K, V> counts;` records `counts`;
-// `using Cache = std::unordered_map<K, V>;` + `Cache cache_;` records
-// `cache_`; an accessor `const std::unordered_map<K, V>& cache() const`
-// records `cache` (iterating its result is iterating the container).  The
-// same mechanism serves std::future (blocking `.get()` detection).
-std::set<std::string> find_typed_names(const std::vector<Token>& t,
-                                       bool (*is_type)(const std::string&)) {
+// Names declared with a std::future / std::shared_future type:
+// `std::future<T> f;` records `f` (and `const std::future<T>& f`).
+std::set<std::string> find_future_names(const std::vector<Token>& t) {
   const std::size_t n = t.size();
-  std::set<std::string> aliases;
-  for (std::size_t k = 0; k + 2 < n; ++k) {
-    if (!is_ident(t[k], "using") || t[k + 1].kind != Tok::Ident ||
-        !is_punct(t[k + 2], "="))
-      continue;
-    for (std::size_t j = k + 3; j < n && !is_punct(t[j], ";"); ++j)
-      if (t[j].kind == Tok::Ident && is_type(t[j].text)) {
-        aliases.insert(t[k + 1].text);
-        break;
-      }
-  }
   std::set<std::string> names;
   for (std::size_t k = 0; k < n; ++k) {
-    if (t[k].kind != Tok::Ident) continue;
-    if (!is_type(t[k].text) && aliases.count(t[k].text) == 0)
+    if (!is_ident(t[k], "future") && !is_ident(t[k], "shared_future"))
       continue;
     std::size_t j = k + 1;
-    if (j < n && is_punct(t[j], "<")) j = skip_angle_list(t, j, n);
-    // Walk through nested-name, ref/pointer, and cv noise to the
-    // declarator: `>& counts`, `>::iterator it`, `> const* m`.
-    for (;;) {
-      if (j + 1 < n && is_punct(t[j], "::")) {
-        j += 2;
-        continue;
-      }
-      if (j < n && (is_punct(t[j], "&") || is_punct(t[j], "&&") ||
-                    is_punct(t[j], "*") || is_ident(t[j], "const"))) {
-        ++j;
-        continue;
-      }
-      break;
-    }
+    if (j < n && is_punct(t[j], "<")) j = skip_angles(t, j);
+    while (j < n && (is_punct(t[j], "&") || is_punct(t[j], "&&") ||
+                     is_punct(t[j], "*") || is_ident(t[j], "const")))
+      ++j;
     if (j < n && t[j].kind == Tok::Ident) names.insert(t[j].text);
   }
   return names;
@@ -158,72 +94,6 @@ class Extractor {
     return i < n_ && t_[i].kind == Tok::Ident;
   }
 
-  // Matching closer for the (, [ or { at @p open; n_ if unbalanced.
-  std::size_t match(std::size_t open) const {
-    const std::string& o = t_[open].text;
-    const char* c = o == "(" ? ")" : (o == "[" ? "]" : "}");
-    int depth = 0;
-    for (std::size_t i = open; i < n_; ++i) {
-      if (t_[i].kind != Tok::Punct) continue;
-      if (t_[i].text == o) ++depth;
-      if (t_[i].text == c && --depth == 0) return i;
-    }
-    return n_;
-  }
-
-  // Skip a `template <...>` header starting at the 'template' keyword.
-  std::size_t skip_template(std::size_t i) const {
-    ++i;
-    if (!is(i, "<")) return i;
-    int depth = 0;
-    for (; i < n_; ++i) {
-      if (t_[i].kind != Tok::Punct) continue;
-      if (t_[i].text == "<")
-        ++depth;
-      else if (t_[i].text == ">")
-        --depth;
-      else if (t_[i].text == ">>")
-        depth -= 2;
-      else if (t_[i].text == "<<")
-        depth += 2;
-      if (depth <= 0 && t_[i].text.find('>') != std::string::npos)
-        return i + 1;
-    }
-    return n_;
-  }
-
-  // Index of the `(` opening a call of the identifier at @p k, or n_ if
-  // the identifier is not called.  Handles a plain `name(` and, so that
-  // `norm2_multi<T>(..)` counts as a call of norm2_multi, an explicit
-  // template-argument list between the name and the paren.  The list is
-  // only accepted when every token inside is type-ish (identifier,
-  // number, `::`, `,`, `*`, `&`, nested angles) and short -- anything
-  // else means `<` was a comparison, not a template bracket.
-  std::size_t call_open_paren(std::size_t k) const {
-    if (is(k + 1, "(")) return k + 1;
-    if (!is(k + 1, "<")) return n_;
-    int depth = 0;
-    const std::size_t limit = std::min(n_, k + 1 + 32);
-    for (std::size_t i = k + 1; i < limit; ++i) {
-      const Token& tk = t_[i];
-      if (tk.kind == Tok::Ident || tk.kind == Tok::Number) continue;
-      if (tk.kind != Tok::Punct) return n_;
-      if (tk.text == "<") {
-        ++depth;
-      } else if (tk.text == ">") {
-        if (--depth == 0) return is(i + 1, "(") ? i + 1 : n_;
-      } else if (tk.text == ">>") {
-        depth -= 2;
-        if (depth == 0) return is(i + 1, "(") ? i + 1 : n_;
-        if (depth < 0) return n_;
-      } else if (tk.text != "::" && tk.text != "," && tk.text != "*" &&
-                 tk.text != "&") {
-        return n_;
-      }
-    }
-    return n_;
-  }
-
   // Declaration-scope walk over [begin, end); @p cls non-null inside a
   // class body (collects members into it).
   void walk(std::size_t begin, std::size_t end, ClassInfo* cls) {
@@ -237,7 +107,8 @@ class Extractor {
       if (tk.kind == Tok::Ident) {
         const std::string& w = tk.text;
         if (w == "template") {
-          const std::size_t j = skip_template(i);
+          const std::size_t j = is(i + 1, "<") ? skip_angles(t_, i + 1)
+                                               : i + 1;
           for (std::size_t k = i; k < j; ++k) stmt.push_back(k);
           i = j;
           continue;
@@ -246,7 +117,7 @@ class Extractor {
           std::size_t j = i + 1;
           while (j < end && !is(j, "{") && !is(j, ";") && !is(j, "=")) ++j;
           if (j < end && is(j, "{")) {
-            const std::size_t close = match(j);
+            const std::size_t close = match_fwd(t_, j);
             walk(j + 1, close, nullptr);
             i = close + 1;
           } else {
@@ -262,9 +133,8 @@ class Extractor {
           while (j < end && !is(j, "{") && !is(j, ";") && !is(j, "(")) ++j;
           if (j < end && is(j, "{")) {
             ClassInfo ci;
-            ci.line = tk.line;
             if (ident_at(i + 1)) ci.name = t_[i + 1].text;
-            const std::size_t close = match(j);
+            const std::size_t close = match_fwd(t_, j);
             walk(j + 1, close, &ci);
             out_.classes.push_back(std::move(ci));
             i = close + 1;
@@ -277,7 +147,7 @@ class Extractor {
         if (w == "enum") {
           std::size_t j = i + 1;
           while (j < end && !is(j, "{") && !is(j, ";")) ++j;
-          i = (j < end && is(j, "{")) ? match(j) + 1 : j + 1;
+          i = (j < end && is(j, "{")) ? match_fwd(t_, j) + 1 : j + 1;
           stmt.clear();
           continue;
         }
@@ -326,7 +196,7 @@ class Extractor {
         }
       }
       if (tk.kind == Tok::Punct && tk.text == "{") {
-        i = match(i) + 1;  // opaque block (initializer list, asm, ...)
+        i = match_fwd(t_, i) + 1;  // opaque block (initializer list, asm, ...)
         stmt.clear();
         continue;
       }
@@ -347,7 +217,7 @@ class Extractor {
   std::size_t try_function(std::size_t open, std::size_t end,
                            const std::string& name, ClassInfo* cls,
                            std::size_t name_tok) {
-    const std::size_t close = match(open);
+    const std::size_t close = match_fwd(t_, open);
     if (close >= end) return 0;
     std::size_t j = close + 1;
     // Trailing qualifiers: const noexcept(...) override final & &&
@@ -355,7 +225,7 @@ class Extractor {
     while (j < end) {
       if (is(j, "{") || is(j, ";") || is(j, "=") || is(j, ":")) break;
       if (is(j, "(") || is(j, "[")) {
-        j = match(j) + 1;
+        j = match_fwd(t_, j) + 1;
         continue;
       }
       if (is(j, ",") || is(j, ")")) return 0;  // inside an expression
@@ -372,12 +242,12 @@ class Extractor {
       std::size_t k = j + 1;
       while (k < end) {
         if (is(k, "(")) {
-          k = match(k) + 1;
+          k = match_fwd(t_, k) + 1;
           continue;
         }
         if (is(k, "{")) {
           if (k > 0 && ident_at(k - 1)) {
-            k = match(k) + 1;  // brace member-initializer
+            k = match_fwd(t_, k) + 1;  // brace member-initializer
             continue;
           }
           body = k;
@@ -393,9 +263,8 @@ class Extractor {
 
     FunctionInfo fn;
     fn.name = name;
-    fn.line = t_[body].line;
     fn.body_begin = body;
-    fn.body_end = match(body);
+    fn.body_end = match_fwd(t_, body);
     // Qualifier / scope resolution for the class name.
     std::size_t q = name_tok;
     bool dtor = false;
@@ -464,7 +333,7 @@ class Extractor {
         // Which objects' bytes() feed the charge: `X.bytes(` / `X->bytes(`
         // identifiers inside the argument list.
         if (is(k + 3, "(")) {
-          const std::size_t cl = match(k + 3);
+          const std::size_t cl = match_fwd(t_, k + 3);
           for (std::size_t j = k + 4; j + 2 < cl; ++j)
             if (ident_at(j) && (is(j + 1, ".") || is(j + 1, "->")) &&
                 t_[j + 2].text == "bytes")
@@ -476,47 +345,30 @@ class Extractor {
         fn.nondet_ok = true;
         continue;
       }
-      if (w == "FEMTO_BLOCKING_OK") {
-        fn.blocking_ok = true;
-        continue;
-      }
-      if (w == "FEMTO_PROTOCOL_OK") {
-        fn.protocol_ok = true;
-        continue;
-      }
       if ((w == "make_unique" || w == "make_shared") && is(k + 1, "<") &&
           ident_at(k + 2)) {
         // The ctor call hidden behind the factory: make_unique<T>(...)
         // enters T::T, which the name-based graph would otherwise miss.
-        fn.ctor_callees.insert(t_[k + 2].text);
+        fn.callees.insert(t_[k + 2].text);
       }
       scan_nondet(fn, k);
-      if (is_emit_name(w) && !fn.emits) {
-        fn.emits = true;
-        fn.first_emit_line = t_[k].line;
-        fn.first_emit_what = w;
-      }
-      if (w == "for" && is(k + 1, "(")) scan_range_for(fn, k + 1);
-      if (call_open_paren(k) <= fn.body_end) {
+      if (call_paren(t_, k) <= fn.body_end) {
         if (is_launch_name(w)) {
           if (!fn.launches) {
             fn.launches = true;
             fn.first_launch_line = t_[k].line;
             fn.first_launch_name = w;
           }
-          if (is_reduce_name(w)) fn.fp_accumulates = true;
         } else if (!is_control_kw(w)) {
           fn.callees.insert(w);
-          fn.call_sites.push_back({w, t_[k].line, k});
-          if (w == "sum_ordered") fn.fp_accumulates = true;
         }
       }
     }
   }
 
   // Direct nondeterminism sources at token k (an identifier): clock reads,
-  // thread ids, random_device, env reads, pointer hashing.  rand/srand are
-  // left to the dedicated no-std-rand rule.
+  // thread ids, random_device, std::rand / srand, env reads, pointer
+  // hashing.
   void scan_nondet(FunctionInfo& fn, std::size_t k) {
     const std::string& w = t_[k].text;
     const auto add = [&](const std::string& what) {
@@ -542,6 +394,17 @@ class Extractor {
       add("environment read (" + w + ")");
       return;
     }
+    // Global-state RNG: results depend on call order across threads.  A
+    // member `.rand()` or another namespace's `ns::rand` is not libc's.
+    if ((w == "rand" || w == "srand") && is(k + 1, "(")) {
+      const bool qualified = k > 0 && (is(k - 1, "::") || is(k - 1, ".") ||
+                                       is(k - 1, "->"));
+      if (!qualified)
+        add("call to " + w);
+      else if (is(k - 1, "::") && k >= 2 && is_ident(t_[k - 2], "std"))
+        add("call to std::" + w);
+      return;
+    }
     if (w == "hash" && is(k + 1, "<")) {
       // std::hash<T*> hashes an address: run-to-run nondeterministic under
       // ASLR.  Look for a '*' inside the template argument list.
@@ -564,51 +427,6 @@ class Extractor {
         if (depth <= 0) return;
       }
     }
-  }
-
-  // @p open is the '(' after a `for`.  Records a RangeFor when the
-  // parenthesised head contains a depth-1 ':' (range-based for), capturing
-  // the range expression's identifiers and the loop body's direct writes
-  // and callees.
-  void scan_range_for(FunctionInfo& fn, std::size_t open) {
-    const std::size_t close = match(open);
-    if (close >= n_) return;
-    std::size_t colon = n_;
-    int pd = 0;
-    for (std::size_t i = open; i < close; ++i) {
-      if (t_[i].kind != Tok::Punct) continue;
-      if (t_[i].text == ";") return;  // classic for, not range-based
-      if (t_[i].text == "(") ++pd;
-      if (t_[i].text == ")") --pd;
-      if (t_[i].text == ":" && pd == 1 && colon == n_) colon = i;
-    }
-    if (colon >= close) return;
-    RangeFor rf;
-    rf.line = t_[open].line;
-    for (std::size_t i = colon + 1; i < close; ++i)
-      if (t_[i].kind == Tok::Ident) rf.range_idents.insert(t_[i].text);
-    // Loop body: the '{...}' block after ')', or the single statement up
-    // to the next top-level ';'.
-    std::size_t b = close + 1, e = close;
-    if (b < n_ && is(b, "{")) {
-      e = match(b);
-    } else {
-      e = b;
-      while (e < n_ && !is(e, ";")) {
-        if (is(e, "(") || is(e, "[") || is(e, "{")) {
-          e = match(e);
-          if (e >= n_) break;
-        }
-        ++e;
-      }
-    }
-    for (std::size_t i = b; i < e && i < n_; ++i) {
-      if (t_[i].kind != Tok::Ident) continue;
-      if (is_emit_name(t_[i].text)) rf.body_emits = true;
-      if (call_open_paren(i) < e && !is_control_kw(t_[i].text))
-        rf.body_callees.insert(t_[i].text);
-    }
-    fn.range_fors.push_back(std::move(rf));
   }
 
   // -------------------------------------------------------------------------
@@ -646,7 +464,6 @@ class Extractor {
       if (t_[stmt[s]].kind == Tok::Ident &&
           t_[stmt[s]].text == "FEMTO_GUARDED_BY") {
         MemberInfo m;
-        m.needs_guard = true;
         if (s > 0 && t_[stmt[s - 1]].kind == Tok::Ident)
           m.name = t_[stmt[s - 1]].text;
         m.line = t_[stmt[s]].line;
@@ -735,7 +552,6 @@ class Extractor {
     MemberInfo m;
     m.name = name;
     m.line = line;
-    m.needs_guard = true;
     cls.members.push_back(std::move(m));
   }
 };
@@ -745,10 +561,6 @@ class Extractor {
 // ---------------------------------------------------------------------------
 // Source queries.
 // ---------------------------------------------------------------------------
-
-bool Source::is_header() const {
-  return path.size() > 4 && path.compare(path.size() - 4, 4, ".hpp") == 0;
-}
 
 bool Source::in_parallel_engine() const {
   return rel.compare(0, 9, "parallel/") == 0 ||
@@ -799,82 +611,31 @@ Source parse_source(std::string path, const std::string& text) {
   const std::vector<std::string> comps = split_path(s.path);
   for (std::size_t i = comps.size(); i-- > 0;) {
     if (comps[i] == "src" && i + 1 < comps.size()) {
-      std::string rel;
       for (std::size_t k = i + 1; k < comps.size(); ++k) {
-        if (!rel.empty()) rel += '/';
-        rel += comps[k];
+        if (!s.rel.empty()) s.rel += '/';
+        s.rel += comps[k];
       }
-      s.rel = rel;
-      if (comps.size() - i > 2) s.module_dir = comps[i + 1];
       break;
     }
   }
   s.lx = lex(text);
 
-  // Suppressions, module directive.
-  const std::string allow_tag = "femtolint: allow(";
-  const std::string allow_file_tag = "femtolint: allow-file(";
-  const std::string mod_tag = "femtolint-module:";
-  for (const Comment& c : s.lx.comments) {
-    for (std::size_t p = c.text.find(allow_file_tag); p != std::string::npos;
-         p = c.text.find(allow_file_tag, p + 1)) {
-      const std::size_t b = p + allow_file_tag.size();
-      const std::size_t e = c.text.find(')', b);
-      if (e != std::string::npos)
-        s.allow_directives.push_back(
-            {c.line, c.end_line, c.text.substr(b, e - b), /*file_scope=*/true});
+  // Suppressions: `femtolint: allow(<rule>)` / `femtolint: allow-file(...)`.
+  for (const Comment& c : s.lx.comments)
+    for (const bool file_scope : {false, true}) {
+      const std::string tag =
+          file_scope ? "femtolint: allow-file(" : "femtolint: allow(";
+      for (std::size_t p = c.text.find(tag); p != std::string::npos;
+           p = c.text.find(tag, p + 1)) {
+        const std::size_t b = p + tag.size();
+        const std::size_t e = c.text.find(')', b);
+        if (e != std::string::npos)
+          s.allow_directives.push_back(
+              {c.line, c.end_line, c.text.substr(b, e - b), file_scope});
+      }
     }
-    for (std::size_t p = c.text.find(allow_tag); p != std::string::npos;
-         p = c.text.find(allow_tag, p + 1)) {
-      // Don't re-match the tail of "allow-file(".
-      if (p >= 5 && c.text.compare(p, allow_file_tag.size(),
-                                   allow_file_tag) == 0)
-        continue;
-      const std::size_t b = p + allow_tag.size();
-      const std::size_t e = c.text.find(')', b);
-      if (e == std::string::npos) continue;
-      s.allow_directives.push_back({c.line, c.end_line,
-                                    c.text.substr(b, e - b),
-                                    /*file_scope=*/false});
-    }
-    // The module directive must open the comment (prose *mentioning* the
-    // directive, as in this tool's own docs, does not reassign the file).
-    std::size_t mp = 0;
-    while (mp < c.text.size() &&
-           std::isspace(static_cast<unsigned char>(c.text[mp])) != 0)
-      ++mp;
-    if (c.text.compare(mp, mod_tag.size(), mod_tag) == 0) {
-      std::istringstream is(c.text.substr(mp + mod_tag.size()));
-      is >> s.module_override;
-    }
-  }
 
-  // Includes.
-  for (const Token& t : s.lx.tokens) {
-    if (t.kind != Tok::Pp) continue;
-    std::size_t p = t.text.find('#');
-    if (p == std::string::npos) continue;
-    ++p;
-    while (p < t.text.size() &&
-           std::isspace(static_cast<unsigned char>(t.text[p])) != 0)
-      ++p;
-    if (t.text.compare(p, 7, "include") != 0) continue;
-    p += 7;
-    while (p < t.text.size() &&
-           std::isspace(static_cast<unsigned char>(t.text[p])) != 0)
-      ++p;
-    if (p >= t.text.size()) continue;
-    const char open = t.text[p];
-    if (open != '"' && open != '<') continue;
-    const char close = open == '"' ? '"' : '>';
-    const std::size_t e = t.text.find(close, p + 1);
-    if (e == std::string::npos) continue;
-    s.includes.push_back(
-        {t.text.substr(p + 1, e - p - 1), t.line, open == '<'});
-  }
-
-  s.unordered_names = find_typed_names(s.lx.tokens, is_unordered_name);
-  s.future_names = find_typed_names(s.lx.tokens, is_future_name);
+  s.future_names = find_future_names(s.lx.tokens);
   Extractor(s.lx.tokens, s).run();
   return s;
 }
@@ -884,6 +645,41 @@ Source load_source(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return parse_source(path, os.str());
+}
+
+// ---------------------------------------------------------------------------
+// The shared call graph.
+// ---------------------------------------------------------------------------
+
+const std::vector<std::size_t>& CallGraph::named(
+    const std::string& name) const {
+  static const std::vector<std::size_t> kNone;
+  const auto it = by_name.find(name);
+  return it == by_name.end() ? kNone : it->second;
+}
+
+std::string CallGraph::display(std::size_t v) const {
+  const FunctionInfo& fn = *nodes[v].fn;
+  return fn.class_name.empty() ? fn.name : fn.class_name + "::" + fn.name;
+}
+
+void link(Program& prog) {
+  CallGraph& g = prog.graph;
+  g = CallGraph{};
+  for (const Source& s : prog.sources)
+    for (const FunctionInfo& fn : s.functions) {
+      g.by_name[fn.name].push_back(g.nodes.size());
+      g.nodes.push_back({&s, &fn, {}, {}});
+    }
+  for (std::size_t v = 0; v < g.nodes.size(); ++v)
+    for (const std::string& callee : g.nodes[v].fn->callees) {
+      if (is_ubiquitous_name(callee)) continue;
+      for (std::size_t j : g.named(callee)) {
+        if (j == v) continue;
+        g.nodes[v].callees.push_back(j);
+        g.nodes[j].callers.push_back(v);
+      }
+    }
 }
 
 }  // namespace femtolint

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <tuple>
 
 namespace femtolint {
@@ -15,18 +13,6 @@ namespace femtolint {
 namespace {
 
 using Tokens = std::vector<Token>;
-
-std::size_t match_fwd(const Tokens& t, std::size_t open) {
-  const std::string& o = t[open].text;
-  const char* c = o == "(" ? ")" : (o == "[" ? "]" : "}");
-  int depth = 0;
-  for (std::size_t i = open; i < t.size(); ++i) {
-    if (t[i].kind != Tok::Punct) continue;
-    if (t[i].text == o) ++depth;
-    if (t[i].text == c && --depth == 0) return i;
-  }
-  return t.size();
-}
 
 bool is_member_access(const Tokens& t, std::size_t i) {
   // t[i] is an identifier; true when it is written as `x.id` / `p->id` /
@@ -47,23 +33,28 @@ bool is_this_access(const Tokens& t, std::size_t i) {
 // Per-file rules.
 // ---------------------------------------------------------------------------
 
+// True when the token before @p i can end a type (identifier other than a
+// statement keyword, '&', '*', or a closing '>'), so t[i] is a declarator.
+bool type_ish_before(const Tokens& t, std::size_t i) {
+  if (i == 0) return false;
+  const Token& p = t[i - 1];
+  if (p.kind == Tok::Ident)
+    return p.text != "return" && p.text != "else" && p.text != "case" &&
+           p.text != "throw" && p.text != "delete";
+  return p.text == "&" || p.text == "*" || p.text == ">" || p.text == ">>";
+}
+
 // A name looks *declared* within [b, e) when some occurrence is preceded by
-// a type-ish token (identifier, '&', '*', or a closing '>'), or when it is
-// a later declarator in a comma list whose statement head declares
-// (`double sr = 0.0, si = 0.0;` and `Vec<double, W> racc, iacc;` declare
-// si and iacc too).  A comma reached only by leaving a '(' or '[' is an
-// argument separator, not a declarator list, and never counts.
+// a type-ish token, or when it is a later declarator in a comma list whose
+// statement head declares (`double sr = 0.0, si = 0.0;` and
+// `Vec<double, W> racc, iacc;` declare si and iacc too).  A comma reached
+// only by leaving a '(' or '[' is an argument separator, not a declarator
+// list, and never counts.
 bool declared_in(const Tokens& t, std::size_t b, std::size_t e,
                  const std::string& name) {
-  const auto type_ish_before = [&](std::size_t i) {
-    if (i == 0) return false;
-    const Token& p = t[i - 1];
-    return p.kind == Tok::Ident || p.text == "&" || p.text == "*" ||
-           p.text == ">" || p.text == ">>";
-  };
   for (std::size_t i = b; i < e; ++i) {
     if (t[i].kind != Tok::Ident || t[i].text != name || i == 0) continue;
-    if (type_ish_before(i)) return true;
+    if (type_ish_before(t, i)) return true;
     if (!is_punct(t[i - 1], ",")) continue;
     // Walk left to the statement start; bail if we exit a bracket first.
     std::size_t stmt_b = b;
@@ -88,7 +79,7 @@ bool declared_in(const Tokens& t, std::size_t b, std::size_t e,
     }
     if (in_args) continue;
     for (std::size_t m = stmt_b; m < i; ++m)
-      if (t[m].kind == Tok::Ident && type_ish_before(m)) return true;
+      if (t[m].kind == Tok::Ident && type_ish_before(t, m)) return true;
   }
   return false;
 }
@@ -140,78 +131,142 @@ std::optional<LaunchBody> launch_body(const Tokens& t, std::size_t k) {
   return lb;
 }
 
-/// Calls @p report(line, var) for every compound assignment (+= -= *= /=)
-/// in the body of @p lb to a plain identifier that neither the lambda's
-/// parameters nor the body (before that point) declare: a captured scalar.
-/// Subscripted and member targets (acc[0] +=, s.x +=) are per-element.
-template <typename Report>
-void for_each_captured_accum(const Tokens& t, const LaunchBody& lb,
-                             Report&& report) {
-  for (std::size_t p = lb.body_open + 1; p < lb.body_close; ++p) {
-    if (t[p].kind != Tok::Punct) continue;
-    const std::string& op = t[p].text;
-    if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
-    if (t[p - 1].kind != Tok::Ident) continue;
-    const std::size_t id = p - 1;
-    if (is_member_access(t, id)) continue;
-    const std::string& var = t[id].text;
-    if (declared_in(t, lb.params_b, lb.params_e, var)) continue;
-    if (declared_in(t, lb.body_open + 1, p, var)) continue;
-    report(t[p].line, var);
+/// Root identifier of the assignment target that ends just before token
+/// @p p (`sum`, `corr[t]`, `out.data()[i]`, `s.re`), plus the token ranges
+/// of its subscripts.  False when the target is no such chain (`*p`, `(a)`)
+/// or starts before @p b.
+bool target_root(const Tokens& t, std::size_t b, std::size_t p,
+                 std::size_t& root,
+                 std::vector<std::pair<std::size_t, std::size_t>>& subs) {
+  std::size_t j = p;  // one past the token being looked at
+  while (j > b) {
+    const Token& tk = t[j - 1];
+    if (is_punct(tk, "]") || is_punct(tk, ")")) {
+      const std::string open = tk.text == "]" ? "[" : "(";
+      int depth = 0;
+      std::size_t i = j - 1;
+      for (;; --i) {
+        if (t[i].kind == Tok::Punct && t[i].text == tk.text) ++depth;
+        if (t[i].kind == Tok::Punct && t[i].text == open && --depth == 0)
+          break;
+        if (i == b) return false;
+      }
+      if (tk.text == "]") subs.emplace_back(i + 1, j - 1);
+      j = i;
+      continue;
+    }
+    if (tk.kind != Tok::Ident) return false;
+    if (j - 1 > b && is_member_access(t, j - 1)) {
+      j -= 2;
+      continue;
+    }
+    root = j - 1;
+    return true;
   }
+  return false;
+}
+
+/// The declarations in a launch body, by name in token order, each marked
+/// with whether it declares a chunk index: the lambda's parameters (the
+/// index, the chunk's [lo, hi) bounds, the per-chunk slot) do, and so does
+/// every name the body declares as arithmetic on an index in force
+/// (`for (std::size_t k = lo; ...)`, `const auto s = base + i;`).  A value
+/// looked up through a call or a subscript (`geom.coord(site)[3]`) is
+/// data, not an index: many chunks can map to the same one.
+using Decls =
+    std::map<std::string, std::vector<std::pair<std::size_t, bool>>>;
+
+/// True when the declaration of t[i] in force at token i is a chunk index.
+bool chunk_index_at(const Decls& d, const Tokens& t, std::size_t i) {
+  const auto it = d.find(t[i].text);
+  bool chunk = false;
+  if (it != d.end())
+    for (const auto& [at, is_chunk] : it->second)
+      if (at < i) chunk = is_chunk;
+  return chunk;
+}
+
+Decls chunk_decls(const Tokens& t, const LaunchBody& lb) {
+  Decls d;
+  for (std::size_t i = lb.params_b; i < lb.params_e; ++i)
+    if (t[i].kind == Tok::Ident &&
+        (i + 1 == lb.params_e || is_punct(t[i + 1], ",")))
+      d[t[i].text].emplace_back(i, true);
+  for (std::size_t i = lb.body_open + 1; i + 1 < lb.body_close; ++i) {
+    if (t[i].kind != Tok::Ident || !type_ish_before(t, i) ||
+        !is_punct(t[i + 1], "="))
+      continue;
+    // The initializer runs to the declarator's `,` / `;`, or to the
+    // bracket that encloses it.
+    bool chunk = false;
+    std::vector<bool> open;  // per open bracket: a call or a subscript?
+    int lookups = 0;
+    for (std::size_t j = i + 2; j < lb.body_close && !chunk; ++j) {
+      const Token& tk = t[j];
+      if (tk.kind == Tok::Ident) {
+        chunk = lookups == 0 && chunk_index_at(d, t, j);
+        continue;
+      }
+      if (tk.kind != Tok::Punct) continue;
+      if (tk.text == "(" || tk.text == "[" || tk.text == "{") {
+        const bool lookup = tk.text == "[" ||
+                            (tk.text == "(" && t[j - 1].kind == Tok::Ident);
+        open.push_back(lookup);
+        lookups += lookup ? 1 : 0;
+      } else if (tk.text == ")" || tk.text == "]" || tk.text == "}") {
+        if (open.empty()) break;
+        lookups -= open.back() ? 1 : 0;
+        open.pop_back();
+      } else if (open.empty() && (tk.text == ";" || tk.text == ",")) {
+        break;
+      }
+    }
+    d[t[i].text].emplace_back(i, chunk);
+  }
+  return d;
 }
 
 void rule_race_shared_accum(const Source& s, std::vector<Finding>& out) {
+  // Every launch body runs once per chunk, on whichever pool thread claims
+  // it.  A compound assignment into state the body did not declare is
+  // safe only when the body's own chunk loop indexes it, so that chunks
+  // touch disjoint elements.  Anything else races; and under a lock it
+  // still combines in lock-acquire order, so the sum's bits depend on
+  // scheduling (the pre-fix contract() gave four C2 digests at 1, 2, 3
+  // and 7 threads).  Partials must flow through parallel_reduce*, which
+  // combines chunks in a fixed order.
   if (s.in_parallel_engine()) return;
   const Tokens& t = s.lx.tokens;
-
   for (std::size_t k = 0; k < t.size(); ++k) {
-    if (t[k].kind != Tok::Ident) continue;
-    const std::string& name = t[k].text;
-    if (name != "parallel_for" && name != "parallel_for_chunked") continue;
+    if (t[k].kind != Tok::Ident || !is_launch_name(t[k].text)) continue;
     const std::optional<LaunchBody> lb = launch_body(t, k);
     if (!lb) continue;
-    for_each_captured_accum(t, *lb, [&](int line, const std::string& var) {
-      if (s.suppressed("race-shared-accum", line)) return;
+    const Decls decls = chunk_decls(t, *lb);
+    for (std::size_t p = lb->body_open + 1; p < lb->body_close; ++p) {
+      if (t[p].kind != Tok::Punct) continue;
+      const std::string& op = t[p].text;
+      if (op != "+=" && op != "-=" && op != "*=" && op != "/=") continue;
+      std::size_t root = 0;
+      std::vector<std::pair<std::size_t, std::size_t>> subs;
+      if (!target_root(t, lb->body_open + 1, p, root, subs)) continue;
+      const std::string& var = t[root].text;
+      if (declared_in(t, lb->params_b, lb->params_e, var)) continue;
+      if (declared_in(t, lb->body_open + 1, root, var)) continue;
+      bool indexed = false;
+      for (const auto& [sb, se] : subs)
+        for (std::size_t i = sb; i < se && !indexed; ++i)
+          indexed = t[i].kind == Tok::Ident && chunk_index_at(decls, t, i);
+      if (indexed) continue;
+      const int line = t[p].line;
+      if (s.suppressed("race-shared-accum", line)) continue;
       out.push_back(
           {s.path, line, "race-shared-accum",
-           "accumulation into captured scalar '" + var + "' inside a " +
-               name +
-               " body: a data race, and non-deterministic even if atomic; "
-               "use parallel_reduce / parallel_reduce_n"});
-    });
-  }
-}
-
-void rule_fp_accum_discipline(const Source& s, std::vector<Finding>& out) {
-  // The reduce family's chunk bodies accumulate floating point.  The only
-  // discipline that keeps results bitwise reproducible is: accumulate into
-  // the per-chunk slot (or a body-local), and let the pool combine chunks
-  // in its fixed order.  A compound assignment to a CAPTURED scalar inside
-  // a reduce body bypasses that order entirely -- it is the same defect
-  // race-shared-accum catches in parallel_for bodies, hidden inside the
-  // primitive that was supposed to prevent it.
-  if (s.in_parallel_engine()) return;
-  const Tokens& t = s.lx.tokens;
-
-  for (std::size_t k = 0; k < t.size(); ++k) {
-    if (t[k].kind != Tok::Ident) continue;
-    const std::string& name = t[k].text;
-    if (name != "parallel_reduce" && name != "parallel_reduce2" &&
-        name != "parallel_reduce_n")
-      continue;
-    const std::optional<LaunchBody> lb = launch_body(t, k);
-    if (!lb) continue;
-    for_each_captured_accum(t, *lb, [&](int line, const std::string& var) {
-      if (s.suppressed("fp-accumulation-discipline", line)) return;
-      out.push_back(
-          {s.path, line, "fp-accumulation-discipline",
-           "accumulation into captured scalar '" + var + "' inside a " +
-               name +
-               " body: partials must flow through the per-chunk accumulator "
-               "slot (or simd::sum_ordered) so the fixed chunk-order "
-               "combination keeps the sum bitwise reproducible"});
-    });
+           "'" + op + "' into captured '" + var + "' inside a " + t[k].text +
+               " body, not indexed by the chunk's own loop: chunks race "
+               "on it, and even under a lock they combine in arrival "
+               "order, so the bits depend on scheduling; return per-chunk "
+               "partials through parallel_reduce / parallel_reduce_n"});
+    }
   }
 }
 
@@ -301,112 +356,12 @@ void rule_thread_local_in_parallel(const Source& s,
   }
 }
 
-void rule_no_std_rand(const Source& s, std::vector<Finding>& out) {
-  const Tokens& t = s.lx.tokens;
-  const auto report = [&](int line, const std::string& what) {
-    if (s.suppressed("no-std-rand", line)) return;
-    out.push_back({s.path, line, "no-std-rand",
-                   what + ": kernels must use the counter-based Xoshiro256 "
-                          "(reproducible per global site, thread-count "
-                          "independent)"});
-  };
-  for (std::size_t k = 0; k < t.size(); ++k) {
-    if (t[k].kind != Tok::Ident) continue;
-    if (t[k].text == "srand" && k + 1 < t.size() && is_punct(t[k + 1], "(")) {
-      report(t[k].line, "call to srand");
-      continue;
-    }
-    if (t[k].text != "rand") continue;
-    if (k > 0 && is_punct(t[k - 1], "::")) {
-      if (k >= 2 && is_ident(t[k - 2], "std"))
-        report(t[k].line, "call to std::rand");
-      continue;
-    }
-    if (k > 0 && (is_punct(t[k - 1], ".") || is_punct(t[k - 1], "->")))
-      continue;
-    if (k + 1 < t.size() && is_punct(t[k + 1], "("))
-      report(t[k].line, "call to rand");
-  }
-}
-
-void rule_no_naked_new(const Source& s, std::vector<Finding>& out) {
-  const Tokens& t = s.lx.tokens;
-  for (std::size_t k = 0; k < t.size(); ++k) {
-    if (t[k].kind != Tok::Ident) continue;
-    const std::string& w = t[k].text;
-    if (w != "new" && w != "delete") continue;
-    if (k > 0 && is_ident(t[k - 1], "operator")) continue;
-    // `Foo(const Foo&) = delete;` deletes a function, not memory.
-    if (w == "delete" && k > 0 && is_punct(t[k - 1], "=")) continue;
-    if (k > 0 && is_punct(t[k - 1], "<")) continue;  // template argument
-    const int line = t[k].line;
-    if (s.suppressed("no-naked-new", line)) continue;
-    out.push_back({s.path, line, "no-naked-new",
-                   "naked `" + w +
-                       "` in kernel code: ownership belongs in "
-                       "std::vector / smart pointers (ASan-clean by "
-                       "construction)"});
-  }
-}
-
-void rule_pragma_once(const Source& s, std::vector<Finding>& out) {
-  if (!s.is_header()) return;
-  const Tokens& t = s.lx.tokens;
-  if (!t.empty() && t[0].kind == Tok::Pp) {
-    // Normalise internal whitespace before comparing.
-    std::istringstream is(t[0].text.substr(t[0].text.find('#') + 1));
-    std::string a, b;
-    is >> a >> b;
-    if (a == "pragma" && b == "once") return;
-  }
-  const int line = t.empty() ? 1 : t[0].line;
-  if (s.suppressed("pragma-once", line)) return;
-  out.push_back(
-      {s.path, line, "pragma-once", "header must start with #pragma once"});
-}
-
-void rule_header_hygiene(const Source& s, std::vector<Finding>& out) {
-  if (!s.is_header()) return;
-  const Tokens& t = s.lx.tokens;
-  bool has_femto = false;
-  for (std::size_t k = 0; k + 1 < t.size(); ++k) {
-    if (is_ident(t[k], "using") && is_ident(t[k + 1], "namespace")) {
-      const int line = t[k].line;
-      if (!s.suppressed("header-hygiene", line))
-        out.push_back({s.path, line, "header-hygiene",
-                       "`using namespace` in a header leaks into every "
-                       "includer"});
-    }
-    if (is_ident(t[k], "namespace") && t[k + 1].kind == Tok::Ident &&
-        t[k + 1].text.compare(0, 5, "femto") == 0)
-      has_femto = true;
-  }
-  if (!has_femto && !s.suppressed("header-hygiene", 1))
-    out.push_back({s.path, 1, "header-hygiene",
-                   "header declares nothing inside `namespace femto`"});
-}
-
-void rule_cast(const Source& s, std::vector<Finding>& out) {
-  for (const Token& tk : s.lx.tokens) {
-    if (tk.kind != Tok::Ident) continue;
-    if (tk.text != "reinterpret_cast" && tk.text != "const_cast") continue;
-    if (s.suppressed("cast", tk.line)) continue;
-    out.push_back({s.path, tk.line, "cast",
-                   tk.text +
-                       " requires an explicit `// femtolint: allow(cast): "
-                       "why it is safe` suppression (aliasing / constness "
-                       "audit trail)"});
-  }
-}
-
 void rule_raw_intrinsics(const Source& s, std::vector<Finding>& out) {
   // Vendor SIMD belongs in src/simd/ behind the Vec<T, W> interface: the
   // module that may legitimately specialize per ISA.  Everywhere else,
   // kernels must stay width-agnostic so a new target is a new backend in
   // one directory, not a tree-wide audit.
-  const std::string m =
-      !s.module_override.empty() ? s.module_override : s.module_dir;
-  if (m == "simd") return;
+  if (s.rel.compare(0, 5, "simd/") == 0) return;
   const auto report = [&](int line, const std::string& what) {
     if (s.suppressed("raw-intrinsics", line)) return;
     out.push_back({s.path, line, "raw-intrinsics",
@@ -419,10 +374,11 @@ void rule_raw_intrinsics(const Source& s, std::vector<Finding>& out) {
       "pmmintrin.h", "smmintrin.h", "tmmintrin.h", "nmmintrin.h",
       "ammintrin.h", "wmmintrin.h", "arm_neon.h",  "arm_sve.h",
   };
-  for (const IncludeEdge& inc : s.includes)
-    for (const char* h : kVendorHeaders)
-      if (inc.path == h)
-        report(inc.line, "#include <" + inc.path + ">");
+  for (const Token& tk : s.lx.tokens)
+    if (tk.kind == Tok::Pp && tk.text.find("include") != std::string::npos)
+      for (const char* h : kVendorHeaders)
+        if (tk.text.find(std::string("<") + h + ">") != std::string::npos)
+          report(tk.line, std::string("#include <") + h + ">");
   const auto starts_with = [](const std::string& w, const char* p) {
     return w.compare(0, std::strlen(p), p) == 0;
   };
@@ -450,38 +406,19 @@ void rule_raw_intrinsics(const Source& s, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 
 void pass_kernel_traffic(const Program& prog, std::vector<Finding>& out) {
-  struct Node {
-    const Source* src = nullptr;
-    const FunctionInfo* fn = nullptr;
-    std::set<std::size_t> callers;
-  };
-  std::vector<Node> nodes;
-  std::map<std::string, std::vector<std::size_t>> by_name;
-  for (const Source& s : prog.sources)
-    for (const FunctionInfo& fn : s.functions) {
-      by_name[fn.name].push_back(nodes.size());
-      nodes.push_back({&s, &fn, {}});
-    }
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (const std::string& callee : nodes[i].fn->callees) {
-      auto it = by_name.find(callee);
-      if (it == by_name.end()) continue;
-      for (std::size_t j : it->second)
-        if (j != i) nodes[j].callers.insert(i);
-    }
-
+  const CallGraph& g = prog.graph;
   // A launcher is *covered* when every call chain from a call-graph root
   // down to it passes through a function that charges flops::add_bytes.
   // uncovered(v): v is a root itself, or some caller chain reaches a root
   // without ever charging.
   std::set<std::size_t> stack;
   std::function<bool(std::size_t)> uncovered = [&](std::size_t v) {
-    if (nodes[v].callers.empty()) return true;
+    if (g.nodes[v].callers.empty()) return true;
     stack.insert(v);
     bool result = false;
-    for (std::size_t c : nodes[v].callers) {
+    for (std::size_t c : g.nodes[v].callers) {
       if (stack.count(c) != 0) continue;  // recursion cycle: no new root
-      if (nodes[c].fn->charges) continue;
+      if (g.nodes[c].fn->charges) continue;
       if (uncovered(c)) {
         result = true;
         break;
@@ -491,11 +428,11 @@ void pass_kernel_traffic(const Program& prog, std::vector<Finding>& out) {
     return result;
   };
 
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const Node& n = nodes[i];
+  for (std::size_t v = 0; v < g.nodes.size(); ++v) {
+    const CallGraph::Node& n = g.nodes[v];
     if (!n.fn->launches || n.fn->charges) continue;
     if (n.src->in_parallel_engine()) continue;  // the execution engine
-    if (!uncovered(i)) continue;
+    if (!uncovered(v)) continue;
     const int line = n.fn->first_launch_line;
     if (n.src->suppressed("kernel-traffic", line)) continue;
     out.push_back({n.src->path, line, "kernel-traffic",
@@ -545,7 +482,7 @@ void pass_lock_discipline(const Program& prog, std::vector<Finding>& out) {
     for (const ClassInfo& c : s.classes) {
       if (c.mutexes.empty()) continue;
       for (const MemberInfo& m : c.members) {
-        if (!m.needs_guard || !m.guard.empty()) continue;
+        if (!m.guard.empty()) continue;
         if (s.suppressed("mutex-annotate", m.line)) continue;
         out.push_back(
             {s.path, m.line, "mutex-annotate",
@@ -615,441 +552,97 @@ void pass_lock_discipline(const Program& prog, std::vector<Finding>& out) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Whole-program pass: architecture layering.
-// ---------------------------------------------------------------------------
-
-bool find_dag_cycle(const LayerSpec& spec, std::string& cycle) {
-  // Colours: 0 white, 1 grey, 2 black.
-  std::map<std::string, int> colour;
-  std::vector<std::string> path;
-  std::function<bool(const std::string&)> dfs = [&](const std::string& m) {
-    colour[m] = 1;
-    path.push_back(m);
-    auto it = spec.allowed.find(m);
-    if (it != spec.allowed.end())
-      for (const std::string& d : it->second) {
-        if (colour[d] == 1) {
-          cycle.clear();
-          for (const std::string& p : path) cycle += p + " -> ";
-          cycle += d;
-          return true;
-        }
-        if (colour[d] == 0 && dfs(d)) return true;
-      }
-    colour[m] = 2;
-    path.pop_back();
-    return false;
-  };
-  for (const std::string& m : spec.modules)
-    if (colour[m] == 0 && dfs(m)) return true;
-  return false;
-}
-
-void pass_layering(const Program& prog, const LayerSpec& spec,
-                   std::vector<Finding>& out) {
-  if (!spec.loaded) return;
-  std::string cycle;
-  if (find_dag_cycle(spec, cycle)) {
-    out.push_back({spec.path, 1, "layering",
-                   "declared module graph has a cycle: " + cycle});
-    return;  // edge conformance against a cyclic spec is meaningless
-  }
-  for (const Source& s : prog.sources) {
-    const std::string m = module_of(s, spec);
-    if (m.empty()) continue;
-    if (spec.modules.count(m) == 0) {
-      if (!s.suppressed("layering", 1))
-        out.push_back({s.path, 1, "layering",
-                       "module '" + m + "' is not declared in " + spec.path});
-      continue;
-    }
-    const auto ait = spec.allowed.find(m);
-    for (const IncludeEdge& inc : s.includes) {
-      if (inc.system) continue;
-      std::string target;
-      auto fit = spec.file_overrides.find(inc.path);
-      if (fit != spec.file_overrides.end()) {
-        target = fit->second;
-      } else {
-        const std::size_t slash = inc.path.find('/');
-        if (slash == std::string::npos) continue;  // sibling include
-        target = inc.path.substr(0, slash);
-        if (spec.modules.count(target) == 0) continue;  // not a module path
-      }
-      if (target == m) continue;
-      if (ait != spec.allowed.end() && ait->second.count(target) != 0)
-        continue;
-      if (s.suppressed("layering", inc.line)) continue;
-      out.push_back({s.path, inc.line, "layering",
-                     "#include \"" + inc.path + "\" crosses modules " + m +
-                         " -> " + target + ", which is not an allowed edge "
-                         "in " + spec.path});
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Public entry points.
 // ---------------------------------------------------------------------------
 
-bool load_layers(const std::string& path, LayerSpec& spec, std::string& err) {
-  std::ifstream in(path);
-  if (!in) {
-    err = "cannot open " + path;
-    return false;
-  }
-  spec = LayerSpec{};
-  spec.path = path;
-  std::string line;
-  int ln = 0;
-  while (std::getline(in, line)) {
-    ++ln;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    for (char& c : line)
-      if (c == ':') c = ' ';
-    std::istringstream is(line);
-    std::string kw;
-    if (!(is >> kw)) continue;
-    if (kw == "module") {
-      std::string name;
-      if (!(is >> name)) {
-        err = path + ":" + std::to_string(ln) + ": module needs a name";
-        return false;
-      }
-      spec.modules.insert(name);
-      std::string dep;
-      while (is >> dep) spec.allowed[name].insert(dep);
-    } else if (kw == "file") {
-      std::string p, mod;
-      if (!(is >> p >> mod)) {
-        err = path + ":" + std::to_string(ln) +
-              ": file needs <path> <module>";
-        return false;
-      }
-      spec.file_overrides[p] = mod;
-    } else {
-      err = path + ":" + std::to_string(ln) + ": unknown directive '" + kw +
-            "' (expected module/file)";
-      return false;
-    }
-  }
-  for (const auto& [m, deps] : spec.allowed)
-    for (const std::string& d : deps)
-      if (spec.modules.count(d) == 0) {
-        err = path + ": module '" + m + "' allows undeclared module '" + d +
-              "'";
-        return false;
-      }
-  for (const auto& [p, m] : spec.file_overrides)
-    if (spec.modules.count(m) == 0) {
-      err = path + ": file override '" + p + "' names undeclared module '" +
-            m + "'";
-      return false;
-    }
-  spec.loaded = true;
-  return true;
-}
-
-bool load_trace_categories(const std::string& path, TraceCategorySpec& spec,
-                           std::string& err) {
-  std::ifstream in(path);
-  if (!in) {
-    err = "cannot open " + path;
-    return false;
-  }
-  spec = TraceCategorySpec{};
-  spec.path = path;
-  std::string line;
-  int ln = 0;
-  while (std::getline(in, line)) {
-    ++ln;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream is(line);
-    std::string kw;
-    if (!(is >> kw)) continue;
-    if (kw != "category") {
-      err = path + ":" + std::to_string(ln) + ": unknown directive '" + kw +
-            "' (expected category)";
-      return false;
-    }
-    std::string name;
-    if (!(is >> name)) {
-      err = path + ":" + std::to_string(ln) + ": category needs a name";
-      return false;
-    }
-    spec.categories.insert(name);
-  }
-  if (spec.categories.empty()) {
-    err = path + ": declares no categories";
-    return false;
-  }
-  spec.loaded = true;
-  return true;
-}
-
-namespace {
-
-// Callables whose FIRST string argument is a femtoscope category.
-const char* const kCategoryCallees[] = {"FEMTO_TRACE_SCOPE",
-                                        "trace_flow_out", "trace_flow_in"};
-
-}  // namespace
-
-void run_trace_category_rule(const Program& prog,
-                             const TraceCategorySpec& spec,
-                             std::vector<Finding>& out) {
-  if (!spec.loaded) return;
-  for (const Source& s : prog.sources) {
-    const auto& toks = s.lx.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (t.kind != Tok::Ident) continue;
-      bool callee = false;
-      for (const char* name : kCategoryCallees)
-        if (t.text == name) callee = true;
-      if (!callee || !is_punct(toks[i + 1], "(")) continue;
-      // The macro/function *definition* sites live behind Pp tokens or in
-      // obs itself; a parameter forward like trace_flow_out(category, ...)
-      // is skipped -- the rule wants literal call sites.
-      const Token& arg = toks[i + 2];
-      const int line = arg.line;
-      if (arg.kind != Tok::Str) {
-        if (arg.kind == Tok::Ident && i + 3 < toks.size() &&
-            !is_punct(toks[i + 3], ")") && !is_punct(toks[i + 3], ","))
-          continue;  // declaration or expression, not a forwarded identifier
-        if (s.suppressed("trace-category", line)) continue;
-        out.push_back(
-            {s.path, line, "trace-category",
-             "the category argument of '" + t.text +
-                 "' must be a string literal from " + spec.path +
-                 " (got a non-literal; literals are what the taxonomy, "
-                 "the Chrome export and the flamegraphs key on)"});
-        continue;
-      }
-      // Strip the surrounding quotes the lexer keeps.
-      std::string cat = arg.text;
-      if (cat.size() >= 2 && cat.front() == '"' && cat.back() == '"')
-        cat = cat.substr(1, cat.size() - 2);
-      if (spec.categories.count(cat) != 0) continue;
-      if (s.suppressed("trace-category", line)) continue;
-      out.push_back(
-          {s.path, line, "trace-category",
-           "span category \"" + cat + "\" is not declared in " + spec.path +
-               " -- add it there (design review for the span namespace) or "
-               "use an existing category"});
-    }
-  }
-}
-
-std::string module_of(const Source& s, const LayerSpec& spec) {
-  if (!s.module_override.empty()) return s.module_override;
-  if (!s.rel.empty()) {
-    auto it = spec.file_overrides.find(s.rel);
-    if (it != spec.file_overrides.end()) return it->second;
-  }
-  return s.module_dir;
-}
-
 void run_file_rules(const Source& s, std::vector<Finding>& out) {
   rule_race_shared_accum(s, out);
-  rule_fp_accum_discipline(s, out);
   rule_thread_local_in_parallel(s, out);
-  rule_no_std_rand(s, out);
-  rule_no_naked_new(s, out);
-  rule_pragma_once(s, out);
-  rule_header_hygiene(s, out);
-  rule_cast(s, out);
   rule_raw_intrinsics(s, out);
 }
 
-void run_program_rules(const Program& prog, const LayerSpec& spec,
-                       std::vector<Finding>& out) {
+void run_program_rules(const Program& prog, std::vector<Finding>& out) {
   pass_kernel_traffic(prog, out);
   pass_lock_discipline(prog, out);
-  pass_layering(prog, spec, out);
 }
 
 // ---------------------------------------------------------------------------
-// Whole-program pass: effect inference + determinism rules.
+// Whole-program pass: nondet-in-kernel.
 // ---------------------------------------------------------------------------
 
 void run_effect_rules(const Program& prog, std::vector<Finding>& out,
                       EffectStats* stats) {
-  struct Node {
-    const Source* src = nullptr;
-    const FunctionInfo* fn = nullptr;
-    std::set<std::size_t> callers;
-  };
+  const CallGraph& g = prog.graph;
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<Node> nodes;
-  std::map<std::string, std::vector<std::size_t>> by_name;
-  for (const Source& s : prog.sources)
-    for (const FunctionInfo& fn : s.functions) {
-      by_name[fn.name].push_back(nodes.size());
-      nodes.push_back({&s, &fn, {}});
+  const std::size_t n = g.nodes.size();
+
+  // launch[v]: a function that launches, reached from v through its
+  // callees (v itself first), or kNone.  Memoized DFS; a recursion cycle
+  // (state 1, on the stack) adds no new witness.
+  std::vector<std::size_t> launch(n, kNone);
+  std::vector<char> state(n, 0);
+  std::function<std::size_t(std::size_t)> visit = [&](std::size_t v) {
+    if (state[v] != 0) return launch[v];
+    state[v] = 1;
+    std::size_t w = g.nodes[v].fn->launches ? v : kNone;
+    for (std::size_t j : g.nodes[v].callees) {
+      if (w != kNone) break;
+      w = visit(j);
     }
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    for (const std::string& callee : nodes[i].fn->callees) {
-      auto it = by_name.find(callee);
-      if (it == by_name.end()) continue;
-      for (std::size_t j : it->second)
-        if (j != i) nodes[j].callers.insert(i);
-    }
+    state[v] = 2;
+    return launch[v] = w;
+  };
+  for (std::size_t v = 0; v < n; ++v) visit(v);
 
-  // Downward fixed point with cycle truncation: memo[v] is the index of a
-  // witness function holding the effect reachable from v through callees
-  // (v itself included), or kNone.  State 1 = on the DFS stack.
-  struct Memo {
-    std::vector<std::size_t> witness;
-    std::vector<char> state;  // 0 unset, 1 computing, 2 done
-  };
-  const auto make_memo = [&] {
-    Memo m;
-    m.witness.assign(nodes.size(), kNone);
-    m.state.assign(nodes.size(), 0);
-    return m;
-  };
-  // Transitive witness of @p direct through the callee graph.
-  std::function<std::size_t(Memo&, const std::function<bool(std::size_t)>&,
-                            std::size_t)>
-      reach_down = [&](Memo& m, const std::function<bool(std::size_t)>& direct,
-                       std::size_t v) -> std::size_t {
-    if (m.state[v] == 2) return m.witness[v];
-    if (m.state[v] == 1) return kNone;  // recursion cycle: no new holder
-    m.state[v] = 1;
-    std::size_t w = direct(v) ? v : kNone;
-    if (w == kNone)
-      for (const std::string& callee : nodes[v].fn->callees) {
-        auto it = by_name.find(callee);
-        if (it == by_name.end()) continue;
-        for (std::size_t j : it->second) {
-          if (j == v) continue;
-          w = reach_down(m, direct, j);
-          if (w != kNone) break;
-        }
-        if (w != kNone) break;
+  // A function is in kernel context when it launches, or some transitive
+  // caller does: its work then shares a dynamic extent with kernel
+  // launches, so an unblessed nondeterminism source in it is one
+  // helper-inline away from steering numerics.  context[v] names the
+  // launcher.
+  std::vector<std::size_t> context = launch;
+  std::vector<std::size_t> todo;
+  for (std::size_t v = 0; v < n; ++v)
+    if (launch[v] != kNone) todo.push_back(v);
+  while (!todo.empty()) {
+    const std::size_t u = todo.back();
+    todo.pop_back();
+    for (std::size_t j : g.nodes[u].callees)
+      if (context[j] == kNone) {
+        context[j] = context[u];
+        todo.push_back(j);
       }
-    m.state[v] = 2;
-    m.witness[v] = w;
-    return w;
-  };
+  }
 
-  Memo launch_memo = make_memo();
-  const std::function<bool(std::size_t)> launches_direct =
-      [&](std::size_t v) { return nodes[v].fn->launches; };
-  const auto launch_witness = [&](std::size_t v) {
-    return reach_down(launch_memo, launches_direct, v);
-  };
-
-  Memo emit_memo = make_memo();
-  const std::function<bool(std::size_t)> emits_direct = [&](std::size_t v) {
-    return nodes[v].fn->emits;
-  };
-  const auto emit_witness = [&](std::size_t v) {
-    return reach_down(emit_memo, emits_direct, v);
-  };
-
-  // nondet-in-kernel.  A function is "in kernel context" when it launches
-  // (transitively), or some transitive CALLER does: its work then shares a
-  // dynamic extent with kernel launches, so any unblessed nondeterminism
-  // source in it is one helper-inline away from steering numerics.
-  Memo ctx_memo = make_memo();
-  std::function<std::size_t(std::size_t)> kernel_context =
-      [&](std::size_t v) -> std::size_t {
-    if (ctx_memo.state[v] == 2) return ctx_memo.witness[v];
-    if (ctx_memo.state[v] == 1) return kNone;
-    ctx_memo.state[v] = 1;
-    std::size_t w = launch_witness(v);
-    if (w == kNone)
-      for (std::size_t c : nodes[v].callers) {
-        w = kernel_context(c);
-        if (w != kNone) break;
-      }
-    ctx_memo.state[v] = 2;
-    ctx_memo.witness[v] = w;
-    return w;
-  };
-
-  for (std::size_t v = 0; v < nodes.size(); ++v) {
-    const Node& n = nodes[v];
-    if (n.fn->nondet_sources.empty() || n.fn->nondet_ok) continue;
-    if (n.src->in_parallel_engine()) continue;  // the execution engine
-    const std::size_t w = kernel_context(v);
+  for (std::size_t v = 0; v < n; ++v) {
+    const CallGraph::Node& nd = g.nodes[v];
+    if (nd.fn->nondet_sources.empty() || nd.fn->nondet_ok) continue;
+    if (nd.src->in_parallel_engine()) continue;  // the execution engine
+    const std::size_t w = context[v];
     if (w == kNone) continue;
-    for (const NondetUse& u : n.fn->nondet_sources) {
-      if (n.src->suppressed("nondet-in-kernel", u.line)) continue;
+    for (const NondetUse& u : nd.fn->nondet_sources) {
+      if (nd.src->suppressed("nondet-in-kernel", u.line)) continue;
       out.push_back(
-          {n.src->path, u.line, "nondet-in-kernel",
-           "nondeterminism source " + u.what + " in '" + n.fn->name +
+          {nd.src->path, u.line, "nondet-in-kernel",
+           "nondeterminism source " + u.what + " in '" + nd.fn->name +
                "' sits on a kernel call chain (context: '" +
-               nodes[w].fn->name + "' launches " +
-               nodes[w].fn->first_launch_name +
-               "); time through obs::Stopwatch, hoist the read out of the "
+               g.nodes[w].fn->name + "' launches " +
+               g.nodes[w].fn->first_launch_name +
+               "); time through obs::Stopwatch, use the counter-based "
+               "Xoshiro256 for randomness, hoist the read out of the "
                "kernel path, or bless the function with "
                "FEMTO_NONDET_OK(reason) if the value can never reach "
                "numerics"});
     }
   }
 
-  // unordered-iteration-emit: a range-for over an unordered container
-  // whose loop body writes output (directly, or through a transitively
-  // emitting callee) serializes hash order -- different run to run.
-  std::set<std::string> unordered;
-  for (const Source& s : prog.sources)
-    unordered.insert(s.unordered_names.begin(), s.unordered_names.end());
-  if (!unordered.empty()) {
-    for (std::size_t v = 0; v < nodes.size(); ++v) {
-      const Node& n = nodes[v];
-      for (const RangeFor& rf : n.fn->range_fors) {
-        std::string container;
-        for (const std::string& id : rf.range_idents)
-          if (unordered.count(id) != 0) {
-            container = id;
-            break;
-          }
-        if (container.empty()) continue;
-        std::string sink;
-        if (rf.body_emits) {
-          sink = "writes a stream in the loop body";
-        } else {
-          for (const std::string& c : rf.body_callees) {
-            auto it = by_name.find(c);
-            if (it == by_name.end()) continue;
-            for (std::size_t j : it->second)
-              if (emit_witness(j) != kNone) {
-                sink = "calls '" + c + "', which writes output";
-                break;
-              }
-            if (!sink.empty()) break;
-          }
-        }
-        if (sink.empty()) continue;
-        if (n.src->suppressed("unordered-iteration-emit", rf.line)) continue;
-        out.push_back(
-            {n.src->path, rf.line, "unordered-iteration-emit",
-             "range-for over unordered container '" + container +
-                 "' feeds output (" + sink +
-                 "): hash order varies run to run, so the emitted "
-                 "report/metrics/cache bytes would too; materialize a "
-                 "sorted view (std::map, or collect and sort keys) before "
-                 "writing"});
-      }
-    }
-  }
-
   if (stats != nullptr) {
-    stats->functions = nodes.size();
-    stats->unordered_names = unordered.size();
-    for (std::size_t v = 0; v < nodes.size(); ++v) {
-      if (launch_witness(v) != kNone) ++stats->launching;
-      if (!nodes[v].fn->nondet_sources.empty()) ++stats->nondet_sources;
-      if (emit_witness(v) != kNone) ++stats->emitting;
-      if (nodes[v].fn->fp_accumulates) ++stats->fp_accumulating;
+    stats->functions = n;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (launch[v] != kNone) ++stats->launching;
+      if (!g.nodes[v].fn->nondet_sources.empty()) ++stats->nondet_sources;
     }
   }
 }

@@ -52,8 +52,8 @@ class BlasTunable : public Tunable {
   SpinorField<T> x_save_, y_save_;
 };
 
-/// Convenience used by DwfSolver::autotune(): tunes the CG hot-path fused
-/// kernels (triple_cg_update, axpy_zpbx, axpy_norm2) for this shape and
+/// Convenience used by DwfSolver::autotune_multi(): tunes the CG hot-path
+/// fused kernels (triple_cg_update, axpy_zpbx, axpy_norm2) for this shape and
 /// returns the winning grain of axpy_norm2 — the kernel every solver path
 /// shares — for SolverParams::blas_grain.
 template <typename T>

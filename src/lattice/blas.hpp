@@ -113,14 +113,16 @@ inline double redot_chunk(const T* xd, const T* yd, std::size_t lo,
   return s;
 }
 
-/// y += a*x over [lo, hi).
+/// y += a*x over [lo, hi).  The W-steps end at the last W-multiple of the
+/// range, so for a fixed range that is a multiple of W (the half
+/// round-trips' 24-real blocks) the compiler sees the scalar tail is empty.
 template <int W, typename T>
 inline void axpy_chunk(T aa, const T* xd, T* yd, std::size_t lo,
                        std::size_t hi) {
   std::size_t k = lo;
   if constexpr (W > 1) {
     const simd::Vec<T, W> av(aa);
-    for (; k + W <= hi; k += W) {
+    for (const std::size_t vend = hi - (hi - lo) % W; k < vend; k += W) {
       auto y = simd::Vec<T, W>::load(yd + k);
       y += av * simd::Vec<T, W>::load(xd + k);
       y.store(yd + k);
@@ -129,14 +131,14 @@ inline void axpy_chunk(T aa, const T* xd, T* yd, std::size_t lo,
   for (; k < hi; ++k) yd[k] += aa * xd[k];
 }
 
-/// y = x + a*y over [lo, hi).
+/// y = x + a*y over [lo, hi), W-stepped like axpy_chunk.
 template <int W, typename T>
 inline void xpay_chunk(const T* xd, T aa, T* yd, std::size_t lo,
                        std::size_t hi) {
   std::size_t k = lo;
   if constexpr (W > 1) {
     const simd::Vec<T, W> av(aa);
-    for (; k + W <= hi; k += W) {
+    for (const std::size_t vend = hi - (hi - lo) % W; k < vend; k += W) {
       const auto y = simd::Vec<T, W>::load(xd + k) +
                      av * simd::Vec<T, W>::load(yd + k);
       y.store(yd + k);
@@ -200,25 +202,6 @@ void axpy(double a, const SpinorField<T>& x, SpinorField<T>& y,
   flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
 }
 
-/// y = x + a*y
-template <typename T, int W = simd::kWidth<T>>
-void xpay(const SpinorField<T>& x, double a, SpinorField<T>& y,
-          std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "xpay");
-  assert(y.compatible(x));
-  const T aa = static_cast<T>(a);
-  T* yd = y.data();
-  const T* xd = x.data();
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(y.reals()),
-      [&](std::size_t lo, std::size_t hi) {
-        detail::xpay_chunk<W>(xd, aa, yd, lo, hi);
-      },
-      grain);
-  flops::add(2 * y.reals());
-  flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
-}
-
 /// y = a*x + b*y
 template <typename T, int W = simd::kWidth<T>>
 void axpby(double a, const SpinorField<T>& x, double b, SpinorField<T>& y,
@@ -258,22 +241,6 @@ void scal(double a, SpinorField<T>& x, std::size_t grain = kGrain) {
       grain);
   flops::add(x.reals());
   flops::add_bytes(2 * x.reals() * static_cast<std::int64_t>(sizeof(T)));
-}
-
-/// ||x||^2 with double accumulation.
-template <typename T, int W = simd::kWidth<T>>
-double norm2(const SpinorField<T>& x, std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "norm2");
-  const T* xd = x.data();
-  const double r = par::ThreadPool::global().parallel_reduce(
-      0, static_cast<std::size_t>(x.reals()),
-      [&](std::size_t lo, std::size_t hi) {
-        return detail::norm2_chunk<W>(xd, lo, hi);
-      },
-      grain);
-  flops::add(2 * x.reals());
-  flops::add_bytes(x.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return r;
 }
 
 /// <x, y> = sum conj(x) y with double accumulation.  On the interleaved
@@ -319,82 +286,14 @@ Cplx<double> cdot(const SpinorField<T>& x, const SpinorField<T>& y,
   return {re, im};
 }
 
-/// Real part of <x, y> (the CG beta/alpha kernel for Hermitian operators).
-template <typename T, int W = simd::kWidth<T>>
-double redot(const SpinorField<T>& x, const SpinorField<T>& y,
-             std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "redot");
-  assert(y.compatible(x));
-  const T* xd = x.data();
-  const T* yd = y.data();
-  const double r = par::ThreadPool::global().parallel_reduce(
-      0, static_cast<std::size_t>(x.reals()),
-      [&](std::size_t lo, std::size_t hi) {
-        return detail::redot_chunk<W>(xd, yd, lo, hi);
-      },
-      grain);
-  flops::add(2 * x.reals());
-  flops::add_bytes(2 * x.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return r;
-}
-
 // ---------------------------------------------------------------------------
-// Fused update+reduce kernels (QUDA's blas_quda fusions).  Each touches its
-// fields exactly once; the reduction rides the update pass for free.  The
-// per-element arithmetic and the chunk partition match the unfused kernels,
-// so with the same grain (and width) the results are bitwise identical to
-// running the separate operations.
+// Fused update+reduce kernels (QUDA's blas_quda fusions): axpy_zpbx here,
+// axpy_norm2 and triple_cg_update below with the batched kernels.  Each
+// touches its fields exactly once; the reduction rides the update pass for
+// free.  The per-element arithmetic and the chunk partition match the
+// unfused kernels, so with the same grain (and width) the results are
+// bitwise identical to running the separate operations.
 // ---------------------------------------------------------------------------
-
-/// y += a*x, returning ||y||^2 of the updated y (QUDA axpyNorm).
-template <typename T, int W = simd::kWidth<T>>
-double axpy_norm2(double a, const SpinorField<T>& x, SpinorField<T>& y,
-                  std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "axpy_norm2");
-  assert(y.compatible(x));
-  const T aa = static_cast<T>(a);
-  T* yd = y.data();
-  const T* xd = x.data();
-  double n2 = 0.0;
-  par::ThreadPool::global().parallel_reduce_n(
-      0, static_cast<std::size_t>(y.reals()), 1,
-      [&](std::size_t lo, std::size_t hi, double* acc) {
-        detail::axpy_chunk<W>(aa, xd, yd, lo, hi);
-        acc[0] = detail::norm2_chunk<W>(yd, lo, hi);
-      },
-      &n2, grain);
-  flops::add(4 * y.reals());
-  flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return n2;
-}
-
-/// The QUDA tripleCGUpdate: x += alpha*p; r -= alpha*ap; return ||r||^2 —
-/// the whole CG vector update in one pass over the four fields.
-template <typename T, int W = simd::kWidth<T>>
-double triple_cg_update(double alpha, const SpinorField<T>& p,
-                        const SpinorField<T>& ap, SpinorField<T>& x,
-                        SpinorField<T>& r, std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "triple_cg_update");
-  assert(x.compatible(p) && r.compatible(ap) && x.compatible(r));
-  const T al = static_cast<T>(alpha);
-  const T mal = static_cast<T>(-alpha);
-  T* xd = x.data();
-  T* rd = r.data();
-  const T* pd = p.data();
-  const T* apd = ap.data();
-  double n2 = 0.0;
-  par::ThreadPool::global().parallel_reduce_n(
-      0, static_cast<std::size_t>(r.reals()), 1,
-      [&](std::size_t lo, std::size_t hi, double* acc) {
-        detail::axpy_chunk<W>(al, pd, xd, lo, hi);
-        detail::axpy_chunk<W>(mal, apd, rd, lo, hi);
-        acc[0] = detail::norm2_chunk<W>(rd, lo, hi);
-      },
-      &n2, grain);
-  flops::add(6 * r.reals());
-  flops::add_bytes(6 * r.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return n2;
-}
 
 /// The QUDA axpyZpbx: x += a*p; p = z + b*p.  Fuses CG's solution update
 /// with its search-direction update so p is read once for both.
@@ -419,15 +318,18 @@ void axpy_zpbx(double a, SpinorField<T>& p, SpinorField<T>& x,
 }
 
 // ---------------------------------------------------------------------------
-// Multi-RHS kernels (DESIGN.md §12).  Each batched kernel makes ONE
-// parallel launch whose chunk body loops over the B right-hand sides,
-// reusing the detail:: chunk bodies above.  Because the chunk partition
-// depends only on (range, grain, thread count) — never on the component
-// count — and partials combine in the same fixed chunk order per
-// component, every RHS's result is bitwise identical to the single-RHS
-// kernel at the same grain, independent of which other RHSs share the
-// batch.  That is the per-RHS bitwise contract block_mixed_cg and the
-// solve service rely on: batch composition can never change an answer.
+// Multi-RHS kernels (DESIGN.md §12), the one body of norm2, redot, xpay,
+// axpy_norm2 and triple_cg_update: each single-RHS form at the end of this
+// file is its batched kernel on a span of one, and traces under the same
+// name.  Each batched kernel makes ONE parallel launch whose chunk body
+// loops over the B right-hand sides, reusing the detail:: chunk bodies
+// above.  Because the chunk partition depends only on (range, grain) —
+// never on the component count — and partials combine in the same fixed
+// chunk order per component, every RHS's result is bitwise identical to
+// its batch of one at the same grain, independent of which other RHSs
+// share the batch.  That is the per-RHS bitwise contract block_mixed_cg
+// and the solve service rely on: batch composition can never change an
+// answer.
 //
 // Traffic scales with B (every field pass happens per RHS); the batching
 // win here is launch amortization, not byte amortization — the byte win
@@ -438,10 +340,11 @@ void axpy_zpbx(double a, SpinorField<T>& p, SpinorField<T>& x,
 template <typename T, int W = simd::kWidth<T>>
 void norm2_multi(std::span<const SpinorField<T>* const> x,
                  std::span<double> n2, std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "norm2_multi");
+  FEMTO_TRACE_SCOPE("blas", "norm2");
   const std::size_t nb = x.size();
   FEMTO_ASSERT(n2.size() == nb);
   if (nb == 0) return;
+  for (std::size_t r = 0; r < nb; ++r) assert(x[r]->compatible(*x[0]));
   par::ThreadPool::global().parallel_reduce_n(
       0, static_cast<std::size_t>(x[0]->reals()), nb,
       [&](std::size_t lo, std::size_t hi, double* acc) {
@@ -459,10 +362,12 @@ template <typename T, int W = simd::kWidth<T>>
 void redot_multi(std::span<const SpinorField<T>* const> x,
                  std::span<const SpinorField<T>* const> y,
                  std::span<double> dot, std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "redot_multi");
+  FEMTO_TRACE_SCOPE("blas", "redot");
   const std::size_t nb = x.size();
   FEMTO_ASSERT(y.size() == nb && dot.size() == nb);
   if (nb == 0) return;
+  for (std::size_t r = 0; r < nb; ++r)
+    assert(x[r]->compatible(*x[0]) && y[r]->compatible(*x[0]));
   par::ThreadPool::global().parallel_reduce_n(
       0, static_cast<std::size_t>(x[0]->reals()), nb,
       [&](std::size_t lo, std::size_t hi, double* acc) {
@@ -481,10 +386,12 @@ void xpay_multi(std::span<const SpinorField<T>* const> x,
                 std::span<const double> a,
                 std::span<SpinorField<T>* const> y,
                 std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "xpay_multi");
+  FEMTO_TRACE_SCOPE("blas", "xpay");
   const std::size_t nb = y.size();
   FEMTO_ASSERT(x.size() == nb && a.size() == nb);
   if (nb == 0) return;
+  for (std::size_t r = 0; r < nb; ++r)
+    assert(x[r]->compatible(*y[0]) && y[r]->compatible(*y[0]));
   par::parallel_for_chunked(
       0, static_cast<std::size_t>(y[0]->reals()),
       [&](std::size_t lo, std::size_t hi) {
@@ -504,10 +411,12 @@ void axpy_norm2_multi(std::span<const double> a,
                       std::span<const SpinorField<T>* const> x,
                       std::span<SpinorField<T>* const> y,
                       std::span<double> n2, std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "axpy_norm2_multi");
+  FEMTO_TRACE_SCOPE("blas", "axpy_norm2");
   const std::size_t nb = y.size();
   FEMTO_ASSERT(x.size() == nb && a.size() == nb && n2.size() == nb);
   if (nb == 0) return;
+  for (std::size_t r = 0; r < nb; ++r)
+    assert(x[r]->compatible(*y[0]) && y[r]->compatible(*y[0]));
   par::ThreadPool::global().parallel_reduce_n(
       0, static_cast<std::size_t>(y[0]->reals()), nb,
       [&](std::size_t lo, std::size_t hi, double* acc) {
@@ -533,11 +442,14 @@ void triple_cg_update_multi(std::span<const double> alpha,
                             std::span<SpinorField<T>* const> r,
                             std::span<double> n2,
                             std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "triple_cg_update_multi");
+  FEMTO_TRACE_SCOPE("blas", "triple_cg_update");
   const std::size_t nb = r.size();
   FEMTO_ASSERT(p.size() == nb && ap.size() == nb && x.size() == nb &&
                alpha.size() == nb && n2.size() == nb);
   if (nb == 0) return;
+  for (std::size_t rr = 0; rr < nb; ++rr)
+    assert(p[rr]->compatible(*r[0]) && ap[rr]->compatible(*r[0]) &&
+           x[rr]->compatible(*r[0]) && r[rr]->compatible(*r[0]));
   par::ThreadPool::global().parallel_reduce_n(
       0, static_cast<std::size_t>(r[0]->reals()), nb,
       [&](std::size_t lo, std::size_t hi, double* acc) {
@@ -553,6 +465,66 @@ void triple_cg_update_multi(std::span<const double> alpha,
   const std::int64_t reals = static_cast<std::int64_t>(nb) * r[0]->reals();
   flops::add(6 * reals);
   flops::add_bytes(6 * reals * static_cast<std::int64_t>(sizeof(T)));
+}
+
+// ---------------------------------------------------------------------------
+// Single-RHS forms: each is the batched kernel above on a span of one.
+// ---------------------------------------------------------------------------
+
+/// ||x||^2 with double accumulation.
+template <typename T, int W = simd::kWidth<T>>
+double norm2(const SpinorField<T>& x, std::size_t grain = kGrain) {
+  const SpinorField<T>* xs[] = {&x};
+  double n2 = 0.0;
+  norm2_multi<T, W>(xs, {&n2, 1}, grain);
+  return n2;
+}
+
+/// Real part of <x, y> (the CG beta/alpha kernel for Hermitian operators).
+template <typename T, int W = simd::kWidth<T>>
+double redot(const SpinorField<T>& x, const SpinorField<T>& y,
+             std::size_t grain = kGrain) {
+  const SpinorField<T>* xs[] = {&x};
+  const SpinorField<T>* ys[] = {&y};
+  double dot = 0.0;
+  redot_multi<T, W>(xs, ys, {&dot, 1}, grain);
+  return dot;
+}
+
+/// y = x + a*y
+template <typename T, int W = simd::kWidth<T>>
+void xpay(const SpinorField<T>& x, double a, SpinorField<T>& y,
+          std::size_t grain = kGrain) {
+  const SpinorField<T>* xs[] = {&x};
+  SpinorField<T>* ys[] = {&y};
+  xpay_multi<T, W>(xs, {&a, 1}, ys, grain);
+}
+
+/// y += a*x, returning ||y||^2 of the updated y (QUDA axpyNorm).
+template <typename T, int W = simd::kWidth<T>>
+double axpy_norm2(double a, const SpinorField<T>& x, SpinorField<T>& y,
+                  std::size_t grain = kGrain) {
+  const SpinorField<T>* xs[] = {&x};
+  SpinorField<T>* ys[] = {&y};
+  double n2 = 0.0;
+  axpy_norm2_multi<T, W>({&a, 1}, xs, ys, {&n2, 1}, grain);
+  return n2;
+}
+
+/// The QUDA tripleCGUpdate: x += alpha*p; r -= alpha*ap; return ||r||^2 —
+/// the whole CG vector update in one pass over the four fields.
+template <typename T, int W = simd::kWidth<T>>
+double triple_cg_update(double alpha, const SpinorField<T>& p,
+                        const SpinorField<T>& ap, SpinorField<T>& x,
+                        SpinorField<T>& r, std::size_t grain = kGrain) {
+  const SpinorField<T>* ps[] = {&p};
+  const SpinorField<T>* aps[] = {&ap};
+  SpinorField<T>* xs[] = {&x};
+  SpinorField<T>* rs[] = {&r};
+  double n2 = 0.0;
+  triple_cg_update_multi<T, W>({&alpha, 1}, ps, aps, xs, rs, {&n2, 1},
+                               grain);
+  return n2;
 }
 
 }  // namespace femto::blas

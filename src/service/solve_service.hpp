@@ -23,12 +23,13 @@
 // METAQ (src/jobmgr) models the same claim-from-queue shape at the
 // cluster level; this is its in-process, solver-granularity analogue.
 //
-// Because block_mixed_cg keeps per-RHS trajectories bitwise independent of
-// batch composition (block_cg.hpp), results are DETERMINISTIC under any
-// queue timing: however requests interleave into batches, each solution
-// equals the one a solo DwfSolver::solve would produce.
+// Because the mixed-precision CG keeps per-RHS trajectories bitwise
+// independent of batch composition (block_cg.hpp), results are
+// DETERMINISTIC under any queue timing: however requests interleave into
+// batches, each solution equals its batch of one, the solution a solo
+// DwfSolver::solve produces.
 //
-// Telemetry (femtoscope): per-request SolveRecords via block_mixed_cg,
+// Telemetry (femtoscope): per-request SolveRecords (solver "mixed_cg"),
 // plus
 //   solve_service.queue_depth   gauge, sampled at every queue transition
 //   solve_service.batch_size    histogram, one observation per batch

@@ -14,9 +14,8 @@ namespace femto {
 
 namespace {
 
-/// Per-RHS state of the block mixed-precision solve: the outer double
-/// residual, the sloppy vectors, the 16-bit store, and the scalar
-/// recurrence — everything a solo mixed_cg would keep on its stack.
+/// Per-RHS state of the mixed-precision solve: the outer double residual,
+/// the sloppy vectors, the 16-bit store, and the scalar recurrence.
 struct MixedRhs {
   SpinorField<double> r_d, tmp_d;
   SpinorField<float> r_s, p_s, ap_s, xs;
@@ -37,6 +36,15 @@ struct MixedRhs {
         hstore(b.geom_ptr(), b.l5(), b.subset()) {}
 };
 
+/// A single-RHS apply as a batched one (mixed_cg's spans hold one field).
+template <typename T>
+MultiApplyFn<T> one_at_a_time(const ApplyFn<T>& a) {
+  return [&a](std::span<SpinorField<T>* const> out,
+              std::span<const SpinorField<T>* const> in) {
+    for (std::size_t r = 0; r < out.size(); ++r) a(*out[r], *in[r]);
+  };
+}
+
 }  // namespace
 
 std::vector<SolveResult> block_mixed_cg(
@@ -44,7 +52,7 @@ std::vector<SolveResult> block_mixed_cg(
     std::span<SpinorField<double>* const> x,
     std::span<const SpinorField<double>* const> b,
     const SolverParams& params) {
-  FEMTO_TRACE_SCOPE("solver", "block_mixed_cg");
+  FEMTO_TRACE_SCOPE("solver", "mixed_cg");
   const std::size_t nb = x.size();
   FEMTO_ASSERT(b.size() == nb);
   std::vector<SolveResult> results(nb);
@@ -92,8 +100,9 @@ std::vector<SolveResult> block_mixed_cg(
     }
   }
 
-  // (Re)start one RHS's inner solve from its true residual — identical to
-  // the restart block at the top of mixed_cg's outer loop.
+  // (Re)start one RHS's inner solve from its true residual.  In half mode
+  // the demoted residual is round-tripped through 16-bit storage and its
+  // norm taken in the same pass.
   auto start_inner = [&](MixedRhs& s) {
     blas::copy(s.r_s, s.r_d, g);
     s.rsq = half ? s.hstore.roundtrip_norm2(s.r_s, hg)
@@ -105,7 +114,8 @@ std::vector<SolveResult> block_mixed_cg(
   };
 
   // Reliable update for one RHS: fold the sloppy solution into x,
-  // recompute the true residual in double (a batch-of-one double matvec).
+  // recompute the true residual in double (a batch-of-one double matvec)
+  // with its norm fused into the subtraction.
   auto reliable_update = [&](std::size_t i) {
     MixedRhs& s = st[i];
     SolveResult& res = results[i];
@@ -117,8 +127,8 @@ std::vector<SolveResult> block_mixed_cg(
     blas::copy(s.r_d, *b[i], g);
     s.r2_d = blas::axpy_norm2<double>(-1.0, s.tmp_d, s.r_d, g);
     FEMTO_CHECK(std::isfinite(s.r2_d),
-                "block_mixed_cg: true residual norm went NaN/Inf at a "
-                "reliable update");
+                "mixed_cg: true residual norm went NaN/Inf at a reliable "
+                "update");
     ++res.reliable_updates;
     res.history.push_back({res.iterations,
                            s.b2 > 0.0 ? std::sqrt(s.r2_d / s.b2) : 0.0,
@@ -126,9 +136,9 @@ std::vector<SolveResult> block_mixed_cg(
   };
 
   // Advance one RHS's control flow until it either joins the next sloppy
-  // batch (returns true) or finishes.  This replays mixed_cg's loop nest
-  // exactly: inner-continue test, reliable update on inner exit, outer
-  // convergence test, restart.
+  // batch (returns true) or finishes: inner-continue test, reliable update
+  // on inner exit, outer convergence test, restart.  It depends on nothing
+  // but the RHS's own state, so batch mates cannot change its trajectory.
   auto ready = [&](std::size_t i) -> bool {
     MixedRhs& s = st[i];
     SolveResult& res = results[i];
@@ -143,8 +153,7 @@ std::vector<SolveResult> block_mixed_cg(
       s.breakdown = false;
       reliable_update(i);
       // A zero-length inner solve means the target sits below the sloppy
-      // precision floor; stop rather than spin (mixed_cg's `inner == 0`
-      // break).
+      // precision floor; stop rather than spin.
       if (s.inner == 0 || s.r2_d <= s.target ||
           res.iterations >= params.max_iter) {
         s.done = true;
@@ -181,8 +190,8 @@ std::vector<SolveResult> block_mixed_cg(
     std::vector<double> pap(na);
     blas::redot_multi<float>(cbp, cbap, pap, g);
 
-    // Sloppy breakdowns leave the stepping subset (mixed_cg's inner
-    // `break`); everyone else takes the fused vector updates.
+    // A sloppy breakdown (pAp <= 0) leaves the stepping subset and forces
+    // a reliable update; everyone else takes the fused vector updates.
     std::vector<std::size_t> step;
     for (std::size_t k = 0; k < na; ++k) {
       const std::size_t i = batch[k];
@@ -199,9 +208,10 @@ std::vector<SolveResult> block_mixed_cg(
     for (std::size_t m = 0; m < step.size(); ++m)
       alpha[m] = st[batch[step[m]]].rsq / pap[step[m]];
     if (half) {
-      // The 16-bit round-trip kernels fuse each update with its
-      // quantisation per field; they stay per-RHS (their traffic is
-      // per-RHS regardless — no cross-RHS reuse to fuse).
+      // Each vector update fuses with its 16-bit quantisation (and, for r,
+      // with the norm): one pass per field instead of the naive update +
+      // 4-sweep quantize().  They stay per-RHS (their traffic is per-RHS
+      // regardless — no cross-RHS reuse to fuse).
       for (std::size_t m = 0; m < step.size(); ++m) {
         MixedRhs& s = st[batch[step[m]]];
         s.hstore.axpy_roundtrip(alpha[m], s.p_s, s.xs, hg);
@@ -224,7 +234,7 @@ std::vector<SolveResult> block_mixed_cg(
     for (std::size_t m = 0; m < step.size(); ++m) {
       MixedRhs& s = st[batch[step[m]]];
       FEMTO_CHECK(std::isfinite(rsq_new[m]),
-                  "block_mixed_cg: sloppy residual norm went NaN/Inf");
+                  "mixed_cg: sloppy residual norm went NaN/Inf");
       beta[m] = rsq_new[m] / s.rsq;
       s.rsq = rsq_new[m];
     }
@@ -265,9 +275,19 @@ std::vector<SolveResult> block_mixed_cg(
     res.seconds = seconds;
     res.flop_count = flops_share;
     res.byte_count = bytes_share;
-    solver_obs::record("block_mixed_cg", res);
+    solver_obs::record("mixed_cg", res);
   }
   return results;
+}
+
+SolveResult mixed_cg(const ApplyFn<double>& a_double,
+                     const ApplyFn<float>& a_single,
+                     SpinorField<double>& x, const SpinorField<double>& b,
+                     const SolverParams& params) {
+  SpinorField<double>* xs[] = {&x};
+  const SpinorField<double>* bs[] = {&b};
+  return block_mixed_cg(one_at_a_time(a_double), one_at_a_time(a_single),
+                        xs, bs, params)[0];
 }
 
 }  // namespace femto

@@ -1,5 +1,8 @@
 #pragma once
-// Block mixed-precision CG over a batch of right-hand sides (DESIGN.md §12).
+// Mixed-precision CG over a batch of right-hand sides (DESIGN.md §12): the
+// one mixed-precision CG body.  mixed_cg (cg.hpp) is this solver on a
+// batch of one, and traces and records under the same name
+// (solver:mixed_cg).
 //
 // This is NOT a "true" block-CG method (no shared Krylov space, no
 // cross-RHS orthogonalisation): each RHS runs its OWN conjugate-gradient
@@ -9,9 +12,10 @@
 // the B vector updates share one BLAS launch (blas::*_multi).  The payoff
 // is the per-RHS convergence contract:
 //
-//   Every RHS produces bitwise the SAME iterates, iteration count, and
-//   residual history it would produce in a solo mixed_cg call at the same
-//   grain — independent of which other RHSs share the batch.
+//   A batch of N gives every RHS bitwise the SAME iterates, iteration
+//   count, and residual history as its batch of one at the same grain —
+//   independent of which other RHSs share the batch.  The pure-double
+//   cg<double> (cg.hpp) is the numerical reference.
 //
 // That contract is what lets the SolveService batch greedily: adding or
 // removing a request from a batch can never change another request's
@@ -44,10 +48,10 @@ using MultiApplyFn = std::function<void(
 
 /// Mixed-precision CG with reliable updates over a block: solves
 /// A x_r = b_r for every r with per-RHS stopping; x_r is the initial guess
-/// and the result.  Returns one SolveResult per RHS, bitwise matching
-/// mixed_cg().  Each RHS triggers its own reliable updates (a batch-of-one
-/// double matvec); the sloppy inner iterations batch across every RHS
-/// currently mid-inner-solve.
+/// and the result.  Returns one SolveResult per RHS, bitwise matching the
+/// RHS's batch of one.  Each RHS triggers its own reliable updates (a
+/// batch-of-one double matvec); the sloppy inner iterations batch across
+/// every RHS currently mid-inner-solve.
 std::vector<SolveResult> block_mixed_cg(
     const MultiApplyFn<double>& a_double, const MultiApplyFn<float>& a_single,
     std::span<SpinorField<double>* const> x,

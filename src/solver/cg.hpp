@@ -78,7 +78,7 @@ struct SolveResult {
   std::int64_t byte_count = 0;  ///< compulsory traffic (flops::bytes delta)
 
   /// Full residual history (one sample per iteration plus one per reliable
-  /// update), recorded by cg / mixed_cg / block_mixed_cg so convergence
+  /// update), recorded by cg and block_mixed_cg so convergence
   /// regressions are diagnosable from run artifacts.  The femtoscope
   /// report stores a downsampled copy (solver_obs::record).
   std::vector<ResidualSample> history;
@@ -111,8 +111,9 @@ SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
 /// double and recomputed with @p a_double; inner CG iterations run in
 /// single precision via @p a_single, optionally with every inner vector
 /// round-tripped through 16-bit fixed-point storage (Precision::Half),
-/// which is the paper's production configuration.  It is the reference
-/// block_mixed_cg is tested against, bitwise per RHS.
+/// which is the paper's production configuration.  This is
+/// block_mixed_cg (block_cg.hpp) on a batch of one; cg<double> is the
+/// numerical reference.
 SolveResult mixed_cg(const ApplyFn<double>& a_double,
                      const ApplyFn<float>& a_single,
                      SpinorField<double>& x, const SpinorField<double>& b,

@@ -10,33 +10,6 @@
 
 namespace femto {
 
-void DwfSolver::autotune() {
-  FEMTO_TRACE_SCOPE("autotune", "dwf_solver_autotune");
-  // Reliable updates are pinned to full-18 double links (accuracy
-  // contract, DESIGN.md §16): the double operator only sweeps full18,
-  // while the sloppy float operator also races recon12.
-  op_d_.tuning() = tune::tuned_dslash_grain<double>(
-      u_d_, mobius_.l5, 0, tune::FormatSet::kFullOnly);
-  op_f_.tuning() = tune::tuned_dslash_grain<float>(u_f_, mobius_.l5, 0,
-                                                   tune::FormatSet::kAll);
-  sparams_.gauge_format = op_f_.tuning().format;
-  // Sloppy iterations dominate the BLAS phase, so the single-precision
-  // winner sets the solver grain.
-  sparams_.blas_grain = tune::tuned_blas_grain<float>(u_f_->geom_ptr(),
-                                                     mobius_.l5, Subset::Odd);
-  FEMTO_LOG_DEBUG("autotune",
-                  "dwf_solver: dslash d=" << to_string(op_d_.tuning().variant)
-                                          << "/" << op_d_.tuning().grain
-                                          << " f="
-                                          << to_string(op_f_.tuning().variant)
-                                          << "/" << op_f_.tuning().grain
-                                          << "/"
-                                          << gauge_format_name(
-                                                 op_f_.tuning().format)
-                                          << ", blas grain "
-                                          << sparams_.blas_grain);
-}
-
 std::size_t DwfSolver::autotune_multi(std::size_t bmax) {
   FEMTO_TRACE_SCOPE("autotune", "dwf_solver_autotune_multi");
   const tune::MultiRhsTuning td = tune::tuned_multi_rhs<double>(
@@ -70,48 +43,22 @@ DwfSolver::DwfSolver(std::shared_ptr<const GaugeField<double>> u,
       op_d_(u_d_, mobius_),
       op_f_(u_f_, mobius_) {
   // Honour a caller-selected storage tier for the sloppy operator even
-  // when autotune() is never called (the double operator stays full18).
+  // when autotune_multi() is never called (the double operator stays
+  // full18).
   op_f_.tuning().format = sparams_.gauge_format;
 }
 
 SolveResult DwfSolver::solve(SpinorField<double>& x,
                              const SpinorField<double>& b) {
-  FEMTO_TRACE_SCOPE("solver", "dwf_solve");
-  assert(x.subset() == Subset::Full && b.subset() == Subset::Full);
-  // solver_params() is mutable: pick up a caller-set gauge_format.
-  op_f_.tuning().format = sparams_.gauge_format;
-  const auto geom = b.geom_ptr();
-  const int l5 = b.l5();
-
-  SpinorField<double> bhat(geom, l5, Subset::Odd);
-  op_d_.prepare_source(bhat, b);
-
-  // CGNE right-hand side: Mhat^dag bhat.
-  SpinorField<double> rhs(geom, l5, Subset::Odd);
-  op_d_.apply_schur(rhs, bhat, /*dagger=*/true);
-
-  ApplyFn<double> a_d = [this](SpinorField<double>& out,
-                               const SpinorField<double>& in) {
-    op_d_.apply_normal(out, in);
-  };
-  ApplyFn<float> a_f = [this](SpinorField<float>& out,
-                              const SpinorField<float>& in) {
-    op_f_.apply_normal(out, in);
-  };
-
-  SpinorField<double> y(geom, l5, Subset::Odd);
-  SolveResult res = mixed_cg(a_d, a_f, y, rhs, sparams_);
-  FEMTO_CHECK(std::isfinite(res.final_rel_residual),
-              "DwfSolver::solve: mixed_cg returned a non-finite residual");
-
-  op_d_.reconstruct(x, y, b);
-  return res;
+  SpinorField<double>* xs[] = {&x};
+  const SpinorField<double>* bs[] = {&b};
+  return solve_multi(xs, bs)[0];
 }
 
 std::vector<SolveResult> DwfSolver::solve_multi(
     std::span<SpinorField<double>* const> x,
     std::span<const SpinorField<double>* const> b) {
-  FEMTO_TRACE_SCOPE("solver", "dwf_solve_multi");
+  FEMTO_TRACE_SCOPE("solver", "dwf_solve");
   op_f_.tuning().format = sparams_.gauge_format;
   const std::size_t nb = x.size();
   FEMTO_ASSERT(b.size() == nb);
@@ -161,8 +108,8 @@ std::vector<SolveResult> DwfSolver::solve_multi(
   std::vector<SolveResult> res = block_mixed_cg(a_d, a_f, yp, crhsp, sparams_);
   for (std::size_t r = 0; r < nb; ++r) {
     FEMTO_CHECK(std::isfinite(res[r].final_rel_residual),
-                "DwfSolver::solve_multi: block_mixed_cg returned a "
-                "non-finite residual");
+                "DwfSolver::solve: mixed_cg returned a non-finite "
+                "residual");
     op_d_.reconstruct(*x[r], y[r], *b[r]);
   }
   return res;

@@ -28,24 +28,23 @@ class DwfSolver {
   DwfSolver(std::shared_ptr<const GaugeField<double>> u, MobiusParams params,
             SolverParams solver_params = {});
 
-  /// Autotune the dslash launch parameters for this volume (both
-  /// precisions) and use them for every subsequent solve — the way
-  /// Chroma+QUDA tune on first encounter.  Cached process-wide.
-  void autotune();
-
-  /// Autotune for BATCHED solves: sweeps the multi-RHS dslash's
-  /// nrhs x grain x variant grid (batch bound bmax), installs the winning
-  /// launch parameters for both precisions, and returns the sweet-spot
-  /// batch size the sweep found (from the single-precision winner, which
-  /// dominates mixed-precision solve time).  Callers — the SolveService —
-  /// can feed that back into their batching bound.
+  /// Autotune the dslash launch parameters and the BLAS grain for this
+  /// volume (both precisions) and use them for every subsequent solve —
+  /// the way Chroma+QUDA tune on first encounter.  Cached process-wide.
+  /// Sweeps the multi-RHS dslash's nrhs x grain x variant x tier grid
+  /// (batch bound bmax; bmax = 1 tunes single-RHS solves), installs the
+  /// winning launch parameters for both precisions, and returns the
+  /// sweet-spot batch size the sweep found (from the single-precision
+  /// winner, which dominates mixed-precision solve time).  Callers — the
+  /// SolveService — can feed that back into their batching bound.
   std::size_t autotune_multi(std::size_t bmax);
 
   const MobiusOperator<double>& op() const { return op_d_; }
   const MobiusParams& params() const { return mobius_; }
   SolverParams& solver_params() { return sparams_; }
 
-  /// Solve D x = b on full 5D fields.  Returns solver statistics.
+  /// Solve D x = b on full 5D fields: solve_multi on a batch of one.
+  /// Returns solver statistics.
   SolveResult solve(SpinorField<double>& x, const SpinorField<double>& b);
 
   /// Solve in pure double precision (reference / correctness baseline).
@@ -55,7 +54,7 @@ class DwfSolver {
   /// Solve D x_r = b_r for a block of right-hand sides against the shared
   /// gauge field: source prep and CGNE run batched (dslash_multi streams
   /// the links once per block), each RHS converging independently with
-  /// per-RHS results bitwise matching solve() (see block_cg.hpp).
+  /// per-RHS results bitwise matching its batch of one (see block_cg.hpp).
   std::vector<SolveResult> solve_multi(
       std::span<SpinorField<double>* const> x,
       std::span<const SpinorField<double>* const> b);

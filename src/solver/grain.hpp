@@ -1,7 +1,7 @@
 #pragma once
-// Chunk grains of the solvers' BLAS and 16-bit kernels.  cg.cpp and
-// block_cg.cpp must derive them identically: the block solver's per-RHS
-// bitwise contract (block_cg.hpp) holds only at equal grain.
+// Chunk grains of the solvers' BLAS and 16-bit kernels, both derived from
+// the one tunable SolverParams::blas_grain: cg<T> resolves the BLAS grain,
+// the mixed-precision CG (block_cg.cpp) both.
 
 #include <algorithm>
 #include <cstddef>

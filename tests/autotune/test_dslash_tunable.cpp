@@ -80,7 +80,9 @@ TEST(DslashTunable, TunedVariantIsRecordedAndValid) {
   const int v = static_cast<int>(t.variant);
   EXPECT_GE(v, 0);
   EXPECT_LE(v, 2);
-  if (simd::kWidth<double> == 1) EXPECT_EQ(t.variant, DslashVariant::kScalar);
+  if (simd::kWidth<double> == 1) {
+    EXPECT_EQ(t.variant, DslashVariant::kScalar);
+  }
   Autotuner::global().clear();
 }
 

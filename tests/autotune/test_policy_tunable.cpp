@@ -15,12 +15,15 @@ TEST(PolicyTunable, DecodeRoundTrip) {
   for (const auto& p : t.candidates()) {
     const auto c = HaloPolicyTunable::decode(p);
     // Encode values are indices; spot check the corners.
-    if (p.get("policy") == 0)
+    if (p.get("policy") == 0) {
       EXPECT_EQ(c.policy, comm::CommPolicy::HostStaged);
-    if (p.get("policy") == 2)
+    }
+    if (p.get("policy") == 2) {
       EXPECT_EQ(c.policy, comm::CommPolicy::DirectRdma);
-    if (p.get("granularity") == 1)
+    }
+    if (p.get("granularity") == 1) {
       EXPECT_EQ(c.granularity, comm::Granularity::PerDimension);
+    }
   }
 }
 

@@ -129,7 +129,7 @@ TEST(WilsonSimd, RepeatRunsBitwiseStable) {
 
 TEST(WilsonSimd, UntunedDefaultIsLaneBlockedWithScalarBits) {
   // Callers that never autotune (run_workflow, a DwfSolver without
-  // autotune()) run DslashTuning{}: the lane-blocked body wherever the
+  // autotune_multi()) run DslashTuning{}: the lane-blocked body wherever the
   // build has lanes, and the scalar reference's bits either way.
   const DslashTuning def;
   EXPECT_EQ(def.variant, simd::compiled_with_simd()

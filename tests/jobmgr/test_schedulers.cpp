@@ -81,9 +81,11 @@ TEST(Schedulers, AllCompleteEveryTask) {
     for (const auto& r : rep.records) end_time[r.task_id] = r.end;
     for (const auto& t : tasks)
       for (int d : t.deps)
-        for (const auto& r : rep.records)
-          if (r.task_id == t.id)
+        for (const auto& r : rep.records) {
+          if (r.task_id == t.id) {
             EXPECT_GE(r.start, end_time[d] - 1e-9) << rep.scheduler;
+          }
+        }
   }
 }
 

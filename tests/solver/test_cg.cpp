@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "dirac/mobius.hpp"
 #include "lattice/flops.hpp"
 #include "lattice/gauge.hpp"
 #include "obs/trace.hpp"
+#include "solver/block_cg.hpp"
 #include "solver/half.hpp"
 
 namespace femto {
@@ -204,7 +207,9 @@ TEST(MixedCg, MatchesPureDoubleSolution) {
 // Every kernel a traced mixed_cg runs shows as its own frame under
 // solver:mixed_cg in the collapsed stacks, so its time is not mixed_cg's
 // self time.  Half storage runs the four round-trips, single storage runs
-// xpay; both run copy, redot, axpy and (in the Schur operator) axpby.
+// xpay; both run copy, redot, axpy and (in the Schur operator) axpby.  A
+// batched block_mixed_cg solve is the same body, so its trace shows the
+// same frames under the same names.
 TEST(MixedCg, TracedSolveFramesEveryKernelUnderTheSolver) {
   Fixture s;
   auto uf = std::make_shared<GaugeField<float>>(s.u->convert<float>());
@@ -220,6 +225,32 @@ TEST(MixedCg, TracedSolveFramesEveryKernelUnderTheSolver) {
                           const SpinorField<float>& in) {
     opf.apply_normal(out, in);
   };
+  MultiApplyFn<double> adm = [&](std::span<SpinorField<double>* const> out,
+                                 std::span<const SpinorField<double>* const>
+                                     in) { s.op->apply_normal_multi(out, in); };
+  MultiApplyFn<float> afm = [&](std::span<SpinorField<float>* const> out,
+                                std::span<const SpinorField<float>* const>
+                                    in) { opf.apply_normal_multi(out, in); };
+
+  auto expect_frames = [](const std::string& stacks) {
+    for (const std::string frame :
+         {"blas:copy", "blas:redot", "blas:axpy", "blas:xpay", "blas:axpby",
+          "half:roundtrip_norm2", "half:axpy_roundtrip",
+          "half:axpy_roundtrip_norm2", "half:xpay_roundtrip"}) {
+      bool under_solver = false;
+      std::istringstream lines(stacks);
+      for (std::string line; std::getline(lines, line) && !under_solver;) {
+        const std::size_t solver = line.find(";solver:mixed_cg;");
+        const std::size_t at = line.find(";" + frame, solver + 1);
+        under_solver = solver != std::string::npos &&
+                       at != std::string::npos &&
+                       (line[at + 1 + frame.size()] == ';' ||
+                        line[at + 1 + frame.size()] == ' ');
+      }
+      EXPECT_TRUE(under_solver) << frame << " missing under solver:mixed_cg\n"
+                                << stacks;
+    }
+  };
 
   obs::set_trace_enabled(true);
   obs::trace_clear();
@@ -231,25 +262,32 @@ TEST(MixedCg, TracedSolveFramesEveryKernelUnderTheSolver) {
     ASSERT_TRUE(mixed_cg(ad, af, x, b, params).converged);
   }
   const std::string stacks = obs::collapsed_stacks();
+
+  obs::trace_clear();
+  for (const Precision sloppy : {Precision::Half, Precision::Single}) {
+    std::vector<SpinorField<double>> bs, xs;
+    for (std::uint64_t r = 0; r < 3; ++r) {
+      bs.emplace_back(g, kParams.l5, Subset::Odd);
+      bs.back().gaussian(122 + r);
+      xs.emplace_back(g, kParams.l5, Subset::Odd);
+    }
+    std::vector<SpinorField<double>*> xp;
+    std::vector<const SpinorField<double>*> bp;
+    for (std::size_t r = 0; r < 3; ++r) {
+      xp.push_back(&xs[r]);
+      bp.push_back(&bs[r]);
+    }
+    SolverParams params;
+    params.tol = 1e-6;
+    params.sloppy = sloppy;
+    for (const SolveResult& res : block_mixed_cg(adm, afm, xp, bp, params))
+      ASSERT_TRUE(res.converged);
+  }
+  const std::string batch_stacks = obs::collapsed_stacks();
   obs::set_trace_enabled(false);
 
-  for (const std::string frame :
-       {"blas:copy", "blas:redot", "blas:axpy", "blas:xpay", "blas:axpby",
-        "half:roundtrip_norm2", "half:axpy_roundtrip",
-        "half:axpy_roundtrip_norm2", "half:xpay_roundtrip"}) {
-    bool under_solver = false;
-    std::istringstream lines(stacks);
-    for (std::string line; std::getline(lines, line) && !under_solver;) {
-      const std::size_t solver = line.find(";solver:mixed_cg;");
-      const std::size_t at = line.find(";" + frame, solver + 1);
-      under_solver = solver != std::string::npos &&
-                     at != std::string::npos &&
-                     (line[at + 1 + frame.size()] == ';' ||
-                      line[at + 1 + frame.size()] == ' ');
-    }
-    EXPECT_TRUE(under_solver) << frame << " missing under solver:mixed_cg\n"
-                              << stacks;
-  }
+  expect_frames(stacks);
+  expect_frames(batch_stacks);
 }
 
 TEST(Cg, FusedIterationTrafficMatchesModel) {

@@ -202,7 +202,7 @@ TEST(DwfSolver, AutotuneThenSolve) {
   SolverParams sp;
   sp.tol = 1e-8;
   DwfSolver solver(ug, MobiusParams{4, -1.8, 1.5, 0.5, 0.2}, sp);
-  solver.autotune();  // picks cached launch grains for both precisions
+  solver.autotune_multi(1);  // picks cached launch grains for both precisions
   SpinorField<double> b(g, 4, Subset::Full), x(g, 4, Subset::Full);
   b.gaussian(132);
   const auto res = solver.solve(x, b);

@@ -4,8 +4,11 @@
 # The fused BLAS layer (lattice/blas.hpp) and the half-precision round-trips
 # (solver/half.cpp) mutate field data from inside parallel reductions; their
 # race-freedom rests on the thread pool handing each chunk to exactly one
-# worker.  This script builds the parallel, lattice, and solver test targets
-# with -fsanitize=thread and runs the tests that drive those kernels.
+# worker.  On a 4^4 lattice the dslash, its pack/unpack and the fifth-dim
+# matvecs also run their chunks on pool workers, with the blocked dslash's
+# scratch shared by them.  This script builds the parallel, lattice, dirac
+# and solver test targets with -fsanitize=thread and runs the tests that
+# drive those kernels.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 
@@ -15,7 +18,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DFEMTO_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j --target test_parallel test_lattice test_solver
+cmake --build "$BUILD_DIR" -j --target test_parallel test_lattice test_dirac \
+  test_solver
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
@@ -24,6 +28,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # to the relevant tests.
 "$BUILD_DIR/tests/test_parallel"
 "$BUILD_DIR/tests/test_lattice" --gtest_filter='Blas*.*'
+FEMTO_THREADS=4 "$BUILD_DIR/tests/test_dirac" \
+  --gtest_filter='WilsonMulti.*:WilsonSimd.*:Mobius.BatchedMatchesBatchOfOne*:FifthDim*'
 "$BUILD_DIR/tests/test_solver" --gtest_filter='HalfStorage.*:Cg.*:*MixedCg*'
 
 echo "tsan check passed"

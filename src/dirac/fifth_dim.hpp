@@ -9,6 +9,8 @@
 // so the even-even block of the Mobius operator is inverted once (SMat)
 // and applied everywhere — the red-black preconditioning trick.
 
+#include <span>
+
 #include "lattice/flops.hpp"
 #include "dirac/smat.hpp"
 #include "lattice/field.hpp"
@@ -42,19 +44,34 @@ struct FifthDimOp {
 
   FifthDimOp inverse() const { return {plus.inverse(), minus.inverse()}; }
 
-  /// out(s) = sum_s' M(s,s') in(s') per site, per spin pair, per color.
-  /// Views must share `sites` and l5 == n.  @p grain is the minimum 4D
-  /// sites per thread chunk (the same default as DslashTuning::grain).
+  /// out(s) = sum_s' M(s,s') in(s') per site, per spin pair, per color:
+  /// the batch of one of apply_multi.
   template <typename T>
   void apply(const SpinorView<T>& out, const SpinorView<const T>& in,
-             std::size_t grain = 128) const;
+             std::size_t grain = 0) const;
+
+  /// The matvec on B right-hand sides in one launch (what each Schur
+  /// stage issues, DESIGN.md §12).  Views must share `sites` and
+  /// l5 == n.  @p grain is the minimum 4D sites per thread chunk; 0
+  /// derives it from the work per chunk, site_grain(l5, B), the rule of
+  /// the untuned dslash (DslashTuning::grain): a 4^4 parity at l5 = 4,
+  /// B = 1 runs as four 32-site chunks.  Every (site, RHS) runs the same
+  /// arithmetic whatever the chunking and the batch, so each RHS gets the
+  /// bits of its own apply().
+  template <typename T>
+  void apply_multi(std::span<const SpinorView<T>> out,
+                   std::span<const SpinorView<const T>> in,
+                   std::size_t grain = 0) const;
 };
 
-extern template void FifthDimOp::apply<double>(
-    const SpinorView<double>&, const SpinorView<const double>&,
-    std::size_t) const;
-extern template void FifthDimOp::apply<float>(
-    const SpinorView<float>&, const SpinorView<const float>&,
-    std::size_t) const;
+#define FEMTO_EXTERN_FIFTH_DIM(T)                                          \
+  extern template void FifthDimOp::apply<T>(                               \
+      const SpinorView<T>&, const SpinorView<const T>&, std::size_t) const; \
+  extern template void FifthDimOp::apply_multi<T>(                         \
+      std::span<const SpinorView<T>>, std::span<const SpinorView<const T>>, \
+      std::size_t) const;
+FEMTO_EXTERN_FIFTH_DIM(double)
+FEMTO_EXTERN_FIFTH_DIM(float)
+#undef FEMTO_EXTERN_FIFTH_DIM
 
 }  // namespace femto

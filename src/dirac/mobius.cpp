@@ -125,6 +125,7 @@ void MobiusOperator<T>::apply_schur_multi(
   // Per-stage view batches over the RHS workspaces.
   std::vector<SpinorView<T>> ve, ve2, vo, vout;
   std::vector<SpinorView<const T>> cve, cve2, cvo, cvin;
+  std::vector<const SpinorField<T>*> to;
   for (std::size_t r = 0; r < nb; ++r) {
     assert(out[r]->subset() == Subset::Odd && in[r]->subset() == Subset::Odd);
     ve.push_back(view(tmp_e_[r]));
@@ -135,27 +136,26 @@ void MobiusOperator<T>::apply_schur_multi(
     cve2.push_back(cview(tmp_e2_[r]));
     cvo.push_back(cview(tmp_o_[r]));
     cvin.push_back(view(*in[r]));
+    to.push_back(&tmp_o_[r]);
   }
+  // Mhat = C - 1/4 Dslash (B C^-1) Dslash B, stage by stage, each stage
+  // one launch for the whole batch.  The dslash stages also load each
+  // site's links once for every RHS; the site-diagonal fifth-dim matvecs
+  // and the closing axpby have no cross-RHS reuse, only the launch.
   if (!dagger) {
-    // Mhat = C - 1/4 Dslash (B C^-1) Dslash B, stage by stage; the
-    // site-diagonal fifth-dim matvecs stay per RHS (no cross-RHS reuse to
-    // be had — they touch no gauge links), the two dslash stages batch.
-    for (std::size_t r = 0; r < nb; ++r) b_.apply<T>(vo[r], cvin[r]);
+    b_.apply_multi<T>(vo, cvin);
     dslash_fmt(ve, cvo, /*out_parity=*/0, false);
-    for (std::size_t r = 0; r < nb; ++r) bcinv_.apply<T>(ve2[r], cve[r]);
+    bcinv_.apply_multi<T>(ve2, cve);
     dslash_fmt(vout, cve2, /*out_parity=*/1, false);
-    for (std::size_t r = 0; r < nb; ++r) c_.apply<T>(vo[r], cvin[r]);
+    c_.apply_multi<T>(vo, cvin);
   } else {
     dslash_fmt(ve, cvin, /*out_parity=*/0, true);
-    for (std::size_t r = 0; r < nb; ++r) bcinvt_.apply<T>(ve2[r], cve[r]);
+    bcinvt_.apply_multi<T>(ve2, cve);
     dslash_fmt(vo, cve2, /*out_parity=*/1, true);
-    for (std::size_t r = 0; r < nb; ++r) {
-      bt_.apply<T>(vout[r], cvo[r]);
-      ct_.apply<T>(vo[r], cvin[r]);
-    }
+    bt_.apply_multi<T>(vout, cvo);
+    ct_.apply_multi<T>(vo, cvin);
   }
-  for (std::size_t r = 0; r < nb; ++r)
-    blas::axpby<T>(1.0, tmp_o_[r], -0.25, *out[r]);
+  blas::axpby_multi<T>(1.0, to, -0.25, out);
 }
 
 template <typename T>

@@ -79,9 +79,10 @@ class MobiusOperator {
   /// inverts): the batch of one of apply_normal_multi.
   void apply_normal(SpinorField<T>& out, const SpinorField<T>& in) const;
 
-  /// Schur operator over B right-hand sides: the two dslash stages run
-  /// batched (links loaded once per call), the site-diagonal fifth-dim
-  /// stages per RHS.  Per-RHS output is bitwise independent of the batch:
+  /// Schur operator over B right-hand sides: every stage is one launch
+  /// for the whole batch (the dslash stages also load each site's links
+  /// once per call), so a call makes as many pool calls at any B as at
+  /// B = 1.  Per-RHS output is bitwise independent of the batch:
   /// apply_schur on the same field gives the same bits.
   void apply_schur_multi(std::span<SpinorField<T>* const> out,
                          std::span<const SpinorField<T>* const> in,

@@ -324,23 +324,24 @@ void dslash_kernel_multi(std::span<const SpinorView<T>> out, const GaugeT& u,
     FEMTO_ASSERT(out[r].stride == out[0].stride &&
                  in[r].stride == in[0].stride);
   }
+  const int l5 = out[0].l5;
+  const std::size_t grain = tune.grain ? tune.grain : site_grain(l5, nb);
   constexpr int W = simd::kWidth<T>;
   switch (tune.variant) {
     case DslashVariant::kVector:
       dslash_multi_body_vector(WidthTag<W>{}, out, u, in, out_parity, dagger,
-                               tune.grain);
+                               grain);
       break;
     case DslashVariant::kVectorBlocked:
       dslash_multi_body_blocked(WidthTag<W>{}, out, u, in, out_parity,
-                                dagger, tune.grain);
+                                dagger, grain);
       break;
     default:
-      dslash_multi_body_scalar(out, u, in, out_parity, dagger, tune.grain);
+      dslash_multi_body_scalar(out, u, in, out_parity, dagger, grain);
       break;
   }
 
   const std::int64_t volh = u.geom().half_volume();
-  const int l5 = out[0].l5;
   flops::add(static_cast<std::int64_t>(nb) * flops::kWilsonDslashPerSite *
              volh * l5);
   // Compulsory traffic: each RHS streams its input parity in and output
@@ -365,10 +366,11 @@ void wilson_op_kernel(SpinorField<T>& out, const GaugeT& u,
     const SpinorView<const T> i = parity_view(in, 1 - par);
     dslash_kernel_multi<T>({&o, 1}, u, {&i, 1}, par, dagger, tune);
   }
-  // out = (4+mass) in - 1/2 out, honoring the tuned dslash grain (given in
-  // 4D sites; the BLAS kernel chunks over reals).
+  // out = (4+mass) in - 1/2 out, honoring the dslash grain (given in 4D
+  // sites; the BLAS kernel chunks over reals).
   const std::size_t grain_reals =
-      tune.grain * static_cast<std::size_t>(kSpinorReals) *
+      (tune.grain ? tune.grain : site_grain(out.l5(), 1)) *
+      static_cast<std::size_t>(kSpinorReals) *
       static_cast<std::size_t>(out.l5());
   blas::axpby<T>(4.0 + mass, in, -0.5, out, grain_reals);
 }

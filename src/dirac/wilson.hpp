@@ -49,10 +49,14 @@ inline const char* to_string(DslashVariant v) {
 /// Tuning knobs for the stencil kernel (swept by the autotuner the same way
 /// QUDA sweeps CUDA launch geometry).
 struct DslashTuning {
-  /// Minimum 4D sites per thread chunk.  128 sites are >= 128*l5*1320
-  /// flops per chunk, far above a pool launch; a 4^4 parity (128 sites)
-  /// stays on the calling thread, anything larger is split.
-  std::size_t grain = 128;
+  /// Minimum 4D sites per thread chunk; 0 (the untuned default) derives
+  /// it from the work per chunk, site_grain(l5, B): about 169 kflop of
+  /// stencil whatever l5 and the batch are.  A launch that finds its
+  /// workers spinning costs about a microsecond, far below a chunk, so
+  /// the Schur stages of a 4^4, l5 = 4 solve (128-site parities) split
+  /// into four 32-site chunks instead of running on the calling thread.
+  /// The lane-blocked body packs and unpacks on the same grain.
+  std::size_t grain = 0;
   /// Untuned default: the lane-blocked body wherever the build has SIMD
   /// lanes (every variant gives the same bits, and this one ran the float
   /// 4^3x8, l5 = 4 normal operator ~1.5x faster than scalar), the scalar

@@ -202,25 +202,6 @@ void axpy(double a, const SpinorField<T>& x, SpinorField<T>& y,
   flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
 }
 
-/// y = a*x + b*y
-template <typename T, int W = simd::kWidth<T>>
-void axpby(double a, const SpinorField<T>& x, double b, SpinorField<T>& y,
-           std::size_t grain = kGrain) {
-  FEMTO_TRACE_SCOPE("blas", "axpby");
-  assert(y.compatible(x));
-  const T aa = static_cast<T>(a), bb = static_cast<T>(b);
-  T* yd = y.data();
-  const T* xd = x.data();
-  par::parallel_for_chunked(
-      0, static_cast<std::size_t>(y.reals()),
-      [&](std::size_t lo, std::size_t hi) {
-        detail::axpby_chunk<W>(aa, xd, bb, yd, lo, hi);
-      },
-      grain);
-  flops::add(3 * y.reals());
-  flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
-}
-
 /// scale: x *= a
 template <typename T, int W = simd::kWidth<T>>
 void scal(double a, SpinorField<T>& x, std::size_t grain = kGrain) {
@@ -319,15 +300,15 @@ void axpy_zpbx(double a, SpinorField<T>& p, SpinorField<T>& x,
 
 // ---------------------------------------------------------------------------
 // Multi-RHS kernels (DESIGN.md §12), the one body of norm2, redot, xpay,
-// axpy_norm2 and triple_cg_update: each single-RHS form at the end of this
-// file is its batched kernel on a span of one, and traces under the same
-// name.  Each batched kernel makes ONE parallel launch whose chunk body
-// loops over the B right-hand sides, reusing the detail:: chunk bodies
-// above.  Because the chunk partition depends only on (range, grain) —
-// never on the component count — and partials combine in the same fixed
-// chunk order per component, every RHS's result is bitwise identical to
-// its batch of one at the same grain, independent of which other RHSs
-// share the batch.  That is the per-RHS bitwise contract block_mixed_cg
+// axpby, axpy_norm2 and triple_cg_update: each single-RHS form at the end
+// of this file is its batched kernel on a span of one, and traces under
+// the same name.  Each batched kernel makes ONE parallel launch whose
+// chunk body loops over the B right-hand sides, reusing the detail::
+// chunk bodies above.  Because the chunk partition depends only on
+// (range, grain) — never on the component count — and partials combine in
+// the same fixed chunk order per component, every RHS's result is bitwise
+// identical to its batch of one at the same grain, independent of which
+// other RHSs share the batch.  That is the per-RHS bitwise contract block_mixed_cg
 // and the solve service rely on: batch composition can never change an
 // answer.
 //
@@ -402,6 +383,31 @@ void xpay_multi(std::span<const SpinorField<T>* const> x,
       grain);
   const std::int64_t reals = static_cast<std::int64_t>(nb) * y[0]->reals();
   flops::add(2 * reals);
+  flops::add_bytes(3 * reals * static_cast<std::int64_t>(sizeof(T)));
+}
+
+/// y_r = a*x_r + b*y_r for each RHS: one launch for the batch (the Schur
+/// operator's closing stage, DESIGN.md §12).
+template <typename T, int W = simd::kWidth<T>>
+void axpby_multi(double a, std::span<const SpinorField<T>* const> x,
+                 double b, std::span<SpinorField<T>* const> y,
+                 std::size_t grain = kGrain) {
+  FEMTO_TRACE_SCOPE("blas", "axpby");
+  const std::size_t nb = y.size();
+  FEMTO_ASSERT(x.size() == nb);
+  if (nb == 0) return;
+  for (std::size_t r = 0; r < nb; ++r)
+    assert(x[r]->compatible(*y[0]) && y[r]->compatible(*y[0]));
+  const T aa = static_cast<T>(a), bb = static_cast<T>(b);
+  par::parallel_for_chunked(
+      0, static_cast<std::size_t>(y[0]->reals()),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = 0; r < nb; ++r)
+          detail::axpby_chunk<W>(aa, x[r]->data(), bb, y[r]->data(), lo, hi);
+      },
+      grain);
+  const std::int64_t reals = static_cast<std::int64_t>(nb) * y[0]->reals();
+  flops::add(3 * reals);
   flops::add_bytes(3 * reals * static_cast<std::int64_t>(sizeof(T)));
 }
 
@@ -498,6 +504,15 @@ void xpay(const SpinorField<T>& x, double a, SpinorField<T>& y,
   const SpinorField<T>* xs[] = {&x};
   SpinorField<T>* ys[] = {&y};
   xpay_multi<T, W>(xs, {&a, 1}, ys, grain);
+}
+
+/// y = a*x + b*y
+template <typename T, int W = simd::kWidth<T>>
+void axpby(double a, const SpinorField<T>& x, double b, SpinorField<T>& y,
+           std::size_t grain = kGrain) {
+  const SpinorField<T>* xs[] = {&x};
+  SpinorField<T>* ys[] = {&y};
+  axpby_multi<T, W>(a, xs, b, ys, grain);
 }
 
 /// y += a*x, returning ||y||^2 of the updated y (QUDA axpyNorm).

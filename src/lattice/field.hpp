@@ -184,6 +184,24 @@ struct SpinorView {
 template <typename T>
 using ConstSpinorView = SpinorView<const T>;
 
+/// Spinors (one 5D site of one right-hand side) a chunk of a site-walking
+/// kernel carries by default: 128 x 1320 ~ 169 kflop of dslash.
+inline constexpr std::int64_t kSpinorsPerChunk = 128;
+
+/// Default chunk grain, in 4D sites, of the kernels that walk @p nrhs
+/// views of @p l5 slices site by site (the dslash, its pack/unpack and the
+/// fifth-dim matvec): enough sites for kSpinorsPerChunk spinors.  The
+/// grain follows the work per site, so a 4^4 parity (128 sites) at
+/// l5 = 4, B = 1 splits into 32-site chunks over four threads, and a
+/// batch of B divides the grain by B; at l5 = B = 1 it is 128 sites.
+inline std::size_t site_grain(int l5, std::size_t nrhs) {
+  const auto per_site = static_cast<std::int64_t>(l5) *
+                        static_cast<std::int64_t>(nrhs);
+  if (per_site <= 0) return 1;
+  return static_cast<std::size_t>(
+      (kSpinorsPerChunk + per_site - 1) / per_site);
+}
+
 /// View of a whole field.
 template <typename T>
 SpinorView<T> view(SpinorField<T>& f) {

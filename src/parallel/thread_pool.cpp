@@ -11,6 +11,7 @@
 #endif
 
 #include "obs/metrics.hpp"
+#include "simd/relax.hpp"
 
 namespace femto::par {
 
@@ -19,9 +20,31 @@ namespace {
 // re-entrant launches inline rather than deadlocking on the launch mutex.
 thread_local const ThreadPool* t_current_pool = nullptr;
 
-// claim_ layout: launch epoch (low 32 bits) << 32 | next chunk id.
+// claim_ layout: launch epoch (low 32 bits) << 32 | chunks left to claim.
 constexpr std::uint64_t kChunkMask = 0xffffffffu;
 std::uint64_t claim_tag(std::uint64_t epoch) { return epoch << 32; }
+
+// Spin-loop pacing: the clock is read every kSpinsPerCheck relax hints and
+// the thread yields every kSpinsPerYield, so a spinner on a crowded CPU
+// lets the thread it waits for run.
+constexpr std::uint32_t kSpinsPerCheck = 64;
+constexpr std::uint32_t kSpinsPerYield = 1024;
+
+// Polls @p ready with the CPU's relax hint for up to the pool's spin
+// budget; false when the budget ran out first.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  if (ready()) return true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + ThreadPool::kSpinBudget;
+  for (std::uint32_t i = 1;; ++i) {
+    simd::cpu_relax();
+    if (ready()) return true;
+    if (i % kSpinsPerCheck != 0) continue;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    if (i % kSpinsPerYield == 0) std::this_thread::yield();
+  }
+}
 
 // Upper bound on reduction partials.  The reduce decomposition must be a
 // pure function of the range (never of the worker count) for sums to be
@@ -93,7 +116,7 @@ ThreadPool::ThreadPool(std::size_t n_threads)
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_relaxed);
   }
   cv_start_.notify_all();
   for (auto& w : workers_) w.join();
@@ -116,23 +139,37 @@ std::pair<std::size_t, std::size_t> ThreadPool::chunk_range(
 }
 
 void ThreadPool::worker_loop() {
+  // Every launch this thread makes comes from one of this pool's chunks.
+  t_current_pool = this;
   std::uint64_t seen_epoch = 0;
+  const auto posted = [&] {
+    return posted_.load(std::memory_order_acquire) != seen_epoch ||
+           stop_.load(std::memory_order_relaxed);
+  };
   for (;;) {
-    Task task;
-    {
+    // Spin first: a launch posted within the budget finds this worker
+    // awake.  While counted in spinning_, no launch wakes a parked worker
+    // on this one's behalf.  A launch reads spinning_ after posting, so a
+    // worker that stops counting itself here either sees that launch in
+    // its predicate under mu_ below or was not counted by it.
+    spinning_.fetch_add(1);
+    const bool awake = spin_until(posted);
+    spinning_.fetch_sub(1);
+    if (!awake) {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_start_.wait(lk,
-                     [&] { return stop_ || task_.epoch > seen_epoch; });
-      if (stop_) return;
-      task = task_;
-      seen_epoch = task.epoch;
+      cv_start_.wait(lk, posted);
     }
-    t_current_pool = this;
-    const bool last = run_claimed(task);
-    t_current_pool = nullptr;
-    if (last) {
-      // The launcher may be parked on cv_done_: notify under mu_ so the
-      // wake-up cannot fall between its predicate check and its wait.
+    if (stop_.load(std::memory_order_relaxed)) return;
+    Task task;
+    task.epoch = posted_.load(std::memory_order_acquire);
+    task.body = body_.load(std::memory_order_relaxed);
+    task.begin = begin_.load(std::memory_order_relaxed);
+    task.end = end_.load(std::memory_order_relaxed);
+    task.n_chunks = n_chunks_.load(std::memory_order_relaxed);
+    seen_epoch = task.epoch;
+    if (run_claimed(task) && launcher_parked_.load()) {
+      // Notify under mu_ so the wake-up cannot fall between the
+      // launcher's predicate check and its wait.
       std::lock_guard<std::mutex> lk(mu_);
       cv_done_.notify_all();
     }
@@ -140,23 +177,28 @@ void ThreadPool::worker_loop() {
 }
 
 bool ThreadPool::run_claimed(const Task& task) {
-  // A claim is valid only while claim_ still carries this task's epoch;
-  // while a chunk of it is unclaimed the launch cannot have returned, so
-  // task.body is alive whenever the compare-exchange succeeds.
+  // A claim takes one of the chunks left under this task's epoch tag, so
+  // its success proves the launch is still running.  A later launch
+  // rewrites the task fields only after every chunk of this one finished,
+  // so a task a worker read before its claim is wholly this launch's and
+  // task.body is alive.  The count left lives in claim_, not in the task,
+  // so a task torn by a newer launch cannot pass.  A chunk's range depends
+  // on (begin, end, n_chunks, id) only, never on who claims it or when.
   const std::uint64_t tag = claim_tag(task.epoch);
   bool last = false;
   std::uint64_t cur = claim_.load(std::memory_order_acquire);
   for (;;) {
     if ((cur & ~kChunkMask) != tag) return last;
-    const std::size_t chunk = static_cast<std::size_t>(cur & kChunkMask);
-    if (chunk >= task.n_chunks) return last;
-    if (!claim_.compare_exchange_weak(cur, cur + 1,
+    const auto left = static_cast<std::size_t>(cur & kChunkMask);
+    if (left == 0) return last;
+    if (!claim_.compare_exchange_weak(cur, cur - 1,
                                       std::memory_order_acq_rel,
                                       std::memory_order_acquire))
       continue;
+    const std::size_t chunk = task.n_chunks - left;
     auto [lo, hi] = chunk_range(task.begin, task.end, task.n_chunks, chunk);
     if (lo < hi) (*task.body)(lo, hi);
-    last = done_.fetch_add(1, std::memory_order_acq_rel) + 1 == task.n_chunks;
+    last = done_.fetch_add(1) + 1 == task.n_chunks;
     cur = claim_.load(std::memory_order_acquire);
   }
 }
@@ -196,13 +238,19 @@ void ThreadPool::parallel_for_chunked(
   task.n_chunks = n_chunks;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    task.epoch = ++epoch_;
-    task_ = task;
+    task.epoch = posted_.load(std::memory_order_relaxed) + 1;
+    body_.store(&body, std::memory_order_relaxed);
+    begin_.store(begin, std::memory_order_relaxed);
+    end_.store(end, std::memory_order_relaxed);
+    n_chunks_.store(n_chunks, std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
-    claim_.store(claim_tag(task.epoch), std::memory_order_release);
+    claim_.store(claim_tag(task.epoch) | n_chunks, std::memory_order_relaxed);
+    posted_.store(task.epoch, std::memory_order_release);
   }
-  // One wake-up per chunk beyond the caller's first.
-  for (std::size_t i = 1; i < n_chunks; ++i) cv_start_.notify_one();
+  // Wake only the parked workers the chunks need beyond the caller and the
+  // workers already spinning on posted_.
+  const std::size_t awake = 1 + spinning_.load();
+  for (std::size_t i = awake; i < n_chunks; ++i) cv_start_.notify_one();
 
   // The calling thread claims chunks too; if the workers are slow to
   // wake it runs them all.
@@ -211,11 +259,15 @@ void ThreadPool::parallel_for_chunked(
   run_claimed(task);
   t_current_pool = prev;
 
-  if (done_.load(std::memory_order_acquire) == n_chunks) return;
+  // Spin, then park.  launcher_parked_ and done_ are sequentially
+  // consistent: the last chunk's worker sees the flag, or this thread sees
+  // that chunk done before it waits.
+  const auto all_done = [&] { return done_.load() == n_chunks; };
+  if (spin_until(all_done)) return;
   std::unique_lock<std::mutex> lk(mu_);
-  cv_done_.wait(lk, [&] {
-    return done_.load(std::memory_order_acquire) == n_chunks;
-  });
+  launcher_parked_.store(true);
+  cv_done_.wait(lk, all_done);
+  launcher_parked_.store(false);
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,

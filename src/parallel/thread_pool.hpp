@@ -13,17 +13,25 @@
 //     QUDA's deterministic double-precision reductions, which the
 //     mixed-precision solver relies on; see DESIGN.md §8).
 //
-// Worker threads park on a condition variable between kernels.  A launch
-// wakes one worker per extra chunk; the caller and the woken workers then
-// CLAIM chunks from a shared counter, and the launch returns once every
-// chunk has run.  A worker that wakes late (its CPU busy elsewhere) finds
-// the chunks taken and parks again, so no launch waits on a thread the
-// scheduler has not run yet.  Which thread runs a chunk never changes the
-// chunk boundaries, so results do not depend on it.  The autotuner
-// (src/autotune) hides the remaining launch cost the same way QUDA hides
-// CUDA launch latency, by tuning the work-per-thread ("block") granularity.
+// A launch posts its chunks and the caller claims chunks from a shared
+// counter alongside the workers; the launch returns once every chunk has
+// run.  A worker that has run its chunks SPINS on the launch epoch for a
+// bounded budget (kSpinBudget, with the CPU's relax hint and periodic
+// yields) before it parks on a condition variable, so the next launch of
+// a solver iteration finds it awake; the caller likewise spins on the
+// done count before it waits.  A launch wakes only the parked workers its
+// chunks need beyond those already spinning, so a pool wider than the
+// CPUs it gets does not keep waking threads that only compete with the
+// ones already running.  A worker that wakes late (its CPU busy
+// elsewhere) finds the chunks taken and goes back to spinning and
+// parking, so no launch waits on a thread the scheduler has not run yet.
+// Which thread runs a chunk never changes the chunk boundaries, so
+// results do not depend on it.  The autotuner (src/autotune) hides the
+// remaining launch cost the same way QUDA hides CUDA launch latency, by
+// tuning the work-per-thread ("block") granularity.
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -64,6 +72,14 @@ class ThreadPool {
   /// Create a pool with @p n_threads workers (0 = default_thread_count()).
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
+
+  /// How long a worker that has run its chunks (and a caller whose chunks
+  /// are still running elsewhere) spins before it parks: a few stencil or
+  /// BLAS launches of one solver iteration on a 4^4 lattice, so the
+  /// launches of an iteration hand off to awake workers, while a worker
+  /// idle for longer than that (between solves, on a crowded box) gives
+  /// its CPU back.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -124,9 +140,10 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  using Body = std::function<void(std::size_t, std::size_t)>;
   struct Task {
     // Chunked task: threads claim chunk ids and run body over their range.
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
+    const Body* body = nullptr;
     std::size_t begin = 0;
     std::size_t end = 0;
     std::size_t n_chunks = 0;
@@ -151,17 +168,29 @@ class ThreadPool {
   // §8): launch_mu_ -> mu_, always in that direction.
   std::mutex launch_mu_;
 
-  // Kernel hand-off state, shared between the launcher and every worker.
+  // Kernel hand-off.  A launch stores its task's fields and then its
+  // epoch in posted_ (release), under mu_ so that a worker about to park
+  // cannot miss it; spinning workers read them without mu_.
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
-  Task task_ FEMTO_GUARDED_BY(mu_);
-  std::uint64_t epoch_ FEMTO_GUARDED_BY(mu_) = 0;
-  bool stop_ FEMTO_GUARDED_BY(mu_) = false;
+  std::atomic<const Body*> body_{nullptr};
+  std::atomic<std::size_t> begin_{0};
+  std::atomic<std::size_t> end_{0};
+  std::atomic<std::size_t> n_chunks_{0};
+  std::atomic<std::uint64_t> posted_{0};
+  // Set under mu_ by the destructor; spinning workers poll it too.
+  std::atomic<bool> stop_{false};
+  // Workers spinning on posted_: a launch counts them as awake and wakes
+  // parked workers only for the chunks beyond them.
+  std::atomic<std::size_t> spinning_{0};
+  // True while the launcher waits on cv_done_: only then does the worker
+  // that ran the last chunk take mu_ to notify it.
+  std::atomic<bool> launcher_parked_{false};
 
   // Chunk claims of the current launch: the epoch's low 32 bits above the
-  // next unclaimed chunk id, so a worker still holding an older task can
-  // never claim a chunk of a newer one.  Reset (with done_) under mu_ when
+  // number of chunks not yet claimed, so a worker still holding an older
+  // task can never claim a chunk of a newer one.  Reset (with done_) when
   // a launch is posted.
   std::atomic<std::uint64_t> claim_{0};
   // Chunks of the current launch that have finished running.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace femto {
 namespace {
 
@@ -157,6 +159,47 @@ TEST(FifthDim, FloatApplyTracksDouble) {
   for (std::int64_t k = 0; k < in.reals(); k += 11)
     EXPECT_NEAR(outf.data()[k], out.data()[k],
                 1e-5 * (std::abs(out.data()[k]) + 1.0));
+}
+
+// The batched matvec (one launch per Schur stage) gives each RHS the bits
+// of its own apply(), at the derived grain and at a coarser one: every
+// (site, RHS) runs the same arithmetic whatever the chunking and batch.
+template <typename T>
+void check_batched_apply_bits() {
+  auto g = geom44();
+  const int l5 = 4;
+  constexpr std::size_t kB = 3;
+  const FifthDimOp a{lambda_plus(l5, 0.1) + SMat::identity(l5).scaled(3.0),
+                     lambda_minus(l5, 0.1) + SMat::identity(l5).scaled(3.0)};
+  std::vector<SpinorField<T>> in, got, want;
+  for (std::size_t r = 0; r < kB; ++r) {
+    in.emplace_back(g, l5, Subset::Odd);
+    got.emplace_back(g, l5, Subset::Odd);
+    want.emplace_back(g, l5, Subset::Odd);
+    in.back().gaussian(60 + r);
+  }
+  std::vector<SpinorView<T>> outs;
+  std::vector<SpinorView<const T>> ins;
+  for (std::size_t r = 0; r < kB; ++r) {
+    outs.push_back(view(got[r]));
+    ins.push_back(cview(in[r]));
+    a.apply<T>(view(want[r]), cview(in[r]));
+  }
+  for (const std::size_t grain : {std::size_t{0}, std::size_t{64}}) {
+    a.apply_multi<T>(outs, ins, grain);
+    for (std::size_t r = 0; r < kB; ++r)
+      for (std::int64_t k = 0; k < in[r].reals(); ++k)
+        ASSERT_EQ(got[r].data()[k], want[r].data()[k])
+            << "grain " << grain << " r=" << r << " k=" << k;
+  }
+}
+
+TEST(FifthDim, BatchedApplyMatchesBatchOfOneBitwiseDouble) {
+  check_batched_apply_bits<double>();
+}
+
+TEST(FifthDim, BatchedApplyMatchesBatchOfOneBitwiseFloat) {
+  check_batched_apply_bits<float>();
 }
 
 }  // namespace

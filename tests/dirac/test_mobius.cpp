@@ -12,6 +12,7 @@
 
 #include "lattice/blas.hpp"
 #include "lattice/gauge.hpp"
+#include "obs/metrics.hpp"
 
 namespace femto {
 namespace {
@@ -282,6 +283,40 @@ void check_batch_of_one(DslashVariant v, GaugeFormat fmt) {
     for (std::size_t r = 0; r < nb; ++r) op.apply_normal(want[r], in[r]);
     expect_bitwise("normal");
   }
+}
+
+// Every Schur stage is one launch for the whole batch, so the normal
+// operator makes as many pool calls (launches plus inline runs) at B = 12
+// as at B = 1.
+TEST(Mobius, NormalOpPoolCallsDoNotGrowWithTheBatch) {
+  const auto ud = make_gauge(95);
+  const auto u =
+      std::make_shared<GaugeField<float>>(ud->template convert<float>());
+  MobiusOperator<float> op(u, kParams);
+  const auto pool_calls = [&](std::size_t nb) {
+    std::vector<SpinorField<float>> in, out;
+    std::vector<SpinorField<float>*> outs;
+    std::vector<const SpinorField<float>*> ins;
+    for (std::size_t r = 0; r < nb; ++r) {
+      in.emplace_back(u->geom_ptr(), kParams.l5, Subset::Odd);
+      out.emplace_back(u->geom_ptr(), kParams.l5, Subset::Odd);
+      in.back().gaussian(96 + r);
+    }
+    for (std::size_t r = 0; r < nb; ++r) {
+      outs.push_back(&out[r]);
+      ins.push_back(&in[r]);
+    }
+    const auto count = [] {
+      return obs::counter("pool.launches").get() +
+             obs::counter("pool.inline_runs").get();
+    };
+    const std::int64_t before = count();
+    op.apply_normal_multi(outs, ins);
+    return count() - before;
+  };
+  const std::int64_t one = pool_calls(1);
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(pool_calls(12), one);
 }
 
 TEST(Mobius, BatchedMatchesBatchOfOneBitwiseDouble) {

@@ -1,8 +1,8 @@
 // Batch-of-one contract of the BLAS kernels with a batched form.  norm2,
-// redot, xpay, axpy_norm2 and triple_cg_update are their *_multi kernels
-// on a span of one, so a batch of three must give every member the bits of
-// its own batch of one: the returned values and the updated fields, at the
-// default grain and at a fine one (64 reduction chunks).
+// redot, xpay, axpby, axpy_norm2 and triple_cg_update are their *_multi
+// kernels on a span of one, so a batch of three must give every member the
+// bits of its own batch of one: the returned values and the updated
+// fields, at the default grain and at a fine one (64 reduction chunks).
 
 #include <gtest/gtest.h>
 
@@ -78,6 +78,14 @@ void expect_batch_of_one_bits() {
     for (std::size_t r = 0; r < kB; ++r) {
       xpay(x[r], a[r], ys[r], grain);
       EXPECT_TRUE(same_bits(yb[r], ys[r])) << "xpay r=" << r;
+    }
+
+    yb = y;
+    ys = y;
+    axpby_multi<T>(a[0], cptrs(x), a[1], ptrs(yb), grain);
+    for (std::size_t r = 0; r < kB; ++r) {
+      axpby(a[0], x[r], a[1], ys[r], grain);
+      EXPECT_TRUE(same_bits(yb[r], ys[r])) << "axpby r=" << r;
     }
 
     yb = y;

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -152,6 +154,83 @@ TEST(ThreadPool, NestedLaunchOnTheSamePoolRunsInline) {
     pool.parallel_for(0, 4, [&](std::size_t) { total++; });
   });
   EXPECT_EQ(total.load(), 16);
+}
+
+// The hand-off between launches: a worker that has run its chunks spins on
+// the launch epoch for ThreadPool::kSpinBudget, then parks; a launch wakes
+// only the parked workers its chunks need beyond the spinning ones.
+
+TEST(ThreadPool, LaunchesAfterWorkersParkRunEveryChunkOnce) {
+  // A sleep past the spin budget parks every worker before each launch.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(64);
+  constexpr int kReps = 20;
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::this_thread::sleep_for(2 * ThreadPool::kSpinBudget +
+                                std::chrono::milliseconds(1));
+    pool.parallel_for_chunked(0, hits.size(),
+                              [&](std::size_t lo, std::size_t hi) {
+                                for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+                              });
+  }
+  for (auto& h : hits) EXPECT_EQ(h.load(), kReps);
+}
+
+TEST(ThreadPool, BackToBackLaunchesRunEveryChunkOnce) {
+  // Launches inside the budget find the workers of the previous one
+  // spinning; 1 to 4 chunks, so some need fewer workers than spin.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(96);
+  constexpr int kReps = 2000;
+  for (int rep = 0; rep < kReps; ++rep)
+    pool.parallel_for_chunked(
+        0, hits.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+        },
+        hits.size() / static_cast<std::size_t>(1 + rep % 4));
+  for (auto& h : hits) EXPECT_EQ(h.load(), kReps);
+}
+
+TEST(ThreadPool, DestroyedWhileWorkersSpinJoinsPromptly) {
+  for (int rep = 0; rep < 50; ++rep) {
+    auto pool = std::make_unique<ThreadPool>(4);
+    std::atomic<int> total{0};
+    pool->parallel_for(0, 4, [&](std::size_t) { total++; });
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.reset();  // its workers are still inside their spin budget
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+    EXPECT_EQ(total.load(), 4);
+  }
+}
+
+TEST(ThreadPool, NestedLaunchFromASpinningWorkerRunsInline) {
+  // The first launch leaves its workers spinning; a chunk of the second
+  // that one of them claims launches on the same pool, and that inner
+  // launch runs inline on the worker's thread.
+  ThreadPool pool(4);
+  pool.parallel_for(0, 4, [](std::size_t) {});
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> entered{0}, on_workers{0}, inner{0}, inner_inline{0};
+  pool.parallel_for(0, 4, [&](std::size_t) {
+    // Hold each chunk until a second thread runs one, so a worker claims
+    // a chunk (bounded: a worker that never comes fails below instead of
+    // hanging the test).
+    entered++;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (entered.load() < 2 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    const auto me = std::this_thread::get_id();
+    if (me != caller) on_workers++;
+    pool.parallel_for(0, 8, [&](std::size_t) {
+      inner++;
+      if (std::this_thread::get_id() == me) inner_inline++;
+    });
+  });
+  EXPECT_GT(on_workers.load(), 0);
+  EXPECT_EQ(inner.load(), 32);
+  EXPECT_EQ(inner_inline.load(), 32);
 }
 
 TEST(ThreadPool, ConcurrentCallersShareOnePool) {

@@ -2,13 +2,14 @@
 # ThreadSanitizer check of the mutating fused reduction kernels.
 #
 # The fused BLAS layer (lattice/blas.hpp) and the half-precision round-trips
-# (solver/half.cpp) mutate field data from inside parallel reductions; their
+# (solver/half.hpp) mutate field data from inside parallel launches; their
 # race-freedom rests on the thread pool handing each chunk to exactly one
-# worker.  On a 4^4 lattice the dslash, its pack/unpack and the fifth-dim
-# matvecs also run their chunks on pool workers, with the blocked dslash's
-# scratch shared by them.  This script builds the parallel, lattice, dirac
-# and solver test targets with -fsanitize=thread and runs the tests that
-# drive those kernels.
+# worker.  On a 4^4 lattice the dslash, its pack/unpack, the fifth-dim
+# matvecs and the half round-trips (with their per-block norms) also run
+# their chunks on pool workers, with the blocked dslash's scratch shared by
+# them.  This script builds the parallel, lattice, dirac and solver test
+# targets with -fsanitize=thread and runs the tests that drive those
+# kernels, the 4^4 ones at FEMTO_THREADS=4 so that two threads do run them.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 
@@ -30,6 +31,8 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_lattice" --gtest_filter='Blas*.*'
 FEMTO_THREADS=4 "$BUILD_DIR/tests/test_dirac" \
   --gtest_filter='WilsonMulti.*:WilsonSimd.*:Mobius.BatchedMatchesBatchOfOne*:FifthDim*'
-"$BUILD_DIR/tests/test_solver" --gtest_filter='HalfStorage.*:Cg.*:*MixedCg*'
+"$BUILD_DIR/tests/test_solver" --gtest_filter='Cg.*'
+FEMTO_THREADS=4 "$BUILD_DIR/tests/test_solver" \
+  --gtest_filter='HalfStorage.*:HalfSimd.*:*MixedCg*'
 
 echo "tsan check passed"

@@ -214,7 +214,7 @@ std::vector<SolveResult> block_mixed_cg(
       // regardless — no cross-RHS reuse to fuse).
       for (std::size_t m = 0; m < step.size(); ++m) {
         MixedRhs& s = st[batch[step[m]]];
-        s.hstore.axpy_roundtrip(alpha[m], s.p_s, s.xs, hg);
+        s.hstore.axpy_roundtrip(alpha[m], s.p_s, s.xs);
         rsq_new[m] =
             s.hstore.axpy_roundtrip_norm2(-alpha[m], s.ap_s, s.r_s, hg);
       }
@@ -241,7 +241,7 @@ std::vector<SolveResult> block_mixed_cg(
     if (half) {
       for (std::size_t m = 0; m < step.size(); ++m) {
         MixedRhs& s = st[batch[step[m]]];
-        s.hstore.xpay_roundtrip(s.r_s, beta[m], s.p_s, hg);
+        s.hstore.xpay_roundtrip(s.r_s, beta[m], s.p_s);
       }
     } else {
       std::vector<SpinorField<float>*> sps;

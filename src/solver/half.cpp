@@ -4,25 +4,24 @@
 
 namespace femto {
 
-void HalfSpinorField::encode(const SpinorField<float>& src,
-                             std::size_t grain) {
+void HalfSpinorField::encode(const SpinorField<float>& src) {
   assert(src.l5() == l5_ && src.subset() == subset_);
   par::parallel_for_chunked(
       0, static_cast<std::size_t>(blocks()),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t b = lo; b < hi; ++b)
-          encode_block(static_cast<std::int64_t>(b),
-                       src.data() + b * kSpinorReals);
+          quantise_block<simd::kWidth<float>, false>(
+              static_cast<std::int64_t>(b), src.data() + b * kSpinorReals,
+              nullptr);
       },
-      grain);
+      kBlocksPerChunk);
   flops::add_bytes(blocks() *
                    static_cast<std::int64_t>(
                        kSpinorReals * (sizeof(float) + sizeof(std::int16_t)) +
                        sizeof(float)));
 }
 
-void HalfSpinorField::decode(SpinorField<float>& dst,
-                             std::size_t grain) const {
+void HalfSpinorField::decode(SpinorField<float>& dst) const {
   assert(dst.l5() == l5_ && dst.subset() == subset_);
   par::parallel_for_chunked(
       0, static_cast<std::size_t>(blocks()),
@@ -31,7 +30,7 @@ void HalfSpinorField::decode(SpinorField<float>& dst,
           decode_block(static_cast<std::int64_t>(b),
                        dst.data() + b * kSpinorReals);
       },
-      grain);
+      kBlocksPerChunk);
   flops::add_bytes(blocks() *
                    static_cast<std::int64_t>(
                        kSpinorReals * (sizeof(float) + sizeof(std::int16_t)) +

@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "autotune/blas_tunable.hpp"
+#include "autotune/dslash_tunable.hpp"
 #include "comm/communicator.hpp"
 #include "core/workflow.hpp"
 #include "jobmgr/mpi_jm_protocol.hpp"
@@ -94,10 +94,10 @@ int main(int argc, char** argv) {
   // --- 2. autotune warm-up: the second identical request is a cache hit,
   // so the report's hit rate comes from real lookups.
   const auto geom = std::make_shared<femto::Geometry>(4, 4, 4, 8);
-  (void)femto::tune::tuned_blas_grain<float>(geom, wopts.mobius.l5,
-                                             femto::Subset::Odd);
-  (void)femto::tune::tuned_blas_grain<float>(geom, wopts.mobius.l5,
-                                             femto::Subset::Odd);
+  auto tu = std::make_shared<femto::GaugeField<double>>(geom);
+  femto::weak_gauge(*tu, 2025, 0.25);
+  (void)femto::tune::tuned_dslash_grain<double>(tu, wopts.mobius.l5);
+  (void)femto::tune::tuned_dslash_grain<double>(tu, wopts.mobius.l5);
 
   // --- 3. the mpi_jm protocol with real message passing: lump managers
   // measure their own busy/idle split (jm.lump_busy_us / jm.lump_idle_us).

@@ -29,10 +29,6 @@ Autotuner& Autotuner::global() {
 
 const TuneEntry& Autotuner::tune(Tunable& t) {
   const std::string key = t.key();
-  // The kernel name is the key up to the first ',' (the remainder encodes
-  // geometry/precision); a cached sibling with the same name but a
-  // different key means a geometry change invalidated that entry.
-  std::string stale_key;
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = cache_.find(key);
@@ -42,21 +38,7 @@ const TuneEntry& Autotuner::tune(Tunable& t) {
       obs::counter("autotune.cache_hits").add();
       return it->second;
     }
-    const std::string prefix = key.substr(0, key.find(',')) + ",";
-    for (const auto& [other, e] : cache_) {
-      if (other.size() > prefix.size() &&
-          other.compare(0, prefix.size(), prefix) == 0) {
-        stale_key = other;
-        break;
-      }
-    }
   }
-  if (!stale_key.empty())
-    FEMTO_LOG_WARN("autotune",
-                   "cache entry '" << stale_key
-                                   << "' invalidated by geometry change; "
-                                      "re-tuning for key '"
-                                   << key << "'");
   // Miss: brute-force outside the lock (searches can be slow; concurrent
   // misses on the same key just race to insert the same answer).
   const obs::Stopwatch sw;

@@ -1,5 +1,6 @@
 #include "autotune/dslash_tunable.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "lattice/flops.hpp"
@@ -28,41 +29,44 @@ const CompressedGaugeField<T>* recon12_for(
   return r12.get();
 }
 
-/// True when @p got is within recon12_tolerance<T>() of @p ref in relative
-/// L2 distance, accumulated over every (got, ref) field pair.
+}  // namespace
+
 template <typename T>
-bool within_codec_tolerance(std::span<const SpinorField<T>> got,
-                            std::span<const SpinorField<T>> ref) {
+bool output_matches(GaugeFormat format, std::span<const SpinorField<T>> got,
+                    std::span<const SpinorField<T>> ref) {
+  const bool bitwise = format == GaugeFormat::kFull18;
   double d2 = 0.0, n2 = 0.0;
   for (std::size_t f = 0; f < ref.size(); ++f)
     for (std::int64_t k = 0; k < ref[f].reals(); ++k) {
-      const double r = ref[f].data()[k];
-      const double d = static_cast<double>(got[f].data()[k]) - r;
+      const T g = got[f].data()[k];
+      const T r = ref[f].data()[k];
+      // Equal with equal sign bits is equal bits, except that a NaN never
+      // compares equal.
+      if (bitwise && (!(g == r) || std::signbit(g) != std::signbit(r)))
+        return false;
+      const double d = static_cast<double>(g) - r;
       d2 += d * d;
-      n2 += r * r;
+      n2 += static_cast<double>(r) * r;
     }
   const double tol = recon12_tolerance<T>();
-  // Negated so a NaN output fails the check.
-  return !(d2 > tol * tol * n2);
+  return d2 <= tol * tol * n2;  // false when a NaN made d2 NaN
 }
-
-}  // namespace
 
 template <typename T>
 DslashMultiTunable<T>::DslashMultiTunable(
     std::shared_ptr<const GaugeField<T>> u, int l5, int out_parity,
-    std::size_t bmax, FormatSet formats)
+    std::size_t nrhs, FormatSet formats)
     : u_(std::move(u)),
       l5_(l5),
       out_parity_(out_parity),
-      bmax_(bmax),
+      nrhs_(nrhs),
       formats_(formats) {
-  FEMTO_CHECK(bmax_ >= 1, "DslashMultiTunable: bmax must be at least 1");
+  FEMTO_CHECK(nrhs_ >= 1, "DslashMultiTunable: nrhs must be at least 1");
   const Subset in_sub = out_parity == 0 ? Subset::Odd : Subset::Even;
   const Subset out_sub = out_parity == 0 ? Subset::Even : Subset::Odd;
-  in_.reserve(bmax_);
-  out_.reserve(bmax_);
-  for (std::size_t r = 0; r < bmax_; ++r) {
+  in_.reserve(nrhs_);
+  out_.reserve(nrhs_);
+  for (std::size_t r = 0; r < nrhs_; ++r) {
     in_.emplace_back(u_->geom_ptr(), l5, in_sub);
     out_.emplace_back(u_->geom_ptr(), l5, out_sub);
     in_.back().gaussian(0xD51A5 + static_cast<std::uint64_t>(r));
@@ -79,7 +83,7 @@ std::string DslashMultiTunable<T>::key() const {
   os << "dslash_multi,vol=" << d.extent(0) << "x" << d.extent(1) << "x"
      << d.extent(2) << "x" << d.extent(3) << ",l5=" << l5_
      << ",parity=" << out_parity_ << ",prec=" << sizeof(T)
-     << ",bmax=" << bmax_ << ",simd=" << simd::kIsaName << "/"
+     << ",nrhs=" << nrhs_ << ",simd=" << simd::kIsaName << "/"
      << simd::kWidth<T> << ",fmt=" << static_cast<int>(formats_);
   return os.str();
 }
@@ -88,37 +92,30 @@ template <typename T>
 std::vector<TuneParam> DslashMultiTunable<T>::candidates() const {
   // Format is the outermost axis and variant the next (full18 and scalar
   // first, so the reference kernel on reference storage at the smallest
-  // batch and grain leads the search); every (format, variant, nrhs)
-  // triple gets the identical grain sweep, ending with the whole
-  // half-volume in one chunk.  The vector variants only enter the search
-  // when the build actually has lanes; at W == 1 they are the scalar
-  // arithmetic with extra gather overhead.
+  // grain leads the search); every (format, variant) pair gets the
+  // identical grain sweep, ending with the whole half-volume in one chunk.
+  // The vector variants only enter the search when the build actually has
+  // lanes; at W == 1 they are the scalar arithmetic with extra gather
+  // overhead.
   std::vector<DslashVariant> variants = {DslashVariant::kScalar};
   if constexpr (simd::kWidth<T> > 1) {
     variants.push_back(DslashVariant::kVector);
     variants.push_back(DslashVariant::kVectorBlocked);
   }
-  std::vector<TuneParam> cands;
   const std::int64_t volh = u_->geom().half_volume();
+  std::vector<std::int64_t> grains;
+  for (std::int64_t grain = 16; grain < volh; grain *= 4)
+    grains.push_back(grain);
+  grains.push_back(volh);
+  std::vector<TuneParam> cands;
   for (const GaugeFormat f : format_set_members(formats_)) {
     for (const DslashVariant v : variants) {
-      for (std::size_t nrhs = 1; nrhs <= bmax_; nrhs *= 2) {
-        std::size_t base = cands.size();
-        for (std::int64_t grain = 16; grain <= volh; grain *= 4) {
-          TuneParam p;
-          p.knobs["format"] = static_cast<std::int64_t>(f);
-          p.knobs["variant"] = static_cast<std::int64_t>(v);
-          p.knobs["grain"] = grain;
-          p.knobs["nrhs"] = static_cast<std::int64_t>(nrhs);
-          cands.push_back(p);
-        }
-        TuneParam whole;
-        whole.knobs["format"] = static_cast<std::int64_t>(f);
-        whole.knobs["variant"] = static_cast<std::int64_t>(v);
-        whole.knobs["grain"] = volh;
-        whole.knobs["nrhs"] = static_cast<std::int64_t>(nrhs);
-        if (cands.size() == base || !(cands.back() == whole))
-          cands.push_back(whole);
+      for (const std::int64_t grain : grains) {
+        TuneParam p;
+        p.knobs["format"] = static_cast<std::int64_t>(f);
+        p.knobs["variant"] = static_cast<std::int64_t>(v);
+        p.knobs["grain"] = grain;
+        cands.push_back(p);
       }
     }
   }
@@ -131,22 +128,19 @@ void DslashMultiTunable<T>::apply(const TuneParam& p) {
   tune.grain = static_cast<std::size_t>(p.get("grain", 512));
   tune.variant = static_cast<DslashVariant>(p.get("variant", 0));
   tune.format = static_cast<GaugeFormat>(p.get("format", 0));
-  const std::size_t nrhs = static_cast<std::size_t>(p.get("nrhs", 1));
-  for (std::size_t r0 = 0; r0 < bmax_; r0 += nrhs) {
-    const std::size_t nb = std::min(nrhs, bmax_ - r0);
-    std::vector<SpinorView<T>> outs;
-    std::vector<SpinorView<const T>> ins;
-    outs.reserve(nb);
-    ins.reserve(nb);
-    for (std::size_t i = 0; i < nb; ++i) {
-      outs.push_back(view(out_[r0 + i]));
-      ins.push_back(cview(in_[r0 + i]));
-    }
-    if (const auto* c = recon12_for(tune.format, *u_, u_r12_))
-      dslash_multi<T>(outs, *c, ins, out_parity_, false, tune);
-    else
-      dslash_multi<T>(outs, *u_, ins, out_parity_, false, tune);
+  applied_format_ = tune.format;
+  std::vector<SpinorView<T>> outs;
+  std::vector<SpinorView<const T>> ins;
+  outs.reserve(nrhs_);
+  ins.reserve(nrhs_);
+  for (std::size_t r = 0; r < nrhs_; ++r) {
+    outs.push_back(view(out_[r]));
+    ins.push_back(cview(in_[r]));
   }
+  if (const auto* c = recon12_for(tune.format, *u_, u_r12_))
+    dslash_multi<T>(outs, *c, ins, out_parity_, false, tune);
+  else
+    dslash_multi<T>(outs, *u_, ins, out_parity_, false, tune);
 }
 
 template <typename T>
@@ -156,59 +150,62 @@ void DslashMultiTunable<T>::save_reference() {
 
 template <typename T>
 bool DslashMultiTunable<T>::matches_reference() const {
-  return within_codec_tolerance<T>(out_, ref_);
+  return output_matches<T>(applied_format_, out_, ref_);
 }
 
 template <typename T>
 std::int64_t DslashMultiTunable<T>::flops_per_call() const {
-  return static_cast<std::int64_t>(bmax_) * flops::kWilsonDslashPerSite *
+  return static_cast<std::int64_t>(nrhs_) * flops::kWilsonDslashPerSite *
          u_->geom().half_volume() * l5_;
 }
 
 template <typename T>
 std::int64_t DslashMultiTunable<T>::bytes_per_call() const {
   // Read 8 neighbour spinors + 8 links, write 1 spinor, per site, slice
-  // and RHS: the unamortised (B=1) traffic model, so candidate gbytes are
-  // comparable across batch sizes -- a candidate that amortises link
-  // loads shows up as HIGHER effective bandwidth, not lower traffic.
+  // and RHS: the stencil's traffic with no cache reuse, so a kernel that
+  // reuses neighbours or links from cache reads as a higher effective
+  // bandwidth.
   const std::int64_t volh = u_->geom().half_volume();
   const std::int64_t spinor = kSpinorReals * sizeof(T);
   const std::int64_t link = kLinkReals * sizeof(T);
-  return static_cast<std::int64_t>(bmax_) * volh * l5_ *
+  return static_cast<std::int64_t>(nrhs_) * volh * l5_ *
          (9 * spinor + 8 * link);
 }
 
 template <typename T>
-MultiRhsTuning tuned_multi_rhs(std::shared_ptr<const GaugeField<T>> u,
-                               int l5, std::size_t bmax, int out_parity,
-                               FormatSet formats) {
-  DslashMultiTunable<T> tunable(std::move(u), l5, out_parity, bmax, formats);
+DslashTuning tuned_dslash_grain(std::shared_ptr<const GaugeField<T>> u,
+                                int l5, int out_parity, FormatSet formats,
+                                std::size_t nrhs) {
+  DslashMultiTunable<T> tunable(std::move(u), l5, out_parity, nrhs, formats);
   const TuneEntry& e = Autotuner::global().tune(tunable);
-  MultiRhsTuning t;
-  t.dslash.grain = static_cast<std::size_t>(e.param.get("grain", 512));
-  t.dslash.variant = static_cast<DslashVariant>(e.param.get("variant", 0));
-  t.dslash.format = static_cast<GaugeFormat>(e.param.get("format", 0));
-  t.nrhs = static_cast<std::size_t>(e.param.get("nrhs", 1));
+  DslashTuning t;
+  t.grain = static_cast<std::size_t>(e.param.get("grain", 512));
+  t.variant = static_cast<DslashVariant>(e.param.get("variant", 0));
+  t.format = static_cast<GaugeFormat>(e.param.get("format", 0));
   // Surface the winners in the femtoscope registry; the run report's simd
   // block decodes the variant and format ordinals (see obs/report.cpp).
   const char* prec = sizeof(T) == 4 ? "f" : "d";
   obs::gauge(std::string("dslash.variant_") + prec)
-      .set(static_cast<double>(e.param.get("variant", 0)));
+      .set(static_cast<double>(t.variant));
   obs::gauge(std::string("dslash.format_") + prec)
-      .set(static_cast<double>(e.param.get("format", 0)));
+      .set(static_cast<double>(t.format));
   obs::gauge(std::string("dslash.gbytes_") + prec).set(e.gbytes);
-  obs::gauge(std::string("dslash_multi.nrhs_") + prec)
-      .set(static_cast<double>(t.nrhs));
   return t;
 }
 
 template class DslashMultiTunable<double>;
 template class DslashMultiTunable<float>;
-template MultiRhsTuning tuned_multi_rhs<double>(
-    std::shared_ptr<const GaugeField<double>>, int, std::size_t, int,
-    FormatSet);
-template MultiRhsTuning tuned_multi_rhs<float>(
-    std::shared_ptr<const GaugeField<float>>, int, std::size_t, int,
-    FormatSet);
+template bool output_matches<double>(GaugeFormat,
+                                     std::span<const SpinorField<double>>,
+                                     std::span<const SpinorField<double>>);
+template bool output_matches<float>(GaugeFormat,
+                                    std::span<const SpinorField<float>>,
+                                    std::span<const SpinorField<float>>);
+template DslashTuning tuned_dslash_grain<double>(
+    std::shared_ptr<const GaugeField<double>>, int, int, FormatSet,
+    std::size_t);
+template DslashTuning tuned_dslash_grain<float>(
+    std::shared_ptr<const GaugeField<float>>, int, int, FormatSet,
+    std::size_t);
 
 }  // namespace femto::tune

@@ -18,8 +18,7 @@
 // flops::get() tracks its arithmetic.
 //
 // Every kernel takes a trailing chunk-grain argument (minimum elements per
-// worker); the autotuner sweeps it via tune::BlasTunable exactly as it
-// sweeps the dslash launch grain.
+// worker), kGrain by default; the solvers run at kGrain.
 //
 // SIMD (DESIGN.md §11): every kernel is width-templated on a lane count W
 // defaulting to the build's native width (1 when FEMTO_SIMD=OFF).  The

@@ -26,9 +26,8 @@
 // elsewhere) finds the chunks taken and goes back to spinning and
 // parking, so no launch waits on a thread the scheduler has not run yet.
 // Which thread runs a chunk never changes the chunk boundaries, so
-// results do not depend on it.  The autotuner (src/autotune) hides the
-// remaining launch cost the same way QUDA hides CUDA launch latency, by
-// tuning the work-per-thread ("block") granularity.
+// results do not depend on it.  The dslash autotuner (src/autotune) sizes
+// the stencil's work per thread the way QUDA tunes a CUDA block size.
 
 #include <atomic>
 #include <chrono>
@@ -92,7 +91,7 @@ class ThreadPool {
   ///
   /// @p grain: minimum iterations per worker; below it the pool shrinks the
   /// number of participating workers to keep per-thread work above the
-  /// launch overhead (this is the knob the autotuner sweeps).
+  /// launch overhead.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 1);

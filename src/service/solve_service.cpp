@@ -1,6 +1,5 @@
 #include "service/solve_service.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -76,11 +75,6 @@ void SolveService::drain() {
   cv_idle_.wait(lk, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-std::size_t SolveService::effective_max_batch() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return effective_max_batch_;
-}
-
 std::size_t SolveService::pending() const {
   std::lock_guard<std::mutex> lk(mu_);
   return queue_.size();
@@ -96,12 +90,12 @@ std::string SolveService::queue_state_json() const {
   std::snprintf(
       buf, sizeof(buf),
       "{\"pending\":%zu,\"in_flight\":%zu,\"submitted\":%llu,"
-      "\"completed\":%llu,\"stopping\":%s,\"effective_max_batch\":%zu,"
-      "\"solvers\":%zu,\"pending_flows\":[",
+      "\"completed\":%llu,\"stopping\":%s,\"solvers\":%zu,"
+      "\"pending_flows\":[",
       queue_.size(), in_flight_,
       static_cast<unsigned long long>(submitted_),
       static_cast<unsigned long long>(completed_),
-      stopping_ ? "true" : "false", effective_max_batch_, solvers_.size());
+      stopping_ ? "true" : "false", solvers_.size());
   std::string out = buf;
   bool first = true;
   for (const Item& item : queue_) {
@@ -135,13 +129,12 @@ void SolveService::worker_loop() {
 
 std::vector<SolveService::Item> SolveService::take_batch_locked() {
   // femtolint: allow(guarded-by): private helper; every caller holds mu_.
-  const std::size_t cap = effective_max_batch_;
   std::vector<Item> batch;
   batch.push_back(std::move(queue_.front()));
   queue_.pop_front();
   const SolveRequest& head = batch.front().req;
   for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < cap;) {
+       it != queue_.end() && batch.size() < cfg_.max_batch;) {
     if (it->req.u.get() == head.u.get() && it->req.params == head.params) {
       batch.push_back(std::move(*it));
       it = queue_.erase(it);
@@ -178,17 +171,8 @@ DwfSolver& SolveService::solver_for(const SolveRequest& req) {
                                    std::move(fresh), /*busy=*/true});
     solver = solvers_.back().solver.get();
   }
-  // Batched solves want the multi-RHS sweep: batch size is an autotune
-  // dimension alongside grain and variant (see DslashMultiTunable), and
-  // the sweet spot it measures becomes the live batching bound.
-  if (cfg_.autotune) {
-    const std::size_t best = solver->autotune_multi(cfg_.max_batch);
-    std::lock_guard<std::mutex> tuned_lk(mu_);
-    effective_max_batch_ =
-        std::min(cfg_.max_batch, std::max<std::size_t>(best, 1));
-    obs::gauge("solve_service.effective_max_batch")
-        .set(static_cast<double>(effective_max_batch_));
-  }
+  // Tune the launch the service's batches make (DslashMultiTunable).
+  if (cfg_.autotune) solver->autotune_multi(cfg_.max_batch);
   return *solver;
 }
 

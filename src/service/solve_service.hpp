@@ -8,12 +8,10 @@
 // SolveRequests to a thread-safe FIFO queue and get a std::future back;
 // worker threads drain the queue, greedily batching COMPATIBLE requests
 // (same gauge field, same operator params — i.e. the same preconditioned
-// system) up to a tunable max batch B, and run them through
-// DwfSolver::solve_multi so the B solves share every gauge-link load.
-// With autotune on, the first solver build sweeps the multi-RHS grid and
-// the measured sweet-spot batch size becomes the live bound (clamped to
-// [1, max_batch]) — the queue stops growing batches past the point the
-// sweep found counter-productive.
+// system) up to max_batch B, and run them through DwfSolver::solve_multi
+// so the B solves share every gauge-link load.  With autotune on, every
+// solver build tunes its dslash for batches of B (the process-wide tune
+// cache runs each sweep once per geometry).
 //
 // Batching policy: a worker pops the oldest pending request, then scans
 // the rest of the queue in FIFO order pulling every compatible request
@@ -35,7 +33,6 @@
 //   solve_service.batch_size    histogram, one observation per batch
 //   solve_service.throughput    gauge, completed solves / busy second
 //   solve_service.submitted / .completed / .batches   counters
-//   solve_service.effective_max_batch   gauge, the live batching bound
 
 #include <atomic>
 #include <condition_variable>
@@ -71,9 +68,9 @@ struct SolveOutcome {
 };
 
 struct SolveServiceConfig {
-  std::size_t max_batch = 4;  ///< greedy batch bound B (autotunable)
+  std::size_t max_batch = 4;  ///< greedy batch bound B
   std::size_t workers = 1;    ///< drain threads
-  bool autotune = false;      ///< autotune each solver on first build
+  bool autotune = false;      ///< tune each solver's dslash at B when built
   SolverParams solver;        ///< per-solve tolerances / precisions
 };
 
@@ -99,11 +96,6 @@ class SolveService {
 
   /// Pending (not yet claimed) requests.
   std::size_t pending() const;
-
-  /// The live greedy batching bound: config().max_batch until the first
-  /// autotuned solver build replaces it with the multi-RHS sweep's
-  /// measured sweet spot (always within [1, config().max_batch]).
-  std::size_t effective_max_batch() const;
 
   const SolveServiceConfig& config() const { return cfg_; }
 
@@ -157,7 +149,6 @@ class SolveService {
   double busy_seconds_ FEMTO_GUARDED_BY(mu_) = 0.0;
   bool stopping_ FEMTO_GUARDED_BY(mu_) = false;
   std::vector<SolverEntry> solvers_ FEMTO_GUARDED_BY(mu_);
-  std::size_t effective_max_batch_ FEMTO_GUARDED_BY(mu_) = cfg_.max_batch;
 
   std::vector<std::thread> workers_;
   /// Flight-recorder provider registration (obs/blackbox.hpp); atomic so

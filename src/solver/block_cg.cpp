@@ -6,7 +6,6 @@
 #include "lattice/flops.hpp"
 #include "obs/trace.hpp"
 #include "obs/wallclock.hpp"
-#include "solver/grain.hpp"
 #include "solver/half.hpp"
 #include "solver/solver_obs.hpp"
 
@@ -60,8 +59,6 @@ std::vector<SolveResult> block_mixed_cg(
   const obs::Stopwatch sw;
   const std::int64_t flops0 = flops::get();
   const std::int64_t bytes0 = flops::bytes();
-  const std::size_t g = detail::resolve_grain(params.blas_grain);
-  const std::size_t hg = detail::half_grain(params.blas_grain);
   const bool half = params.sloppy == Precision::Half;
   const Precision inner_prec = half ? Precision::Half : Precision::Single;
 
@@ -72,9 +69,9 @@ std::vector<SolveResult> block_mixed_cg(
   {
     std::vector<double> b2(nb), xn(nb);
     std::vector<const SpinorField<double>*> bp(b.begin(), b.end());
-    blas::norm2_multi<double>(bp, b2, g);
+    blas::norm2_multi<double>(bp, b2);
     std::vector<const SpinorField<double>*> xp(x.begin(), x.end());
-    blas::norm2_multi<double>(xp, xn, g);
+    blas::norm2_multi<double>(xp, xn);
     std::vector<std::size_t> warm;
     for (std::size_t i = 0; i < nb; ++i) {
       st[i].b2 = b2[i];
@@ -94,7 +91,7 @@ std::vector<SolveResult> block_mixed_cg(
       }
       a_double(wtmp, cwx);
       std::vector<double> mone(warm.size(), -1.0), wr2(warm.size());
-      blas::axpy_norm2_multi<double>(mone, cwtmp, wr, wr2, g);
+      blas::axpy_norm2_multi<double>(mone, cwtmp, wr, wr2);
       for (std::size_t k = 0; k < warm.size(); ++k)
         st[warm[k]].r2_d = wr2[k];
     }
@@ -104,10 +101,9 @@ std::vector<SolveResult> block_mixed_cg(
   // the demoted residual is round-tripped through 16-bit storage and its
   // norm taken in the same pass.
   auto start_inner = [&](MixedRhs& s) {
-    blas::copy(s.r_s, s.r_d, g);
-    s.rsq = half ? s.hstore.roundtrip_norm2(s.r_s, hg)
-                 : blas::norm2(s.r_s, g);
-    blas::copy(s.p_s, s.r_s, g);
+    blas::copy(s.r_s, s.r_d);
+    s.rsq = half ? s.hstore.roundtrip_norm2(s.r_s) : blas::norm2(s.r_s);
+    blas::copy(s.p_s, s.r_s);
     s.xs.zero();
     s.update_target = s.rsq * params.delta * params.delta;
     s.inner = 0;
@@ -119,13 +115,13 @@ std::vector<SolveResult> block_mixed_cg(
   auto reliable_update = [&](std::size_t i) {
     MixedRhs& s = st[i];
     SolveResult& res = results[i];
-    blas::copy(s.tmp_d, s.xs, g);  // promote
-    blas::axpy<double>(1.0, s.tmp_d, *x[i], g);
+    blas::copy(s.tmp_d, s.xs);  // promote
+    blas::axpy<double>(1.0, s.tmp_d, *x[i]);
     SpinorField<double>* outp[1] = {&s.tmp_d};
     const SpinorField<double>* inp[1] = {x[i]};
     a_double(outp, inp);
-    blas::copy(s.r_d, *b[i], g);
-    s.r2_d = blas::axpy_norm2<double>(-1.0, s.tmp_d, s.r_d, g);
+    blas::copy(s.r_d, *b[i]);
+    s.r2_d = blas::axpy_norm2<double>(-1.0, s.tmp_d, s.r_d);
     FEMTO_CHECK(std::isfinite(s.r2_d),
                 "mixed_cg: true residual norm went NaN/Inf at a reliable "
                 "update");
@@ -188,7 +184,7 @@ std::vector<SolveResult> block_mixed_cg(
     }
     a_single(bap, cbp);
     std::vector<double> pap(na);
-    blas::redot_multi<float>(cbp, cbap, pap, g);
+    blas::redot_multi<float>(cbp, cbap, pap);
 
     // A sloppy breakdown (pAp <= 0) leaves the stepping subset and forces
     // a reliable update; everyone else takes the fused vector updates.
@@ -215,8 +211,7 @@ std::vector<SolveResult> block_mixed_cg(
       for (std::size_t m = 0; m < step.size(); ++m) {
         MixedRhs& s = st[batch[step[m]]];
         s.hstore.axpy_roundtrip(alpha[m], s.p_s, s.xs);
-        rsq_new[m] =
-            s.hstore.axpy_roundtrip_norm2(-alpha[m], s.ap_s, s.r_s, hg);
+        rsq_new[m] = s.hstore.axpy_roundtrip_norm2(-alpha[m], s.ap_s, s.r_s);
       }
     } else {
       std::vector<SpinorField<float>*> sx, sr;
@@ -228,7 +223,7 @@ std::vector<SolveResult> block_mixed_cg(
         sx.push_back(&s.xs);
         sr.push_back(&s.r_s);
       }
-      blas::triple_cg_update_multi<float>(alpha, sp, sap, sx, sr, rsq_new, g);
+      blas::triple_cg_update_multi<float>(alpha, sp, sap, sx, sr, rsq_new);
     }
     std::vector<double> beta(step.size());
     for (std::size_t m = 0; m < step.size(); ++m) {
@@ -250,7 +245,7 @@ std::vector<SolveResult> block_mixed_cg(
         sps.push_back(&st[batch[m]].p_s);
         srs.push_back(&st[batch[m]].r_s);
       }
-      blas::xpay_multi<float>(srs, beta, sps, g);
+      blas::xpay_multi<float>(srs, beta, sps);
     }
     for (std::size_t m = 0; m < step.size(); ++m) {
       const std::size_t i = batch[step[m]];

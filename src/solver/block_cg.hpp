@@ -13,9 +13,9 @@
 // is the per-RHS convergence contract:
 //
 //   A batch of N gives every RHS bitwise the SAME iterates, iteration
-//   count, and residual history as its batch of one at the same grain —
-//   independent of which other RHSs share the batch.  The pure-double
-//   cg<double> (cg.hpp) is the numerical reference.
+//   count, and residual history as its batch of one — independent of
+//   which other RHSs share the batch.  The pure-double cg<double>
+//   (cg.hpp) is the numerical reference.
 //
 // That contract is what lets the SolveService batch greedily: adding or
 // removing a request from a batch can never change another request's

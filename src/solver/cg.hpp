@@ -50,13 +50,11 @@ struct SolverParams {
   double delta = 0.1;         ///< reliable-update trigger: inner residual
                               ///< shrinks by this factor vs last update
   int min_inner_iter = 5;     ///< avoid thrashing updates
-  std::size_t blas_grain = 0;  ///< chunk grain for the solver's BLAS
-                               ///< kernels (0 = blas::kGrain); autotuned
-                               ///< via tune::tuned_blas_grain
   /// Gauge storage tier for the sloppy (inner) operator (DESIGN.md §16):
   /// full18 or recon12.  Only the inner iterations read it; reliable
   /// updates always run on full-18 double links.  Autotuned via
-  /// tune::tuned_dslash_grain(..., FormatSet::kAll) in DwfSolver.
+  /// tune::tuned_dslash_grain(..., FormatSet::kAll) in
+  /// DwfSolver::autotune_multi().
   GaugeFormat gauge_format = GaugeFormat::kFull18;
 };
 
@@ -98,14 +96,12 @@ struct SolveResult {
 /// Plain CG in precision T: solves A x = b, x is both the initial guess
 /// (typically zero) and the result.  The iteration body uses the fused
 /// single-pass kernels (axpy_norm2, axpy_zpbx), so each iteration makes 3
-/// full-field BLAS sweeps beyond the matvec instead of the naive 5.
-/// @p blas_grain: chunk grain for those kernels (0 = blas::kGrain).
-/// cg<double> is the pure-double correctness reference
+/// full-field BLAS sweeps beyond the matvec instead of the naive 5, each
+/// at blas::kGrain.  cg<double> is the pure-double correctness reference
 /// (DwfSolver::solve_double).
 template <typename T>
 SolveResult cg(const ApplyFn<T>& a, SpinorField<T>& x,
-               const SpinorField<T>& b, double tol, int max_iter,
-               std::size_t blas_grain = 0);
+               const SpinorField<T>& b, double tol, int max_iter);
 
 /// Mixed-precision CG with reliable updates: the outer residual is held in
 /// double and recomputed with @p a_double; inner CG iterations run in
@@ -122,6 +118,6 @@ SolveResult mixed_cg(const ApplyFn<double>& a_double,
 extern template SolveResult cg<double>(const ApplyFn<double>&,
                                        SpinorField<double>&,
                                        const SpinorField<double>&, double,
-                                       int, std::size_t);
+                                       int);
 
 }  // namespace femto

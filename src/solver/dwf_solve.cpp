@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "autotune/blas_tunable.hpp"
 #include "autotune/dslash_tunable.hpp"
 #include "core/check.hpp"
 #include "obs/log.hpp"
@@ -10,28 +9,21 @@
 
 namespace femto {
 
-std::size_t DwfSolver::autotune_multi(std::size_t bmax) {
+void DwfSolver::autotune_multi(std::size_t nrhs) {
   FEMTO_TRACE_SCOPE("autotune", "dwf_solver_autotune_multi");
-  const tune::MultiRhsTuning td = tune::tuned_multi_rhs<double>(
-      u_d_, mobius_.l5, bmax, 0, tune::FormatSet::kFullOnly);
-  const tune::MultiRhsTuning tf = tune::tuned_multi_rhs<float>(
-      u_f_, mobius_.l5, bmax, 0, tune::FormatSet::kAll);
-  op_d_.tuning() = td.dslash;
-  op_f_.tuning() = tf.dslash;
-  sparams_.gauge_format = tf.dslash.format;
-  sparams_.blas_grain = tune::tuned_blas_grain<float>(u_f_->geom_ptr(),
-                                                     mobius_.l5, Subset::Odd);
+  const DslashTuning td = tune::tuned_dslash_grain<double>(
+      u_d_, mobius_.l5, 0, tune::FormatSet::kFullOnly, nrhs);
+  const DslashTuning tf = tune::tuned_dslash_grain<float>(
+      u_f_, mobius_.l5, 0, tune::FormatSet::kAll, nrhs);
+  op_d_.tuning() = td;
+  op_f_.tuning() = tf;
+  sparams_.gauge_format = tf.format;
   FEMTO_LOG_DEBUG("autotune",
-                  "dwf_solver multi: d=" << to_string(td.dslash.variant)
-                                         << "/" << td.dslash.grain << "/B"
-                                         << td.nrhs << " f="
-                                         << to_string(tf.dslash.variant)
-                                         << "/" << tf.dslash.grain << "/B"
-                                         << tf.nrhs << "/"
-                                         << gauge_format_name(tf.dslash.format)
-                                         << ", blas grain "
-                                         << sparams_.blas_grain);
-  return tf.nrhs;
+                  "dwf_solver at B=" << nrhs << ": d=" << to_string(td.variant)
+                                     << "/" << td.grain << " f="
+                                     << to_string(tf.variant) << "/"
+                                     << tf.grain << "/"
+                                     << gauge_format_name(tf.format));
 }
 
 DwfSolver::DwfSolver(std::shared_ptr<const GaugeField<double>> u,
@@ -132,8 +124,7 @@ SolveResult DwfSolver::solve_double(SpinorField<double>& x,
     op_d_.apply_normal(out, in);
   };
   SpinorField<double> y(geom, l5, Subset::Odd);
-  SolveResult res = cg<double>(a_d, y, rhs, sparams_.tol, sparams_.max_iter,
-                               sparams_.blas_grain);
+  SolveResult res = cg<double>(a_d, y, rhs, sparams_.tol, sparams_.max_iter);
   FEMTO_CHECK(std::isfinite(res.final_rel_residual),
               "DwfSolver::solve_double: cg returned a non-finite residual");
   op_d_.reconstruct(x, y, b);

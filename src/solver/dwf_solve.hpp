@@ -28,16 +28,14 @@ class DwfSolver {
   DwfSolver(std::shared_ptr<const GaugeField<double>> u, MobiusParams params,
             SolverParams solver_params = {});
 
-  /// Autotune the dslash launch parameters and the BLAS grain for this
-  /// volume (both precisions) and use them for every subsequent solve —
-  /// the way Chroma+QUDA tune on first encounter.  Cached process-wide.
-  /// Sweeps the multi-RHS dslash's nrhs x grain x variant x tier grid
-  /// (batch bound bmax; bmax = 1 tunes single-RHS solves), installs the
-  /// winning launch parameters for both precisions, and returns the
-  /// sweet-spot batch size the sweep found (from the single-precision
-  /// winner, which dominates mixed-precision solve time).  Callers — the
-  /// SolveService — can feed that back into their batching bound.
-  std::size_t autotune_multi(std::size_t bmax);
+  /// Autotune both operators' dslash for batches of @p nrhs right-hand
+  /// sides on this volume and use the winners for every subsequent solve,
+  /// the way Chroma+QUDA tune on first encounter (cached process-wide).
+  /// The double operator races variant x grain on full18 links; the float
+  /// one also races the link tier, and its pick becomes
+  /// solver_params().gauge_format.  Only that tier moves a solution's
+  /// bits: every variant and grain gives the same ones.
+  void autotune_multi(std::size_t nrhs);
 
   const MobiusOperator<double>& op() const { return op_d_; }
   const MobiusParams& params() const { return mobius_; }

@@ -20,8 +20,8 @@
 // Threads: every kernel walks independent blocks on the pool at a fixed
 // blocks-per-chunk grain, so the chunking moves no bit.  The two kernels
 // that return a norm write one norm per block, then sum them over a
-// parallel_reduce_n partition at their own grain: the tree the sum always
-// had, so it is bitwise identical at any thread count.
+// parallel_reduce_n partition at kHalfGrain: the tree the sum always had,
+// so it is bitwise identical at any thread count.
 
 #include <cmath>
 #include <cstdint>
@@ -89,8 +89,7 @@ class HalfSpinorField {
     for (; k < kSpinorReals; ++k) vals[k] = static_cast<float>(q[k]) * s;
   }
 
-  /// Blocks per partial of the norm kernels' reduction tree: their default
-  /// grain, and what detail::half_grain() maps an untuned BLAS grain to.
+  /// Blocks per partial of the norm kernels' reduction tree.
   static constexpr std::size_t kHalfGrain = 512;
 
   /// Blocks per pool chunk of every whole-field kernel here, each block
@@ -114,16 +113,14 @@ class HalfSpinorField {
   // the reduction share a single pass.
 
   /// f = decode(encode(f)); returns ||f||^2 of the quantised field.
-  /// @p grain: blocks per partial of the norm's reduction tree.
   template <int W = simd::kWidth<float>>
-  double roundtrip_norm2(SpinorField<float>& f,
-                         std::size_t grain = kHalfGrain) {
+  double roundtrip_norm2(SpinorField<float>& f) {
     FEMTO_TRACE_SCOPE("half", "roundtrip_norm2");
     assert(f.l5() == l5_ && f.subset() == subset_);
     roundtrip_pass<W>(f.data(), [](std::size_t, float*) {}, norms_.data());
     flops::add(2 * f.reals());
     flops::add_bytes(blocks() * kRoundtripBytesPerBlock);
-    return sum_norms(grain);
+    return sum_norms();
   }
 
   /// y += a*x, then y = decode(encode(y)).
@@ -148,11 +145,10 @@ class HalfSpinorField {
   }
 
   /// y += a*x, then y = decode(encode(y)); returns ||y||^2 of the
-  /// quantised y.  @p grain: blocks per partial of the norm's tree.
+  /// quantised y.
   template <int W = simd::kWidth<float>>
   double axpy_roundtrip_norm2(double a, const SpinorField<float>& x,
-                              SpinorField<float>& y,
-                              std::size_t grain = kHalfGrain) {
+                              SpinorField<float>& y) {
     FEMTO_TRACE_SCOPE("half", "axpy_roundtrip_norm2");
     assert(y.compatible(x));
     assert(y.l5() == l5_ && y.subset() == subset_);
@@ -168,7 +164,7 @@ class HalfSpinorField {
     flops::add(4 * y.reals());
     flops::add_bytes(blocks() *
                      (kRoundtripBytesPerBlock + kXReadBytesPerBlock));
-    return sum_norms(grain);
+    return sum_norms();
   }
 
   /// y = x + b*y, then y = decode(encode(y)).
@@ -269,10 +265,10 @@ class HalfSpinorField {
         kBlocksPerChunk);
   }
 
-  // The sum of norms_ over the tree of a parallel_reduce_n at @p grain:
+  // The sum of norms_ over the tree of a parallel_reduce_n at kHalfGrain:
   // blocks in order within a partial, partials in order, so the result
-  // is a function of (blocks, grain) alone.
-  double sum_norms(std::size_t grain) const {
+  // is a function of the block count alone.
+  double sum_norms() const {
     double n2 = 0.0;
     par::parallel_reduce_n(
         0, static_cast<std::size_t>(blocks()), 1,
@@ -281,7 +277,7 @@ class HalfSpinorField {
           for (std::size_t b = lo; b < hi; ++b) s += norms_[b];
           acc[0] = s;
         },
-        &n2, grain);
+        &n2, kHalfGrain);
     return n2;
   }
 

@@ -4,8 +4,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace femto::tune {
@@ -85,6 +88,35 @@ TEST(Autotuner, DistinctKeysTunedSeparately) {
   EXPECT_TRUE(tuner.contains("kern-c1"));
   EXPECT_TRUE(tuner.contains("kern-c2"));
   EXPECT_FALSE(tuner.contains("kern-c3"));
+}
+
+std::vector<std::string>& warnings() {
+  static std::vector<std::string> lines;
+  return lines;
+}
+
+void capture_warning(obs::LogLevel level, const char*,
+                     const std::string& line) {
+  if (level >= obs::LogLevel::Warn) warnings().push_back(line);
+}
+
+TEST(Autotuner, SecondKeyOfOneKernelLogsNoWarning) {
+  // Two keys of one kernel name (the double and float entries of one
+  // dslash geometry, say) are two live entries: tuning the second
+  // invalidates nothing, so it warns of nothing.
+  Autotuner tuner;
+  FakeKernel d("kern-w,prec=8"), f("kern-w,prec=4");
+  const obs::LogLevel saved = obs::log_level();
+  obs::set_log_level(obs::LogLevel::Warn);
+  obs::set_log_sink(&capture_warning);
+  warnings().clear();
+  tuner.tune(d);
+  tuner.tune(f);
+  obs::set_log_sink(nullptr);
+  obs::set_log_level(saved);
+  EXPECT_TRUE(warnings().empty()) << warnings().front();
+  EXPECT_TRUE(tuner.contains("kern-w,prec=8"));
+  EXPECT_TRUE(tuner.contains("kern-w,prec=4"));
 }
 
 TEST(Autotuner, BackupRestoreBracketTheSearch) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "lattice/gauge.hpp"
 #include "obs/metrics.hpp"
@@ -95,22 +99,25 @@ TEST(DslashTunable, TunedGrainComesFromCache) {
   const auto t2 = tuned_dslash_grain<double>(u, 4, 0);
   EXPECT_EQ(t2.grain, t1.grain);
   EXPECT_EQ(Autotuner::global().cache_misses(), misses);  // pure lookup
+  // Another batch size is its own sweep.
+  (void)tuned_dslash_grain<double>(u, 4, 0, FormatSet::kFullOnly, 2);
+  EXPECT_EQ(Autotuner::global().cache_misses(), misses + 1);
   Autotuner::global().clear();
 }
 
 TEST(DslashTunable, SingleRhsTuningIsTheBatchOfOne) {
-  // tuned_dslash_grain runs the multi-RHS sweep at batch bound 1: the
-  // same cache entry answers a bmax = 1 tuned_multi_rhs lookup.
+  // tuned_dslash_grain's default batch is one right-hand side: the same
+  // cache entry answers an explicit nrhs = 1 lookup.
   Autotuner::global().clear();
   auto u = make_gauge();
   const DslashTuning single = tuned_dslash_grain<double>(u, 2, 0);
   const auto misses = Autotuner::global().cache_misses();
-  const MultiRhsTuning multi = tuned_multi_rhs<double>(u, 2, 1, 0);
+  const DslashTuning one =
+      tuned_dslash_grain<double>(u, 2, 0, FormatSet::kFullOnly, 1);
   EXPECT_EQ(Autotuner::global().cache_misses(), misses);
-  EXPECT_EQ(multi.nrhs, 1u);
-  EXPECT_EQ(multi.dslash.grain, single.grain);
-  EXPECT_EQ(multi.dslash.variant, single.variant);
-  EXPECT_EQ(multi.dslash.format, single.format);
+  EXPECT_EQ(one.grain, single.grain);
+  EXPECT_EQ(one.variant, single.variant);
+  EXPECT_EQ(one.format, single.format);
   Autotuner::global().clear();
 }
 
@@ -125,64 +132,57 @@ TEST(DslashTunable, MetricsPopulated) {
   EXPECT_GT(e.seconds, 0.0);
 }
 
-TEST(DslashMultiTunable, KeyExtendsSingleRhsKeyWithBatchBound) {
+TEST(DslashMultiTunable, KeyCarriesTheBatchSize) {
   auto u = make_gauge();
   DslashMultiTunable<double> t4(u, 2, 0, 4);
   DslashMultiTunable<double> t8(u, 2, 0, 8);
   EXPECT_NE(t4.key().find("dslash_multi"), std::string::npos);
-  EXPECT_NE(t4.key().find("bmax=4"), std::string::npos);
-  EXPECT_NE(t4.key(), t8.key());  // batch bound is part of the cache key
+  EXPECT_NE(t4.key().find(",nrhs=4,"), std::string::npos) << t4.key();
+  EXPECT_NE(t4.key(), t8.key());  // the batch is part of the cache key
   DslashMultiTunable<double> single(u, 2, 0, 1);
+  EXPECT_NE(single.key().find(",nrhs=1,"), std::string::npos);
   EXPECT_NE(t4.key(), single.key());
 }
 
-TEST(DslashMultiTunable, CandidatesSweepBatchTimesGrainTimesVariant) {
-  auto u = make_gauge();
-  DslashMultiTunable<double> t(u, 2, 0, 8);
+TEST(DslashMultiTunable, CandidatesAtTwelveRhsAreFormatVariantGrain) {
+  // The batch is the caller's, not a knob: every candidate applies one
+  // dslash_multi of all nrhs fields.  The float operator's sweep at the
+  // Fig. 2 workflow's batch of 12 on 4^4, l5 = 4 races 2 formats x 3
+  // variants x 3 grains (16, 64 and the whole 128-site parity) = 18
+  // candidates on a vector build.
+  auto g = std::make_shared<Geometry>(4, 4, 4, 4);
+  auto u = std::make_shared<GaugeField<double>>(g);
+  weak_gauge(*u, 203, 0.2);
+  auto uf = std::make_shared<GaugeField<float>>(u->convert<float>());
+  DslashMultiTunable<float> t(uf, 4, 0, 12, FormatSet::kAll);
   const auto c = t.candidates();
-  std::set<std::int64_t> nrhs, grains, variants;
+  std::set<std::int64_t> grains, variants;
   for (const auto& p : c) {
-    nrhs.insert(p.get("nrhs"));
+    EXPECT_EQ(p.knobs.count("nrhs"), 0u) << p.to_string();
     grains.insert(p.get("grain"));
     variants.insert(p.get("variant"));
   }
-  // Power-of-two batch sizes up to the bound, every grain, and every
-  // variant the build has lanes for.
-  EXPECT_EQ(nrhs, (std::set<std::int64_t>{1, 2, 4, 8}));
-  EXPECT_GE(grains.size(), 2u);
-  if (simd::kWidth<double> > 1)
+  EXPECT_EQ(grains, (std::set<std::int64_t>{16, 64, 128}));
+  if (simd::kWidth<float> > 1)
     EXPECT_EQ(variants, (std::set<std::int64_t>{0, 1, 2}));
   else
     EXPECT_EQ(variants, (std::set<std::int64_t>{0}));
-}
-
-TEST(DslashMultiTunable, TunedMultiRhsReturnsValidBatch) {
-  Autotuner::global().clear();
-  auto u = make_gauge();
-  const MultiRhsTuning t = tuned_multi_rhs<double>(u, 2, 4, 0);
-  EXPECT_GE(t.nrhs, 1u);
-  EXPECT_LE(t.nrhs, 4u);
-  EXPECT_GT(t.dslash.grain, 0u);
-  // Cached: a second lookup with the same bound is a pure cache hit.
-  const auto misses = Autotuner::global().cache_misses();
-  const MultiRhsTuning t2 = tuned_multi_rhs<double>(u, 2, 4, 0);
-  EXPECT_EQ(t2.nrhs, t.nrhs);
-  EXPECT_EQ(Autotuner::global().cache_misses(), misses);
-  Autotuner::global().clear();
+  EXPECT_EQ(c.size(), 2 * variants.size() * grains.size());
 }
 
 TEST(DslashMultiTunable, TunedMultiRhsFeedsRunReport) {
-  // A run tuned through the batched sweep (DwfSolver::autotune_multi, the
-  // solve service's path) must report the kernel its operators run, not
-  // the registry defaults.
+  // A run tuned at a batch (DwfSolver::autotune_multi, the solve
+  // service's path) must report the kernel its operators run, not the
+  // registry defaults.
   obs::Registry::global().reset();
   Autotuner::global().clear();
   auto u = make_gauge();
   auto uf = std::make_shared<GaugeField<float>>(u->convert<float>());
-  const MultiRhsTuning t = tuned_multi_rhs<float>(uf, 2, 4, 0);
+  const DslashTuning t =
+      tuned_dslash_grain<float>(uf, 2, 0, FormatSet::kFullOnly, 4);
   EXPECT_GT(obs::gauge("dslash.gbytes_f").get(), 0.0);
   const std::string want = std::string("\"dslash_variant_f\":\"") +
-                           to_string(t.dslash.variant) + "\"";
+                           to_string(t.variant) + "\"";
   const std::string json = obs::report_json();
   EXPECT_NE(json.find(want), std::string::npos) << want << " in " << json;
   Autotuner::global().clear();
@@ -274,14 +274,45 @@ TEST(DslashTunable, VerificationAcceptsEveryCorrectCandidate) {
 TEST(DslashMultiTunable, FormatAxisComposesWithBatch) {
   auto u = make_hot_gauge();
   DslashMultiTunable<double> t(u, 2, 0, 4, FormatSet::kAll);
-  std::set<std::int64_t> formats, nrhs;
-  for (const auto& p : t.candidates()) {
-    formats.insert(p.get("format", 0));
-    nrhs.insert(p.get("nrhs"));
-  }
+  std::set<std::int64_t> formats;
+  for (const auto& p : t.candidates()) formats.insert(p.get("format", 0));
   EXPECT_EQ(formats, (std::set<std::int64_t>{0, 1}));
-  EXPECT_EQ(nrhs, (std::set<std::int64_t>{1, 2, 4}));
+  EXPECT_NE(t.key().find(",nrhs=4,"), std::string::npos) << t.key();
   EXPECT_NE(t.key().find(",fmt=1"), std::string::npos) << t.key();
+}
+
+TEST(DslashTunable, OutputMatchIsBitwiseOnFull18) {
+  // A full18 candidate must give the reference's bits; a recon12 one may
+  // differ by the codec's rounding; a NaN never matches.
+  auto g = std::make_shared<Geometry>(4, 4, 4, 4);
+  std::vector<SpinorField<float>> ref, got;
+  ref.emplace_back(g, 2, Subset::Even);
+  ref.back().gaussian(221);
+  got = ref;
+  using Span = std::span<const SpinorField<float>>;
+  EXPECT_TRUE(output_matches<float>(GaugeFormat::kFull18, Span(got),
+                                    Span(ref)));
+  float& x = got[0].data()[17];
+  x = std::nextafter(x, std::numeric_limits<float>::infinity());
+  EXPECT_FALSE(output_matches<float>(GaugeFormat::kFull18, Span(got),
+                                     Span(ref)));
+  EXPECT_TRUE(output_matches<float>(GaugeFormat::kRecon12, Span(got),
+                                    Span(ref)));
+  // -0 against +0: equal values, different bits.
+  got = ref;
+  ref[0].data()[5] = 0.0f;
+  got[0].data()[5] = -0.0f;
+  EXPECT_FALSE(output_matches<float>(GaugeFormat::kFull18, Span(got),
+                                     Span(ref)));
+  got[0].data()[5] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(output_matches<float>(GaugeFormat::kFull18, Span(got),
+                                     Span(ref)));
+  EXPECT_FALSE(output_matches<float>(GaugeFormat::kRecon12, Span(got),
+                                     Span(ref)));
+  // A NaN in both is still no match.
+  ref[0].data()[5] = got[0].data()[5];
+  EXPECT_FALSE(output_matches<float>(GaugeFormat::kFull18, Span(got),
+                                     Span(ref)));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "autotune/autotune.hpp"
 #include "lattice/gauge.hpp"
 #include "obs/flow.hpp"
 #include "obs/metrics.hpp"
@@ -231,34 +232,43 @@ TEST(SolveService, DestructUnderLoadResolvesEveryFuture) {
   }
 }
 
-TEST(SolveService, AutotunedBatchBoundFeedsBack) {
+TEST(SolveService, AutotuneSweepsTwiceAtMaxBatch) {
+  // With autotune set, the first solver build of a configuration runs the
+  // two sweeps its launches need, the double and the float dslash_multi
+  // at max_batch, and nothing else; a second service on the same
+  // configuration finds both in the cache.  Batches stay within
+  // max_batch (3 is the top of a batch_size histogram bucket).
+  tune::Autotuner::global().clear();
+  obs::Histogram& sizes = obs::histogram("solve_service.batch_size");
+  sizes.reset();
+  const obs::Counter& misses = obs::counter("autotune.cache_misses");
+  const std::int64_t misses0 = misses.get();
   auto u = make_gauge(406);
   SolveServiceConfig cfg;
-  cfg.max_batch = 4;
+  cfg.max_batch = 3;
   cfg.autotune = true;
   cfg.solver.tol = 1e-8;
 
-  SolveService svc(cfg);
-  // Before any solver is built the bound is the configured cap.
-  EXPECT_EQ(svc.effective_max_batch(), cfg.max_batch);
-
-  std::vector<std::future<SolveOutcome>> futs;
   std::vector<std::shared_ptr<const SpinorField<double>>> b;
-  for (std::uint64_t r = 0; r < 4; ++r) {
-    b.push_back(make_source(u, 460 + r));
-    futs.push_back(svc.submit(SolveRequest{u, kParams, b.back()}));
-  }
-  svc.drain();
-  for (auto& f : futs) EXPECT_TRUE(f.get().stats.converged);
-
-  // The first solver build ran autotune_multi and installed the sweep's
-  // sweet spot as the live bound, clamped to [1, max_batch].
-  EXPECT_GE(svc.effective_max_batch(), 1u);
-  EXPECT_LE(svc.effective_max_batch(), cfg.max_batch);
-  EXPECT_EQ(obs::Registry::global()
-                .gauge("solve_service.effective_max_batch")
-                .get(),
-            static_cast<double>(svc.effective_max_batch()));
+  for (std::uint64_t r = 0; r < 5; ++r) b.push_back(make_source(u, 460 + r));
+  const auto serve = [&] {
+    SolveService svc(cfg);
+    std::vector<std::future<SolveOutcome>> futs;
+    for (const auto& src : b)
+      futs.push_back(svc.submit(SolveRequest{u, kParams, src}));
+    svc.drain();
+    for (auto& f : futs) EXPECT_TRUE(f.get().stats.converged);
+  };
+  serve();
+  EXPECT_EQ(misses.get() - misses0, 2);
+  serve();
+  EXPECT_EQ(misses.get() - misses0, 2);
+  EXPECT_EQ(tune::Autotuner::global().size(), 2u);
+  EXPECT_GT(sizes.count(), 0);
+  for (int k = obs::Histogram::bucket_of(cfg.max_batch + 1);
+       k < obs::Histogram::kBuckets; ++k)
+    EXPECT_EQ(sizes.bucket(k), 0) << "bucket " << k;
+  tune::Autotuner::global().clear();
 }
 
 // Femtoscope causal layer (DESIGN.md §15): every traced submit records a

@@ -356,26 +356,5 @@ TEST(MixedCg, FusedHalfIterationCutsTrafficByQuarter) {
       << "fused=" << fused << " unfused=" << unfused;
 }
 
-TEST(Cg, BlasGrainDoesNotChangeConvergence) {
-  Fixture s;
-  const auto g = s.u->geom_ptr();
-  SpinorField<double> b(g, kParams.l5, Subset::Odd),
-      x1(g, kParams.l5, Subset::Odd), x2(g, kParams.l5, Subset::Odd);
-  b.gaussian(125);
-  ApplyFn<double> normal = [&](SpinorField<double>& out,
-                               const SpinorField<double>& in) {
-    s.op->apply_normal(out, in);
-  };
-  auto r1 = cg<double>(normal, x1, b, 1e-10, 2000);
-  auto r2 = cg<double>(normal, x2, b, 1e-10, 2000, /*blas_grain=*/1024);
-  ASSERT_TRUE(r1.converged);
-  ASSERT_TRUE(r2.converged);
-  // The grain only reorders reduction partials; iteration counts must be
-  // equal or within the usual last-iteration wobble.
-  EXPECT_NEAR(r1.iterations, r2.iterations, 1);
-  blas::axpy(-1.0, x1, x2);
-  EXPECT_LT(std::sqrt(blas::norm2(x2) / blas::norm2(x1)), 1e-8);
-}
-
 }  // namespace
 }  // namespace femto

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "lattice/gauge.hpp"
 
 namespace femto {
@@ -202,11 +204,38 @@ TEST(DwfSolver, AutotuneThenSolve) {
   SolverParams sp;
   sp.tol = 1e-8;
   DwfSolver solver(ug, MobiusParams{4, -1.8, 1.5, 0.5, 0.2}, sp);
-  solver.autotune_multi(1);  // picks cached launch grains for both precisions
+  solver.autotune_multi(1);  // tunes both operators' dslash at B = 1
   SpinorField<double> b(g, 4, Subset::Full), x(g, 4, Subset::Full);
   b.gaussian(132);
   const auto res = solver.solve(x, b);
   EXPECT_TRUE(res.converged) << res.summary();
+}
+
+TEST(DwfSolver, TunedSolveOnFull18MatchesUntunedBitwise) {
+  // Tuning moves a solution's bits only through the sloppy operator's
+  // link tier: back on full18 links, a tuned solver (whatever variant and
+  // grain it picked) gives an untuned solver's bits.
+  auto u = make_gauge(135);
+  SolverParams sp;
+  sp.tol = 1e-10;
+  DwfSolver untuned(u, kParams, sp);
+  DwfSolver tuned(u, kParams, sp);
+  tuned.autotune_multi(1);
+  tuned.solver_params().gauge_format = GaugeFormat::kFull18;
+  SpinorField<double> b(u->geom_ptr(), kParams.l5, Subset::Full),
+      xu(u->geom_ptr(), kParams.l5, Subset::Full),
+      xt(u->geom_ptr(), kParams.l5, Subset::Full);
+  b.gaussian(136);
+  const auto ru = untuned.solve(xu, b);
+  const auto rt = tuned.solve(xt, b);
+  ASSERT_TRUE(ru.converged) << ru.summary();
+  EXPECT_EQ(rt.iterations, ru.iterations);
+  EXPECT_EQ(rt.reliable_updates, ru.reliable_updates);
+  EXPECT_EQ(rt.final_rel_residual, ru.final_rel_residual);
+  EXPECT_EQ(std::memcmp(xt.data(), xu.data(),
+                        static_cast<std::size_t>(xu.reals()) *
+                            sizeof(double)),
+            0);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "lattice/flops.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
-#include "solver/grain.hpp"
 
 namespace femto {
 namespace {
@@ -203,10 +202,11 @@ TEST(HalfStorage, FusedRoundtripChargesFewerBytes) {
 // The norm kernels' result as the fused in-place kernels computed it,
 // written out: per block, a std::lrintf quantise of the 24 floats, their
 // int16 dequantise and the block's lane-striped ||.||^2; per partial of a
-// parallel_reduce_n at @p grain (min(64, ceil(n / grain)) partials, the
-// first n % partials one block longer), the block norms summed in block
-// order; the partials summed in partial order.
-double reference_roundtrip_norm2(std::vector<float>& f, std::size_t grain) {
+// parallel_reduce_n at kHalfGrain (min(64, ceil(n / kHalfGrain))
+// partials, the first n % partials one block longer), the block norms
+// summed in block order; the partials summed in partial order.
+double reference_roundtrip_norm2(std::vector<float>& f) {
+  const std::size_t grain = HalfSpinorField::kHalfGrain;
   const std::size_t n = f.size() / kSpinorReals;
   std::vector<double> norm(n);
   for (std::size_t b = 0; b < n; ++b) {
@@ -251,31 +251,26 @@ void expect_same_bits(const SpinorField<float>& got,
 }
 
 TEST(HalfStorage, NormsKeepTheirReductionTree) {
-  // l5 = 4 is one partial at the default grain, l5 = 6 and 8 two; the
-  // tuned-size grain gives 13, 19 and 25.
+  // l5 = 4 is one partial of the kHalfGrain tree, l5 = 6 and 8 two.
   auto g = geom44();
   for (const int l5 : {4, 6, 8}) {
-    for (const std::size_t grain :
-         {detail::half_grain(0), detail::half_grain(1024)}) {
-      const std::string what = "l5=" + std::to_string(l5) +
-                               " grain=" + std::to_string(grain);
-      SpinorField<float> f(g, l5, Subset::Odd), x(g, l5, Subset::Odd);
-      f.gaussian(110 + l5);
-      x.gaussian(120 + l5);
-      std::vector<float> want(f.data(), f.data() + f.reals());
-      const double want_n2 = reference_roundtrip_norm2(want, grain);
-      HalfSpinorField h(g, l5, Subset::Odd);
-      const double n2 = h.roundtrip_norm2(f, grain);
-      expect_same_bits(f, want, n2, want_n2, "roundtrip_norm2 " + what);
+    const std::string what = "l5=" + std::to_string(l5);
+    SpinorField<float> f(g, l5, Subset::Odd), x(g, l5, Subset::Odd);
+    f.gaussian(110 + l5);
+    x.gaussian(120 + l5);
+    std::vector<float> want(f.data(), f.data() + f.reals());
+    const double want_n2 = reference_roundtrip_norm2(want);
+    HalfSpinorField h(g, l5, Subset::Odd);
+    const double n2 = h.roundtrip_norm2(f);
+    expect_same_bits(f, want, n2, want_n2, "roundtrip_norm2 " + what);
 
-      const float a = -0.375f;
-      for (std::int64_t k = 0; k < f.reals(); ++k)
-        want[static_cast<std::size_t>(k)] += a * x.data()[k];
-      const double want_axpy_n2 = reference_roundtrip_norm2(want, grain);
-      const double axpy_n2 = h.axpy_roundtrip_norm2(-0.375, x, f, grain);
-      expect_same_bits(f, want, axpy_n2, want_axpy_n2,
-                       "axpy_roundtrip_norm2 " + what);
-    }
+    const float a = -0.375f;
+    for (std::int64_t k = 0; k < f.reals(); ++k)
+      want[static_cast<std::size_t>(k)] += a * x.data()[k];
+    const double want_axpy_n2 = reference_roundtrip_norm2(want);
+    const double axpy_n2 = h.axpy_roundtrip_norm2(-0.375, x, f);
+    expect_same_bits(f, want, axpy_n2, want_axpy_n2,
+                     "axpy_roundtrip_norm2 " + what);
   }
 }
 

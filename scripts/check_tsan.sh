@@ -7,9 +7,12 @@
 # worker.  On a 4^4 lattice the dslash, its pack/unpack, the fifth-dim
 # matvecs and the half round-trips (with their per-block norms) also run
 # their chunks on pool workers, with the blocked dslash's scratch shared by
-# them.  This script builds the parallel, lattice, dirac and solver test
-# targets with -fsanitize=thread and runs the tests that drive those
-# kernels, the 4^4 ones at FEMTO_THREADS=4 so that two threads do run them.
+# them.  The nucleon contractions run their per-site diquark blocks in
+# scratch on each chunk's stack and sum timeslices through
+# parallel_reduce_n.  This script builds the parallel, lattice, dirac,
+# solver and core test targets with -fsanitize=thread and runs the tests
+# that drive those kernels, the 4^4 and 4^3x8 ones at FEMTO_THREADS=4 so
+# that two threads do run them.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 
@@ -20,7 +23,7 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DFEMTO_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target test_parallel test_lattice test_dirac \
-  test_solver
+  test_solver test_core
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
@@ -34,5 +37,7 @@ FEMTO_THREADS=4 "$BUILD_DIR/tests/test_dirac" \
 "$BUILD_DIR/tests/test_solver" --gtest_filter='Cg.*'
 FEMTO_THREADS=4 "$BUILD_DIR/tests/test_solver" \
   --gtest_filter='HalfStorage.*:HalfSimd.*:*MixedCg*'
+FEMTO_THREADS=4 "$BUILD_DIR/tests/test_core" \
+  --gtest_filter='ContractionReference.*'
 
 echo "tsan check passed"

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "lattice/flops.hpp"
 #include "parallel/thread_pool.hpp"
@@ -10,33 +11,108 @@ namespace femto::core {
 
 namespace {
 
-/// Bytes of one propagator's data at a single site: 12 source components,
-/// each a 24-real double spinor.
-constexpr std::int64_t kPropSiteBytes =
-    12 * kSpinorReals * static_cast<std::int64_t>(sizeof(double));
+using ColorBlocks = Propagator::ColorBlocks;
 
-/// Coarse flop model for one Levi-Civita pair in the nucleon contraction:
-/// ~5 SpinMat (4x4 complex) multiplies at 4*4*(4*3+2*2) = 384+ flops plus
-/// block extraction and traces.
-constexpr std::int64_t kEpsPairFlops = 2500;
-
-/// The nonzero entries of the 3D Levi-Civita tensor.
-struct Eps {
-  int a, b, c;
-  double sign;
+/// For each colour c, the two (a, b) with eps_abc != 0; `neg` marks
+/// eps_abc = -1.
+struct EpsPair {
+  std::size_t a, b;
+  bool neg;
 };
-constexpr Eps kEps[6] = {{0, 1, 2, +1.0}, {1, 2, 0, +1.0}, {2, 0, 1, +1.0},
-                         {0, 2, 1, -1.0}, {2, 1, 0, -1.0}, {1, 0, 2, -1.0}};
+constexpr EpsPair kEpsPairs[kNc][2] = {{{1, 2, false}, {2, 1, true}},
+                                       {{2, 0, false}, {0, 2, true}},
+                                       {{0, 1, false}, {1, 0, true}}};
 
-/// Spin matrix view of a propagator's (snk_color, src_color) block.
-SpinMat color_block(const Propagator::SiteMatrix& m, int snk_c, int src_c) {
-  SpinMat s;
-  for (int r = 0; r < kNs; ++r)
-    for (int c = 0; c < kNs; ++c)
-      s(r, c) = m[static_cast<std::size_t>(r)][static_cast<std::size_t>(
-          snk_c)][static_cast<std::size_t>(c)][static_cast<std::size_t>(
-          src_c)];
-  return s;
+/// A = G D G for a G with one entry of +-1 in every row and column (C g5
+/// is such a signed permutation): A(i, j) = +-D(row[i], col[j]), so
+/// forming a diquark block is a signed gather of D.
+struct SignedGather {
+  std::array<std::size_t, kNs> row{}, col{};
+  std::array<std::array<bool, kNs>, kNs> neg{};
+};
+
+SignedGather signed_gather(const SpinMat& g) {
+  SignedGather out;
+  std::array<bool, kNs> row_neg{}, col_neg{};
+  unsigned rows = 0, cols = 0, entries = 0;
+  bool unit = true;
+  for (std::size_t i = 0; i < kNs; ++i)
+    for (std::size_t j = 0; j < kNs; ++j) {
+      const cdouble v = g.m[i][j];
+      if (v.re == 0.0 && v.im == 0.0) continue;
+      unit = unit && v.im == 0.0 && std::abs(v.re) == 1.0;
+      out.row[i] = j;  // (G D)(i, .) = G(i, j) D(j, .)
+      out.col[j] = i;  // (D G)(., j) = D(., i) G(i, j)
+      row_neg[i] = col_neg[j] = v.re < 0.0;
+      rows |= 1u << i;
+      cols |= 1u << j;
+      ++entries;
+    }
+  if (!unit || entries != kNs || rows != (1u << kNs) - 1 || cols != rows)
+    throw std::logic_error("contract: C g5 is not a signed permutation");
+  for (std::size_t i = 0; i < kNs; ++i)
+    for (std::size_t j = 0; j < kNs; ++j)
+      out.neg[i][j] = row_neg[i] != col_neg[j];
+  return out;
+}
+
+/// e += a x^T, or e -= a x^T: 16 entries of 4 complex multiplies, 3 adds
+/// and the accumulation, 512 flops.
+template <bool Sub>
+void accumulate_product_transposed(SpinMat& e, const SpinMat& a,
+                                   const SpinMat& x) {
+  for (int i = 0; i < kNs; ++i)
+    for (int k = 0; k < kNs; ++k) {
+      cdouble s = a(i, 0) * x(k, 0);
+      for (int j = 1; j < kNs; ++j) s += a(i, j) * x(k, j);
+      if constexpr (Sub)
+        e(i, k) -= s;
+      else
+        e(i, k) += s;
+    }
+}
+
+/// E_X^{cc'} = sum eps_abc eps_a'b'c' A^{bb'} (X^{aa'})^T: four products per
+/// colour pair, 36 in all.
+void diquark_blocks(const ColorBlocks& a, const ColorBlocks& x,
+                    ColorBlocks& e) {
+  for (std::size_t c = 0; c < kNc; ++c)
+    for (std::size_t cp = 0; cp < kNc; ++cp) {
+      SpinMat& out = e[c][cp];
+      out = SpinMat::zero();
+      for (const EpsPair& l : kEpsPairs[c])
+        for (const EpsPair& r : kEpsPairs[cp]) {
+          const SpinMat& ab = a[l.b][r.b];
+          const SpinMat& xa = x[l.a][r.a];
+          if (l.neg != r.neg)
+            accumulate_product_transposed<true>(out, ab, xa);
+          else
+            accumulate_product_transposed<false>(out, ab, xa);
+        }
+    }
+}
+
+/// acc -= sum_{cc'} [ sum_ik (Y^{cc'} P)_ik E^{cc'}_ik + tr(Y^{cc'} P)
+/// tr(E^{cc'}) ].  Per colour pair: Y P (480 flops), its entrywise product
+/// with E (128), the two traces (8 + 6), their product (6) and the two
+/// adds into acc (4): 632.
+void close_diquark(const ColorBlocks& e, const ColorBlocks& y,
+                   const SpinMat& p, cdouble& acc) {
+  for (std::size_t c = 0; c < kNc; ++c)
+    for (std::size_t cp = 0; cp < kNc; ++cp) {
+      const SpinMat& yb = y[c][cp];
+      const SpinMat& eb = e[c][cp];
+      cdouble dot{}, tr_yp{};
+      for (int i = 0; i < kNs; ++i)
+        for (int k = 0; k < kNs; ++k) {
+          cdouble yp = yb(i, 0) * p(0, k);
+          for (int j = 1; j < kNs; ++j) yp += yb(i, j) * p(j, k);
+          dot += yp * eb(i, k);
+          if (i == k) tr_yp += yp;
+        }
+      const cdouble tr_e = eb(0, 0) + eb(1, 1) + eb(2, 2) + eb(3, 3);
+      acc -= dot + tr_yp * tr_e;
+    }
 }
 
 /// The correlator held in the 2*nt (re, im) timeslice sums that
@@ -53,22 +129,27 @@ Correlator to_correlator(const std::vector<double>& sums) {
 /// chi = eps_abc (u_a^T G d_b) u_c, G = C g5, the projected correlator is
 ///
 ///   C = sum_{eps, eps'} s(eps) s(eps') [ T2 - T1 ],
-///   T1 = tr(P U^{cc'}) tr( A (U^{aa'})^T ),
-///   T2 = tr( A (U^{ca'})^T P^T (U^{ac'})^T ),
-///   A  = G D^{bb'} G,
+///   T1 = tr(P U^{cc'}) tr( A^{bb'} (U^{aa'})^T ),
+///   T2 = tr( A^{bb'} (U^{ca'})^T P^T (U^{ac'})^T ),
+///   A  = G D G,
 ///
-/// where the TRANSPOSES on the u blocks come from the diquark index
-/// structure (u^T G d).  The FH correlator is the derivative of C with
-/// respect to replacing each u-propagator contraction by the FH
-/// propagator F, one contraction at a time:
-///   C_FH = sum over the two u-contractions in each term of U -> F.
+/// where the transposes on the u blocks come from the diquark index
+/// structure (u^T G d).  Both terms factor through the per-site diquark
+/// blocks E_X^{cc'} = sum eps eps' A^{bb'} (X^{aa'})^T: T1 sums to
+/// tr(P Y^{cc'}) tr(E^{cc'}), and relabelling a <-> c in the first epsilon
+/// (which flips its sign) turns T2 into -tr(E^{cc'} (Y^{cc'} P)^T), so
+///
+///   C = -sum_{cc'} [ sum_ik (Y^{cc'} P)_ik E_X^{cc'}_ik
+///                    + tr(Y^{cc'} P) tr(E_X^{cc'}) ]
+///
+/// with (X, Y) = (U, U).  The FH correlator replaces each u contraction
+/// by the FH propagator F in turn: (X, Y) = (F, U) plus (U, F).
 Correlator contract(const Propagator& u, const Propagator* fh,
                     const Propagator& down, const SpinMat& projector,
                     int t_src, std::array<int, 3> momentum = {0, 0, 0}) {
   const auto& geom = u.geom();
   const int nt = geom.extent(3);
-  const SpinMat cg5 = cgamma5();
-  const SpinMat proj_t = projector.transpose();
+  const SignedGather g = signed_gather(cgamma5());
   const bool has_p =
       momentum[0] != 0 || momentum[1] != 0 || momentum[2] != 0;
 
@@ -76,47 +157,34 @@ Correlator contract(const Propagator& u, const Propagator* fh,
   par::parallel_reduce_n(
       0, static_cast<std::size_t>(geom.volume()), sums.size(),
       [&](std::size_t lo, std::size_t hi, double* part) {
+        // Chunk scratch: the colour blocks of U, D and F, the diquark
+        // blocks A = G D G (formed once per site, shared by both FH
+        // substitutions), and E_U, E_F.
+        ColorBlocks bu, bd, bf, a, eu, ef;
         for (std::size_t ss = lo; ss < hi; ++ss) {
           const auto site = static_cast<std::int64_t>(ss);
           const auto x = geom.coord(site);
           const int t = (x[3] - t_src + nt) % nt;
 
-          const auto m_u = u.site_matrix(site);
-          const auto md = down.site_matrix(site);
-          Propagator::SiteMatrix m_f{};
-          if (fh) m_f = fh->site_matrix(site);
-
-          // T2 - T1 with the u blocks X (at aa' / ca') and Y (at cc'/ac').
-          auto terms = [&](const Propagator::SiteMatrix& mx,
-                           const Propagator::SiteMatrix& my) {
-            cdouble sum{};
-            for (const auto& e1 : kEps)
-              for (const auto& e2 : kEps) {
-                const double sgn = e1.sign * e2.sign;
-                const SpinMat a =
-                    cg5 * color_block(md, e1.b, e2.b) * cg5;
-                const SpinMat x_aa =
-                    color_block(mx, e1.a, e2.a).transpose();
-                const SpinMat y_cc = color_block(my, e1.c, e2.c);
-                const cdouble t1 =
-                    (projector * y_cc).trace() * (a * x_aa).trace();
-                const SpinMat x_ca =
-                    color_block(mx, e1.c, e2.a).transpose();
-                const SpinMat y_ac =
-                    color_block(my, e1.a, e2.c).transpose();
-                const cdouble t2 =
-                    (a * x_ca * proj_t * y_ac).trace();
-                sum += sgn * (t2 - t1);
-              }
-            return sum;
-          };
+          u.load_color_blocks(site, bu);
+          down.load_color_blocks(site, bd);
+          for (std::size_t b = 0; b < kNc; ++b)
+            for (std::size_t bp = 0; bp < kNc; ++bp)
+              for (std::size_t i = 0; i < kNs; ++i)
+                for (std::size_t j = 0; j < kNs; ++j) {
+                  const cdouble d = bd[b][bp].m[g.row[i]][g.col[j]];
+                  a[b][bp].m[i][j] = g.neg[i][j] ? -d : d;
+                }
 
           cdouble acc{};
+          diquark_blocks(a, bu, eu);
           if (!fh) {
-            acc = terms(m_u, m_u);
+            close_diquark(eu, bu, projector, acc);
           } else {
-            // Single substitution on each u contraction, summed.
-            acc = terms(m_f, m_u) + terms(m_u, m_f);
+            fh->load_color_blocks(site, bf);
+            diquark_blocks(a, bf, ef);
+            close_diquark(ef, bu, projector, acc);
+            close_diquark(eu, bf, projector, acc);
           }
           if (has_p) {
             double phase = 0.0;
@@ -131,11 +199,11 @@ Correlator contract(const Propagator& u, const Propagator* fh,
       },
       sums.data(), 64);
 
-  // 36 Levi-Civita pairs per site, twice when the FH substitution doubles
-  // the Wick terms; traffic is one read pass per propagator streamed.
-  flops::add(geom.volume() * 36 * kEpsPairFlops * (fh != nullptr ? 2 : 1));
-  flops::add_bytes(geom.volume() * kPropSiteBytes *
-                   (fh != nullptr ? 3 : 2));
+  // The per-site model of contractions.hpp; one read pass per propagator.
+  const bool with_fh = fh != nullptr;
+  flops::add(geom.volume() * (with_fh ? kNucleonFhFlopsPerSite
+                                      : kNucleonTwoPointFlopsPerSite));
+  flops::add_bytes(geom.volume() * kPropagatorSiteBytes * (with_fh ? 3 : 2));
   return to_correlator(sums);
 }
 
@@ -183,7 +251,7 @@ Correlator pion_two_point(const Propagator& quark, int t_src,
   // Per site: |column|^2 over 12 sources x 4 sink spins (3 flops per
   // complex norm) plus the momentum phase; one propagator read pass.
   flops::add(geom.volume() * (12 * 4 * kNc + 24));
-  flops::add_bytes(geom.volume() * kPropSiteBytes);
+  flops::add_bytes(geom.volume() * kPropagatorSiteBytes);
   return to_correlator(sums);
 }
 

@@ -13,8 +13,10 @@
 // with D~ = (C g5) D (C g5) and spin traces; U, D the up/down quark
 // propagators.  For the Feynman-Hellmann three-point data one U is
 // replaced by the FH propagator (axial current summed over all insertion
-// times).
+// times).  The kernel evaluates it per site through nine diquark blocks
+// E^{cc'} = sum eps eps' D~^{bb'} (U^{aa'})^T (DESIGN.md §17).
 
+#include <cstdint>
 #include <vector>
 
 #include "core/propagator.hpp"
@@ -24,6 +26,32 @@ namespace femto::core {
 
 /// Per-timeslice complex correlator.
 using Correlator = std::vector<cdouble>;
+
+/// Bytes one propagator streams per site: 12 columns of 24-real double
+/// spinors.  The nucleon contractions charge one read pass per propagator
+/// they take (2, or 3 with the FH line), pion_two_point one.
+inline constexpr std::int64_t kPropagatorSiteBytes =
+    12 * kSpinorReals * static_cast<std::int64_t>(sizeof(double));
+
+/// Flops the nucleon contractions charge per site: the arithmetic their
+/// body runs, at 6 per complex multiply and 2 per complex add.
+///  - The diquark blocks D~^{bb'} = (C g5) D^{bb'} (C g5) are a signed
+///    gather of D, since C g5 is a signed permutation: 0 flops.
+///  - E_X^{cc'} = sum eps eps' D~^{bb'} (X^{aa'})^T for one line X: 36
+///    products of 4x4 blocks accumulated into E, each 16 entries of
+///    (4 multiplies, 3 adds, 1 accumulate) = 512 flops.
+///  - The closing -sum_{cc'} [ sum_ik (Y P)_ik E_ik + tr(Y P) tr(E) ] over
+///    nine colour pairs, each Y P (480), its entrywise product with E
+///    (128), tr(Y P) (8) and tr(E) (6), their product (6) and two adds (4):
+///    632 flops.
+///  - The add into the timeslice sum: 2.
+/// The two-point function forms one E and one closing, the FH 3pt two of
+/// each.  The momentum phase (an angle, a cos/sin pair and one complex
+/// multiply per site) is not charged.
+inline constexpr std::int64_t kNucleonTwoPointFlopsPerSite =
+    36 * 512 + 9 * 632 + 2;  // 24,122
+inline constexpr std::int64_t kNucleonFhFlopsPerSite =
+    2 * (36 * 512 + 9 * 632) + 2;  // 48,242
 
 /// Nucleon two-point function, zero sink momentum, projector P.
 /// @p up and @p down are the quark propagators from a common source at

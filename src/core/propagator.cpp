@@ -11,18 +11,17 @@ Propagator::Propagator(std::shared_ptr<const Geometry> geom)
     cols_.emplace_back(geom_, 1, Subset::Full);
 }
 
-Propagator::SiteMatrix Propagator::site_matrix(std::int64_t site) const {
-  SiteMatrix m{};
+void Propagator::load_color_blocks(std::int64_t site,
+                                   ColorBlocks& blocks) const {
   for (int ss = 0; ss < kNs; ++ss)
     for (int sc = 0; sc < kNc; ++sc) {
       const auto spinor = column(ss, sc).load(0, site);
-      for (int s = 0; s < kNs; ++s)
-        for (int c = 0; c < kNc; ++c)
-          m[static_cast<std::size_t>(s)][static_cast<std::size_t>(c)]
-           [static_cast<std::size_t>(ss)][static_cast<std::size_t>(sc)] =
-               spinor[s][c];
+      for (int c = 0; c < kNc; ++c) {
+        SpinMat& b = blocks[static_cast<std::size_t>(c)]
+                           [static_cast<std::size_t>(sc)];
+        for (int s = 0; s < kNs; ++s) b(s, ss) = spinor[s][c];
+      }
     }
-  return m;
 }
 
 namespace {

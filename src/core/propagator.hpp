@@ -32,11 +32,12 @@ class Propagator {
     return cols_[static_cast<std::size_t>(src_spin * kNc + src_color)];
   }
 
-  /// S(x): the full 12x12 matrix at a sink site, indexed
-  /// [snk_spin][snk_col][src_spin][src_col].
-  using SiteMatrix = std::array<
-      std::array<std::array<std::array<cdouble, kNc>, kNs>, kNc>, kNs>;
-  SiteMatrix site_matrix(std::int64_t site) const;
+  /// S(x) at a sink site as nine 4x4 spin matrices, one per colour pair:
+  /// blocks[snk_col][src_col](snk_spin, src_spin).
+  using ColorBlocks = std::array<std::array<SpinMat, kNc>, kNc>;
+  /// Fills @p blocks from the 12 columns at @p site: column (s', c')
+  /// holds source spin s' and colour c' of every block.
+  void load_color_blocks(std::int64_t site, ColorBlocks& blocks) const;
 
  private:
   std::shared_ptr<const Geometry> geom_;

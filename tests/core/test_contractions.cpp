@@ -2,10 +2,216 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
+
+#include "lattice/flops.hpp"
 #include "lattice/gauge.hpp"
 
 namespace femto::core {
 namespace {
+
+// --- the per-epsilon-pair reference -----------------------------------------
+//
+// The nucleon contraction in its direct Wick form: every one of the 36
+// Levi-Civita pairs per site (72 with the FH line) spelled out with its own
+// spin-matrix products, summed serially.  It shares neither the kernel's
+// diquark-block algebra nor its colour-block loader, so the
+// ContractionReference tests below catch a wrong hoist that the kernel's
+// own consistency checks cannot (C_FH(u, u, u) = 2 C2(u, u) holds by
+// construction in the hoisted form).
+
+/// S(x): the full 12x12 matrix at a sink site, indexed
+/// [snk_spin][snk_col][src_spin][src_col].
+using RefSiteMatrix = std::array<
+    std::array<std::array<std::array<cdouble, kNc>, kNs>, kNc>, kNs>;
+
+RefSiteMatrix ref_site_matrix(const Propagator& p, std::int64_t site) {
+  RefSiteMatrix m{};
+  for (int ss = 0; ss < kNs; ++ss)
+    for (int sc = 0; sc < kNc; ++sc) {
+      const auto spinor = p.column(ss, sc).load(0, site);
+      for (int s = 0; s < kNs; ++s)
+        for (int c = 0; c < kNc; ++c)
+          m[static_cast<std::size_t>(s)][static_cast<std::size_t>(c)]
+           [static_cast<std::size_t>(ss)][static_cast<std::size_t>(sc)] =
+               spinor[s][c];
+    }
+  return m;
+}
+
+/// The nonzero entries of the 3D Levi-Civita tensor.
+struct Eps {
+  int a, b, c;
+  double sign;
+};
+constexpr Eps kEps[6] = {{0, 1, 2, +1.0}, {1, 2, 0, +1.0}, {2, 0, 1, +1.0},
+                         {0, 2, 1, -1.0}, {2, 1, 0, -1.0}, {1, 0, 2, -1.0}};
+
+/// Spin matrix view of a propagator's (snk_color, src_color) block.
+SpinMat color_block(const RefSiteMatrix& m, int snk_c, int src_c) {
+  SpinMat s;
+  for (int r = 0; r < kNs; ++r)
+    for (int c = 0; c < kNs; ++c)
+      s(r, c) = m[static_cast<std::size_t>(r)][static_cast<std::size_t>(
+          snk_c)][static_cast<std::size_t>(c)][static_cast<std::size_t>(
+          src_c)];
+  return s;
+}
+
+/// C = sum_{eps, eps'} s(eps) s(eps') [T2 - T1] per site, with the u blocks
+/// X (at aa' / ca') and Y (at cc' / ac'); the FH correlator is
+/// terms(F, U) + terms(U, F).
+Correlator reference_contract(const Propagator& u, const Propagator* fh,
+                              const Propagator& down,
+                              const SpinMat& projector, int t_src,
+                              std::array<int, 3> momentum = {0, 0, 0}) {
+  const auto& geom = u.geom();
+  const int nt = geom.extent(3);
+  const SpinMat cg5 = cgamma5();
+  const SpinMat proj_t = projector.transpose();
+  Correlator corr(static_cast<std::size_t>(nt));
+  for (std::int64_t site = 0; site < geom.volume(); ++site) {
+    const auto x = geom.coord(site);
+    const int t = (x[3] - t_src + nt) % nt;
+
+    const auto m_u = ref_site_matrix(u, site);
+    const auto md = ref_site_matrix(down, site);
+    RefSiteMatrix m_f{};
+    if (fh) m_f = ref_site_matrix(*fh, site);
+
+    auto terms = [&](const RefSiteMatrix& mx, const RefSiteMatrix& my) {
+      cdouble sum{};
+      for (const auto& e1 : kEps)
+        for (const auto& e2 : kEps) {
+          const double sgn = e1.sign * e2.sign;
+          const SpinMat a = cg5 * color_block(md, e1.b, e2.b) * cg5;
+          const SpinMat x_aa = color_block(mx, e1.a, e2.a).transpose();
+          const SpinMat y_cc = color_block(my, e1.c, e2.c);
+          const cdouble t1 =
+              (projector * y_cc).trace() * (a * x_aa).trace();
+          const SpinMat x_ca = color_block(mx, e1.c, e2.a).transpose();
+          const SpinMat y_ac = color_block(my, e1.a, e2.c).transpose();
+          const cdouble t2 = (a * x_ca * proj_t * y_ac).trace();
+          sum += sgn * (t2 - t1);
+        }
+      return sum;
+    };
+
+    cdouble acc = fh ? terms(m_f, m_u) + terms(m_u, m_f) : terms(m_u, m_u);
+    double phase = 0.0;
+    for (int i = 0; i < 3; ++i)
+      phase -= 2.0 * std::numbers::pi * momentum[i] * x[i] / geom.extent(i);
+    acc = acc * cdouble{std::cos(phase), std::sin(phase)};
+    corr[static_cast<std::size_t>(t)] += acc;
+  }
+  return corr;
+}
+
+/// Gaussian-filled U, D and F on 4^3 x 8, all three distinct.
+struct GaussianProps {
+  std::shared_ptr<const Geometry> g =
+      std::make_shared<Geometry>(4, 4, 4, 8);
+  Propagator up{g}, down{g}, fh{g};
+  GaussianProps() {
+    std::uint64_t seed = 7301;
+    for (Propagator* p : {&up, &down, &fh})
+      for (int k = 0; k < kNs * kNc; ++k)
+        p->column(k / kNc, k % kNc).gaussian(seed++);
+  }
+};
+
+constexpr int kRefTsrc = 3;
+/// The kernel sums in another order than the reference; it reads at most
+/// 3.8e-15 here.
+constexpr double kRefTol = 1e-12;
+
+/// The projectors the reference tests run: the two physical ones and a
+/// dense complex matrix with no symmetry, for which the identity holds
+/// as well.
+std::vector<SpinMat> test_projectors() {
+  SpinMat dense;
+  double v = 0.37;
+  for (int r = 0; r < kNs; ++r)
+    for (int c = 0; c < kNs; ++c) {
+      v = std::fmod(v * 7.13 + 0.29, 2.0) - 1.0;
+      dense(r, c) = {v, 0.5 * v + 0.1 * (r - c)};
+    }
+  return {parity_projector(), polarized_projector(), dense};
+}
+
+/// Largest |got[t] - want[t]| / |want[t]| over the timeslices.
+double max_rel_dev(const Correlator& got, const Correlator& want) {
+  EXPECT_EQ(got.size(), want.size());
+  double dev = 0.0;
+  for (std::size_t t = 0; t < want.size(); ++t) {
+    const cdouble d = got[t] - want[t];
+    dev = std::max(dev, std::sqrt(norm2(d)) / std::sqrt(norm2(want[t])));
+  }
+  return dev;
+}
+
+TEST(ContractionReference, TwoPointMatchesEpsilonPairLoop) {
+  const GaussianProps p;
+  for (const SpinMat& proj : test_projectors())
+    EXPECT_LE(max_rel_dev(nucleon_two_point(p.up, p.down, proj, kRefTsrc),
+                          reference_contract(p.up, nullptr, p.down, proj,
+                                             kRefTsrc)),
+              kRefTol);
+}
+
+TEST(ContractionReference, TwoPointMomentumMatchesEpsilonPairLoop) {
+  const GaussianProps p;
+  for (const std::array<int, 3> mom :
+       {std::array<int, 3>{1, 0, 0}, std::array<int, 3>{0, 1, 1}})
+    for (const SpinMat& proj : test_projectors())
+      EXPECT_LE(
+          max_rel_dev(
+              nucleon_two_point_momentum(p.up, p.down, proj, kRefTsrc, mom),
+              reference_contract(p.up, nullptr, p.down, proj, kRefTsrc,
+                                 mom)),
+          kRefTol)
+          << "p = (" << mom[0] << ", " << mom[1] << ", " << mom[2] << ")";
+}
+
+TEST(ContractionReference, FhThreePointMatchesEpsilonPairLoop) {
+  const GaussianProps p;
+  for (const SpinMat& proj : test_projectors())
+    EXPECT_LE(
+        max_rel_dev(
+            nucleon_fh_three_point(p.up, p.fh, p.down, proj, kRefTsrc),
+            reference_contract(p.up, &p.fh, p.down, proj, kRefTsrc)),
+        kRefTol);
+}
+
+TEST(Contractions, ChargesTheDocumentedFlopsAndBytes) {
+  const GaussianProps p;
+  const std::int64_t vol = p.g->volume();
+  const SpinMat proj = polarized_projector();
+  auto charged = [](auto&& call) {
+    const std::int64_t f0 = flops::get(), b0 = flops::bytes();
+    call();
+    return std::array<std::int64_t, 2>{flops::get() - f0,
+                                       flops::bytes() - b0};
+  };
+  using Charge = std::array<std::int64_t, 2>;
+  EXPECT_EQ(charged([&] { nucleon_two_point(p.up, p.down, proj, 0); }),
+            (Charge{vol * kNucleonTwoPointFlopsPerSite,
+                    vol * 2 * kPropagatorSiteBytes}));
+  EXPECT_EQ(charged([&] {
+              nucleon_two_point_momentum(p.up, p.down, proj, 0, {0, 1, 1});
+            }),
+            (Charge{vol * kNucleonTwoPointFlopsPerSite,
+                    vol * 2 * kPropagatorSiteBytes}));
+  EXPECT_EQ(charged([&] {
+              nucleon_fh_three_point(p.up, p.fh, p.down, proj, 0);
+            }),
+            (Charge{vol * kNucleonFhFlopsPerSite,
+                    vol * 3 * kPropagatorSiteBytes}));
+  EXPECT_EQ(kNucleonTwoPointFlopsPerSite, 24122);
+  EXPECT_EQ(kNucleonFhFlopsPerSite, 48242);
+}
 
 struct Fixture {
   std::shared_ptr<const Geometry> g;

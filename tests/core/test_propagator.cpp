@@ -80,18 +80,19 @@ TEST(PropagatorTest, PointPropagatorSolvesConverge) {
   EXPECT_GT(far, 0.0);
 }
 
-TEST(PropagatorTest, SiteMatrixMatchesColumns) {
+TEST(PropagatorTest, ColorBlocksMatchColumns) {
   Fixture f;
   const auto prop = compute_point_propagator(*f.solver, {0, 0, 0, 0});
   const auto site = f.g->index({1, 1, 1, 2});
-  const auto m = prop.site_matrix(site);
+  Propagator::ColorBlocks m;
+  prop.load_color_blocks(site, m);
   for (int ss = 0; ss < kNs; ++ss)
     for (int sc = 0; sc < kNc; ++sc) {
       const auto col = prop.column(ss, sc).load(0, site);
       for (int s = 0; s < kNs; ++s)
         for (int c = 0; c < kNc; ++c) {
-          EXPECT_EQ(m[s][c][ss][sc].re, col[s][c].re);
-          EXPECT_EQ(m[s][c][ss][sc].im, col[s][c].im);
+          EXPECT_EQ(m[c][sc](s, ss).re, col[s][c].re);
+          EXPECT_EQ(m[c][sc](s, ss).im, col[s][c].im);
         }
     }
 }

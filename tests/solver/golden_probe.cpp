@@ -4,7 +4,8 @@
 // fingerprint of the outcomes on three lines:
 //
 //   fnv=<16-hex FNV-1a over the solution doubles> iters=<n> converged=<0|1>
-//   c2=<FNV-1a of nucleon_two_point> fh=<... nucleon_fh_three_point>
+//   c2=<FNV-1a of nucleon_two_point> c2p=<... nucleon_two_point_momentum
+//     at p = (1, 0, 0)> fh=<... nucleon_fh_three_point>
 //     pion=<... pion_two_point>, on Gaussian-filled 4^3x8 propagators
 //   wf_c2=<FNV-1a of run_workflow's C2> wf_geff=<... its g_eff series>
 //     wf_converged=<0|1>, for one untuned 4^4 configuration with FH
@@ -90,8 +91,11 @@ int main() {
     for (int k = 0; k < kNs * kNc; ++k)
       p->column(k / kNc, k % kNc).gaussian(seed++);
   const SpinMat proj = parity_projector();
-  std::printf("c2=%016" PRIx64 " fh=%016" PRIx64 " pion=%016" PRIx64 "\n",
+  std::printf("c2=%016" PRIx64 " c2p=%016" PRIx64 " fh=%016" PRIx64
+              " pion=%016" PRIx64 "\n",
               fnv1a(core::nucleon_two_point(up, down, proj, 0)),
+              fnv1a(core::nucleon_two_point_momentum(up, down, proj, 0,
+                                                     {1, 0, 0})),
               fnv1a(core::nucleon_fh_three_point(up, fh, down, proj, 0)),
               fnv1a(core::pion_two_point(up, 0)));
 

@@ -5,8 +5,8 @@
 // golden_probe.cpp) under FEMTO_THREADS=1/2/7 and under the inherited
 // default, and requires the four outputs to match verbatim -- solution
 // checksum, iteration count, convergence flag, the checksums of the
-// nucleon 2pt, FH 3pt and pion correlators, and the checksums of a tiny
-// run_workflow's C2 and g_eff.
+// nucleon 2pt (at zero and at nonzero sink momentum), FH 3pt and pion
+// correlators, and the checksums of a tiny run_workflow's C2 and g_eff.
 //
 // Everything on the solve path is covered at once: counter-based RNG
 // fills, the dslash stencils, the fused BLAS reductions (thread-count-

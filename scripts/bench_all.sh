@@ -9,6 +9,7 @@
 #      micro_multirhs -> BENCH_multirhs.json
 #      micro_compress -> BENCH_compress.json (at FEMTO_THREADS=1)
 #      micro_blas     -> BENCH_blas.json     (info rows only)
+#      micro_fio      -> BENCH_fio.json      (CRC-32 kernel vs reference)
 #   4. tools/benchdiff --baseline bench/baseline.json <produced files>
 #
 # Each bench computes its claims as `<claim>_gate_ok` rows next to named
@@ -65,8 +66,9 @@ if [[ "${FEMTO_BENCH_FULL:-0}" == "1" ]]; then
   # The link stream is single-threaded: idle pool workers only add spread.
   run_micro compress FEMTO_THREADS=1
   run_micro blas
+  run_micro fio
 else
-  echo "bench_all: FEMTO_BENCH_FULL!=1, skipping simd/multirhs/compress/blas kernels"
+  echo "bench_all: FEMTO_BENCH_FULL!=1, skipping simd/multirhs/compress/blas/fio kernels"
 fi
 
 echo "=== benchdiff sentinel ==="

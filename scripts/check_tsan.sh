@@ -9,10 +9,12 @@
 # their chunks on pool workers, with the blocked dslash's scratch shared by
 # them.  The nucleon contractions run their per-site diquark blocks in
 # scratch on each chunk's stack and sum timeslices through
-# parallel_reduce_n.  This script builds the parallel, lattice, dirac,
-# solver and core test targets with -fsanitize=thread and runs the tests
-# that drive those kernels, the 4^4 and 4^3x8 ones at FEMTO_THREADS=4 so
-# that two threads do run them.
+# parallel_reduce_n.  File::save and File::load compute their per-dataset
+# CRC-32s in one launch over the datasets.  This script builds the
+# parallel, lattice, dirac, solver, core and fio test targets with
+# -fsanitize=thread and runs the tests that drive those kernels, the 4^4,
+# 4^3x8 and multi-dataset ones at FEMTO_THREADS=4 so that two threads do
+# run them.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 
@@ -23,7 +25,7 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DFEMTO_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target test_parallel test_lattice test_dirac \
-  test_solver test_core
+  test_solver test_core test_fio
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 
@@ -39,5 +41,7 @@ FEMTO_THREADS=4 "$BUILD_DIR/tests/test_solver" \
   --gtest_filter='HalfStorage.*:HalfSimd.*:*MixedCg*'
 FEMTO_THREADS=4 "$BUILD_DIR/tests/test_core" \
   --gtest_filter='ContractionReference.*'
+FEMTO_THREADS=4 "$BUILD_DIR/tests/test_fio" \
+  --gtest_filter='Crc32.*:FioFile.*:PropagatorIo.*'
 
 echo "tsan check passed"

@@ -6,9 +6,9 @@ void write_propagator(File& f, const std::string& name,
                       const SpinorField<double>& prop,
                       const PropagatorMeta& meta) {
   const std::string base = "/prop/" + name;
-  std::vector<double> data(prop.data(), prop.data() + prop.reals());
   const auto& g = prop.geom();
-  f.write_f64(base + "/field", data,
+  f.write_f64(base + "/field", prop.data(),
+              static_cast<std::size_t>(prop.reals()),
               {prop.l5(), prop.sites(), kNs, kNc, 2});
   f.write_i64(base + "/extents",
               {g.extent(0), g.extent(1), g.extent(2), g.extent(3),
@@ -29,10 +29,8 @@ PropagatorMeta read_propagator(const File& f, const std::string& name,
       ext[4] != prop.l5() ||
       ext[5] != static_cast<std::int64_t>(prop.subset()))
     throw IoError("propagator geometry mismatch for " + name);
-  const auto data = f.read_f64(base + "/field");
-  if (static_cast<std::int64_t>(data.size()) != prop.reals())
-    throw IoError("propagator size mismatch for " + name);
-  std::copy(data.begin(), data.end(), prop.data());
+  f.read_f64(base + "/field", prop.data(),
+             static_cast<std::size_t>(prop.reals()));
 
   PropagatorMeta meta;
   meta.ensemble = f.attr(base, "ensemble").value_or("");
@@ -46,9 +44,9 @@ PropagatorMeta read_propagator(const File& f, const std::string& name,
 void write_gauge(File& f, const std::string& name,
                  const GaugeField<double>& u, double plaquette_value) {
   const std::string base = "/gauge/" + name;
-  std::vector<double> data(u.data(), u.data() + u.bytes() / 8);
   const auto& g = u.geom();
-  f.write_f64(base + "/links", data,
+  f.write_f64(base + "/links", u.data(),
+              static_cast<std::size_t>(u.bytes()) / sizeof(double),
               {4, g.volume(), kNc, kNc, 2});
   f.write_i64(base + "/extents",
               {g.extent(0), g.extent(1), g.extent(2), g.extent(3)});
@@ -63,10 +61,8 @@ double read_gauge(const File& f, const std::string& name,
   if (ext.size() != 4 || ext[0] != g.extent(0) || ext[1] != g.extent(1) ||
       ext[2] != g.extent(2) || ext[3] != g.extent(3))
     throw IoError("gauge geometry mismatch for " + name);
-  const auto data = f.read_f64(base + "/links");
-  if (static_cast<std::int64_t>(data.size()) != u.bytes() / 8)
-    throw IoError("gauge size mismatch for " + name);
-  std::copy(data.begin(), data.end(), u.data());
+  f.read_f64(base + "/links", u.data(),
+             static_cast<std::size_t>(u.bytes()) / sizeof(double));
   return f.attr_f64(base, "plaquette");
 }
 

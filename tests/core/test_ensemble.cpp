@@ -6,6 +6,8 @@
 
 #include <cstdio>
 
+#include "temp_path.hpp"
+
 namespace femto::core {
 namespace {
 
@@ -68,7 +70,7 @@ TEST(Ensemble, CorrelatorsVaryAcrossConfigs) {
 }
 
 TEST(Ensemble, ArchiveRoundTrip) {
-  const std::string path = "/tmp/femto_ensemble_test.bin";
+  const std::string path = test_temp_path("femto_ensemble_test.bin");
   fio::File archive;
   const auto res = run_ensemble(tiny_spec(), quick_params(), &archive);
   archive.save(path);

@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
+
+#include "temp_path.hpp"
 
 namespace femto::core {
 namespace {
+
+// The running test's own scratch directory: the workflow writes
+// prop_cfg0.femto and corr_cfg0.femto into it.
+std::string scratch_dir() { return test_temp_path("femto_workflow"); }
 
 WorkflowOptions tiny() {
   WorkflowOptions o;
@@ -16,15 +22,13 @@ WorkflowOptions tiny() {
   o.solver_tol = 1e-7;
   o.n_configs = 1;
   o.thermalization = 4;
-  o.scratch_dir = "/tmp";
+  o.scratch_dir = scratch_dir();
+  std::filesystem::create_directories(o.scratch_dir);
   o.seed = 31337;
   return o;
 }
 
-void cleanup() {
-  std::remove("/tmp/prop_cfg0.femto");
-  std::remove("/tmp/corr_cfg0.femto");
-}
+void cleanup() { std::filesystem::remove_all(scratch_dir()); }
 
 TEST(Workflow, RunsEndToEnd) {
   const auto rep = run_workflow(tiny());
@@ -68,7 +72,7 @@ TEST(Workflow, WithoutFhHalvesTheSolves) {
 
 TEST(Workflow, CorrelatorFilesLandOnDisk) {
   run_workflow(tiny());
-  const auto f = fio::File::load("/tmp/corr_cfg0.femto");
+  const auto f = fio::File::load(scratch_dir() + "/corr_cfg0.femto");
   const auto c = fio::read_correlator(f, "nucleon_2pt_cfg0");
   EXPECT_EQ(c.size(), 8u);
   cleanup();

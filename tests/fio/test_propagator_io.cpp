@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "temp_path.hpp"
+
 namespace femto::fio {
 namespace {
 
@@ -60,7 +62,7 @@ TEST(PropagatorIo, CorrelatorRoundTrip) {
 }
 
 TEST(PropagatorIo, DiskRoundTripThroughSave) {
-  const std::string path = "/tmp/femto_prop_io.bin";
+  const std::string path = test_temp_path("femto_prop_io.bin");
   auto g = geom44();
   SpinorField<double> prop(g, 4, Subset::Full);
   prop.gaussian(302);

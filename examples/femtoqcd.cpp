@@ -1,9 +1,11 @@
 // femtoqcd: an input-file-driven campaign executable, in the spirit of the
 // Chroma/lalibe production binaries the paper's workflow is built from.
 //
-//   femtoqcd run <input-file>        generate ensemble + measure + archive
-//   femtoqcd analyze <archive> <ens> jackknife analysis of an archive
-//   femtoqcd info <archive>          list archive contents
+//   femtoqcd run <input-file> [archive]  generate ensemble + measure +
+//                                        archive (to [archive] if given,
+//                                        else to the input's `archive`)
+//   femtoqcd analyze <archive> <ens>     jackknife analysis of an archive
+//   femtoqcd info <archive>              list archive contents
 //
 // Input file (key = value, # comments):
 //
@@ -110,8 +112,9 @@ void print_result(const femto::core::EnsembleResult& res) {
   }
 }
 
-int cmd_run(const std::string& input_path) {
-  const Input inp = parse_input(input_path);
+int cmd_run(const std::string& input_path, const char* archive_path) {
+  Input inp = parse_input(input_path);
+  if (archive_path) inp.archive = archive_path;
   std::printf("running campaign '%s' on %dx%dx%dx%d, beta=%.2f, %d "
               "configs...\n",
               inp.spec.name.c_str(), inp.spec.extents[0],
@@ -152,7 +155,7 @@ int cmd_info(const std::string& archive_path) {
 int main(int argc, char** argv) {
   try {
     if (argc >= 3 && std::string(argv[1]) == "run")
-      return cmd_run(argv[2]);
+      return cmd_run(argv[2], argc >= 4 ? argv[3] : nullptr);
     if (argc >= 4 && std::string(argv[1]) == "analyze")
       return cmd_analyze(argv[2], argv[3]);
     if (argc >= 3 && std::string(argv[1]) == "info")
@@ -162,7 +165,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(stderr,
-               "usage:\n  femtoqcd run <input>\n  femtoqcd analyze "
+               "usage:\n  femtoqcd run <input> [archive]\n  femtoqcd analyze "
                "<archive> <ensemble>\n  femtoqcd info <archive>\n");
   return 2;
 }

@@ -9,7 +9,11 @@
 // statistical model: bootstrap + excited-state fits for the FH method vs
 // the traditional method with 10x the statistics.
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "core/ga_analysis.hpp"
 #include "core/workflow.hpp"
@@ -24,10 +28,17 @@ int main() {
   opts.n_configs = 2;
   opts.thermalization = 8;
   opts.solver_tol = 1e-8;
-  opts.scratch_dir = "/tmp";
+  // The workflow's propagator and correlator files go to a scratch
+  // directory of this run's own, removed afterwards.
+  const std::filesystem::path scratch =
+      std::filesystem::temp_directory_path() /
+      ("ga_campaign_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(scratch);
+  opts.scratch_dir = scratch.string();
   opts.seed = 90210;
 
   const auto rep = core::run_workflow(opts);
+  std::filesystem::remove_all(scratch);
   std::printf("%s\n\n", rep.summary().c_str());
   std::printf("stage budget: gauge %.2fs, propagators %.2fs, "
               "contractions %.2fs, I/O %.2fs\n",

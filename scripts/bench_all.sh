@@ -10,6 +10,8 @@
 #      micro_compress -> BENCH_compress.json (at FEMTO_THREADS=1)
 #      micro_blas     -> BENCH_blas.json     (info rows only)
 #      micro_fio      -> BENCH_fio.json      (CRC-32 kernel vs reference)
+#      micro_contract -> BENCH_contract.json (at FEMTO_THREADS=1; nucleon
+#                        contractions, native width vs W = 1)
 #   4. tools/benchdiff --baseline bench/baseline.json <produced files>
 #
 # Each bench computes its claims as `<claim>_gate_ok` rows next to named
@@ -67,8 +69,10 @@ if [[ "${FEMTO_BENCH_FULL:-0}" == "1" ]]; then
   run_micro compress FEMTO_THREADS=1
   run_micro blas
   run_micro fio
+  # The width claim is per core: one thread keeps the pool out of it.
+  run_micro contract FEMTO_THREADS=1
 else
-  echo "bench_all: FEMTO_BENCH_FULL!=1, skipping simd/multirhs/compress/blas/fio kernels"
+  echo "bench_all: FEMTO_BENCH_FULL!=1, skipping simd/multirhs/compress/blas/fio/contract kernels"
 fi
 
 echo "=== benchdiff sentinel ==="

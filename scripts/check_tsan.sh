@@ -7,14 +7,15 @@
 # worker.  On a 4^4 lattice the dslash, its pack/unpack, the fifth-dim
 # matvecs and the half round-trips (with their per-block norms) also run
 # their chunks on pool workers, with the blocked dslash's scratch shared by
-# them.  The nucleon contractions run their per-site diquark blocks in
-# scratch on each chunk's stack and sum timeslices through
-# parallel_reduce_n.  File::save and File::load compute their per-dataset
-# CRC-32s in one launch over the datasets.  This script builds the
-# parallel, lattice, dirac, solver, core and fio test targets with
-# -fsanitize=thread and runs the tests that drive those kernels, the 4^4,
-# 4^3x8 and multi-dataset ones at FEMTO_THREADS=4 so that two threads do
-# run them.
+# them.  The nucleon contractions run their per-site diquark blocks, W
+# sites per step, in scratch on each chunk's stack and sum timeslices
+# through parallel_reduce_n; the cross-width test runs them at every
+# width the kernel is built for.  File::save and File::load compute
+# their per-dataset CRC-32s in one launch over the datasets.  This script
+# builds the parallel, lattice, dirac, solver, core and fio test targets
+# with -fsanitize=thread and runs the tests that drive those kernels, the
+# 4^4, 4^3x8 and multi-dataset ones at FEMTO_THREADS=4 so that two
+# threads do run them.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 
@@ -40,7 +41,7 @@ FEMTO_THREADS=4 "$BUILD_DIR/tests/test_dirac" \
 FEMTO_THREADS=4 "$BUILD_DIR/tests/test_solver" \
   --gtest_filter='HalfStorage.*:HalfSimd.*:*MixedCg*'
 FEMTO_THREADS=4 "$BUILD_DIR/tests/test_core" \
-  --gtest_filter='ContractionReference.*'
+  --gtest_filter='ContractionReference.*:ContractionWidths.*'
 FEMTO_THREADS=4 "$BUILD_DIR/tests/test_fio" \
   --gtest_filter='Crc32.*:FioFile.*:PropagatorIo.*'
 

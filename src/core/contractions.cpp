@@ -11,7 +11,12 @@ namespace femto::core {
 
 namespace {
 
-using ColorBlocks = Propagator::ColorBlocks;
+template <int W>
+using CplxLanes = Cplx<simd::Lanes<double, W>>;
+template <int W>
+using SpinLanes = Propagator::SpinLanes<W>;
+template <int W>
+using ColorBlocks = Propagator::ColorBlocks<W>;
 
 /// For each colour c, the two (a, b) with eps_abc != 0; `neg` marks
 /// eps_abc = -1.
@@ -57,37 +62,47 @@ SignedGather signed_gather(const SpinMat& g) {
 }
 
 /// e += a x^T, or e -= a x^T: 16 entries of 4 complex multiplies, 3 adds
-/// and the accumulation, 512 flops.
-template <bool Sub>
-void accumulate_product_transposed(SpinMat& e, const SpinMat& a,
-                                   const SpinMat& x) {
-  for (int i = 0; i < kNs; ++i)
-    for (int k = 0; k < kNs; ++k) {
-      cdouble s = a(i, 0) * x(k, 0);
-      for (int j = 1; j < kNs; ++j) s += a(i, j) * x(k, j);
+/// and the accumulation, 512 flops per lane.  Row i of a is read once for
+/// the four entries of row i of e; each entry still sums j = 0..3 in order.
+/// The k loops unroll so that the four sums stay in registers.
+template <bool Sub, int W>
+void accumulate_product_transposed(SpinLanes<W>& e, const SpinLanes<W>& a,
+                                   const SpinLanes<W>& x) {
+  for (std::size_t i = 0; i < kNs; ++i) {
+    std::array<CplxLanes<W>, kNs> s;
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < kNs; ++k) s[k] = a[i][0] * x[k][0];
+#pragma GCC unroll 4
+    for (std::size_t j = 1; j < kNs; ++j)
+#pragma GCC unroll 4
+      for (std::size_t k = 0; k < kNs; ++k) s[k] += a[i][j] * x[k][j];
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < kNs; ++k) {
       if constexpr (Sub)
-        e(i, k) -= s;
+        e[i][k] -= s[k];
       else
-        e(i, k) += s;
+        e[i][k] += s[k];
     }
+  }
 }
 
 /// E_X^{cc'} = sum eps_abc eps_a'b'c' A^{bb'} (X^{aa'})^T: four products per
 /// colour pair, 36 in all.
-void diquark_blocks(const ColorBlocks& a, const ColorBlocks& x,
-                    ColorBlocks& e) {
+template <int W>
+void diquark_blocks(const ColorBlocks<W>& a, const ColorBlocks<W>& x,
+                    ColorBlocks<W>& e) {
   for (std::size_t c = 0; c < kNc; ++c)
     for (std::size_t cp = 0; cp < kNc; ++cp) {
-      SpinMat& out = e[c][cp];
-      out = SpinMat::zero();
+      SpinLanes<W>& out = e[c][cp];
+      out = SpinLanes<W>{};
       for (const EpsPair& l : kEpsPairs[c])
         for (const EpsPair& r : kEpsPairs[cp]) {
-          const SpinMat& ab = a[l.b][r.b];
-          const SpinMat& xa = x[l.a][r.a];
+          const SpinLanes<W>& ab = a[l.b][r.b];
+          const SpinLanes<W>& xa = x[l.a][r.a];
           if (l.neg != r.neg)
-            accumulate_product_transposed<true>(out, ab, xa);
+            accumulate_product_transposed<true, W>(out, ab, xa);
           else
-            accumulate_product_transposed<false>(out, ab, xa);
+            accumulate_product_transposed<false, W>(out, ab, xa);
         }
     }
 }
@@ -95,24 +110,104 @@ void diquark_blocks(const ColorBlocks& a, const ColorBlocks& x,
 /// acc -= sum_{cc'} [ sum_ik (Y^{cc'} P)_ik E^{cc'}_ik + tr(Y^{cc'} P)
 /// tr(E^{cc'}) ].  Per colour pair: Y P (480 flops), its entrywise product
 /// with E (128), the two traces (8 + 6), their product (6) and the two
-/// adds into acc (4): 632.
-void close_diquark(const ColorBlocks& e, const ColorBlocks& y,
-                   const SpinMat& p, cdouble& acc) {
+/// adds into acc (4): 632 per lane.  Y P is formed a row at a time, as in
+/// accumulate_product_transposed; dot still sums (i, k) in row order.
+template <int W>
+void close_diquark(const ColorBlocks<W>& e, const ColorBlocks<W>& y,
+                   const SpinLanes<W>& p, CplxLanes<W>& acc) {
   for (std::size_t c = 0; c < kNc; ++c)
     for (std::size_t cp = 0; cp < kNc; ++cp) {
-      const SpinMat& yb = y[c][cp];
-      const SpinMat& eb = e[c][cp];
-      cdouble dot{}, tr_yp{};
-      for (int i = 0; i < kNs; ++i)
-        for (int k = 0; k < kNs; ++k) {
-          cdouble yp = yb(i, 0) * p(0, k);
-          for (int j = 1; j < kNs; ++j) yp += yb(i, j) * p(j, k);
-          dot += yp * eb(i, k);
-          if (i == k) tr_yp += yp;
-        }
-      const cdouble tr_e = eb(0, 0) + eb(1, 1) + eb(2, 2) + eb(3, 3);
+      const SpinLanes<W>& yb = y[c][cp];
+      const SpinLanes<W>& eb = e[c][cp];
+      CplxLanes<W> dot{}, tr_yp{};
+      for (std::size_t i = 0; i < kNs; ++i) {
+        std::array<CplxLanes<W>, kNs> yp;  // row i of Y P
+#pragma GCC unroll 4
+        for (std::size_t k = 0; k < kNs; ++k) yp[k] = yb[i][0] * p[0][k];
+#pragma GCC unroll 4
+        for (std::size_t j = 1; j < kNs; ++j)
+#pragma GCC unroll 4
+          for (std::size_t k = 0; k < kNs; ++k) yp[k] += yb[i][j] * p[j][k];
+#pragma GCC unroll 4
+        for (std::size_t k = 0; k < kNs; ++k) dot += yp[k] * eb[i][k];
+        tr_yp += yp[i];
+      }
+      const CplxLanes<W> tr_e = eb[0][0] + eb[1][1] + eb[2][2] + eb[3][3];
       acc -= dot + tr_yp * tr_e;
     }
+}
+
+/// What every site of one contraction reads.
+struct Lines {
+  const Propagator& u;
+  const Propagator* fh;
+  const Propagator& down;
+  SignedGather g;
+  int t_src;
+  std::array<int, 3> momentum;
+  bool has_p;
+};
+
+/// One reduce chunk's scratch at width W: the colour blocks of U, D and
+/// F, the diquark blocks A = G D G (formed once per site, shared by both
+/// FH substitutions), E_U, E_F, and the projector broadcast into the
+/// lanes.
+template <int W>
+struct Scratch {
+  ColorBlocks<W> bu, bd, bf, a, eu, ef;
+  SpinLanes<W> p;
+  explicit Scratch(const SpinMat& projector) {
+    for (std::size_t i = 0; i < kNs; ++i)
+      for (std::size_t j = 0; j < kNs; ++j)
+        p[i][j] = {simd::Lanes<double, W>(projector.m[i][j].re),
+                   simd::Lanes<double, W>(projector.m[i][j].im)};
+  }
+};
+
+/// Contracts sites site0 .. site0 + W - 1, one per lane, and adds each
+/// site's term into its timeslice sum (@p part) in site order.
+template <int W>
+void contract_sites(const Lines& l, std::int64_t site0, Scratch<W>& s,
+                    double* part) {
+  const auto& geom = l.u.geom();
+  const int nt = geom.extent(3);
+  const SignedGather& g = l.g;
+
+  l.u.load_color_blocks<W>(site0, s.bu);
+  l.down.load_color_blocks<W>(site0, s.bd);
+  for (std::size_t b = 0; b < kNc; ++b)
+    for (std::size_t bp = 0; bp < kNc; ++bp)
+      for (std::size_t i = 0; i < kNs; ++i)
+        for (std::size_t j = 0; j < kNs; ++j) {
+          const CplxLanes<W>& d = s.bd[b][bp][g.row[i]][g.col[j]];
+          s.a[b][bp][i][j] = g.neg[i][j] ? -d : d;
+        }
+
+  CplxLanes<W> acc{};
+  diquark_blocks<W>(s.a, s.bu, s.eu);
+  if (!l.fh) {
+    close_diquark<W>(s.eu, s.bu, s.p, acc);
+  } else {
+    l.fh->load_color_blocks<W>(site0, s.bf);
+    diquark_blocks<W>(s.a, s.bf, s.ef);
+    close_diquark<W>(s.ef, s.bu, s.p, acc);
+    close_diquark<W>(s.eu, s.bf, s.p, acc);
+  }
+
+  for (int j = 0; j < W; ++j) {
+    const auto x = geom.coord(site0 + j);
+    const int t = (x[3] - l.t_src + nt) % nt;
+    cdouble site_acc{simd::lane(acc.re, j), simd::lane(acc.im, j)};
+    if (l.has_p) {
+      double phase = 0.0;
+      for (int i = 0; i < 3; ++i)
+        phase -= 2.0 * std::numbers::pi * l.momentum[i] * x[i] /
+                 geom.extent(i);
+      site_acc = site_acc * cdouble{std::cos(phase), std::sin(phase)};
+    }
+    part[2 * t] += site_acc.re;
+    part[2 * t + 1] += site_acc.im;
+  }
 }
 
 /// The correlator held in the 2*nt (re, im) timeslice sums that
@@ -124,6 +219,8 @@ Correlator to_correlator(const std::vector<double>& sums) {
     corr[t] = cdouble{sums[2 * t], sums[2 * t + 1]};
   return corr;
 }
+
+}  // namespace
 
 /// Nucleon contraction from the Wick theorem.  With the interpolator
 /// chi = eps_abc (u_a^T G d_b) u_c, G = C g5, the projected correlator is
@@ -144,81 +241,72 @@ Correlator to_correlator(const std::vector<double>& sums) {
 ///
 /// with (X, Y) = (U, U).  The FH correlator replaces each u contraction
 /// by the FH propagator F in turn: (X, Y) = (F, U) plus (U, F).
-Correlator contract(const Propagator& u, const Propagator* fh,
-                    const Propagator& down, const SpinMat& projector,
-                    int t_src, std::array<int, 3> momentum = {0, 0, 0}) {
-  const auto& geom = u.geom();
+///
+/// Each reduce chunk [lo, hi) runs W sites per step from lo and its last
+/// (hi - lo) mod W sites at W = 1.
+template <int W>
+Correlator nucleon_contract(const Propagator& up, const Propagator* fh_up,
+                            const Propagator& down, const SpinMat& projector,
+                            int t_src, std::array<int, 3> momentum) {
+  const auto& geom = up.geom();
   const int nt = geom.extent(3);
-  const SignedGather g = signed_gather(cgamma5());
-  const bool has_p =
-      momentum[0] != 0 || momentum[1] != 0 || momentum[2] != 0;
+  const Lines lines{up,
+                    fh_up,
+                    down,
+                    signed_gather(cgamma5()),
+                    t_src,
+                    momentum,
+                    momentum[0] != 0 || momentum[1] != 0 || momentum[2] != 0};
 
   std::vector<double> sums(2 * static_cast<std::size_t>(nt));
   par::parallel_reduce_n(
       0, static_cast<std::size_t>(geom.volume()), sums.size(),
       [&](std::size_t lo, std::size_t hi, double* part) {
-        // Chunk scratch: the colour blocks of U, D and F, the diquark
-        // blocks A = G D G (formed once per site, shared by both FH
-        // substitutions), and E_U, E_F.
-        ColorBlocks bu, bd, bf, a, eu, ef;
-        for (std::size_t ss = lo; ss < hi; ++ss) {
-          const auto site = static_cast<std::int64_t>(ss);
-          const auto x = geom.coord(site);
-          const int t = (x[3] - t_src + nt) % nt;
-
-          u.load_color_blocks(site, bu);
-          down.load_color_blocks(site, bd);
-          for (std::size_t b = 0; b < kNc; ++b)
-            for (std::size_t bp = 0; bp < kNc; ++bp)
-              for (std::size_t i = 0; i < kNs; ++i)
-                for (std::size_t j = 0; j < kNs; ++j) {
-                  const cdouble d = bd[b][bp].m[g.row[i]][g.col[j]];
-                  a[b][bp].m[i][j] = g.neg[i][j] ? -d : d;
-                }
-
-          cdouble acc{};
-          diquark_blocks(a, bu, eu);
-          if (!fh) {
-            close_diquark(eu, bu, projector, acc);
-          } else {
-            fh->load_color_blocks(site, bf);
-            diquark_blocks(a, bf, ef);
-            close_diquark(ef, bu, projector, acc);
-            close_diquark(eu, bf, projector, acc);
-          }
-          if (has_p) {
-            double phase = 0.0;
-            for (int i = 0; i < 3; ++i)
-              phase -= 2.0 * std::numbers::pi * momentum[i] * x[i] /
-                       geom.extent(i);
-            acc = acc * cdouble{std::cos(phase), std::sin(phase)};
-          }
-          part[2 * t] += acc.re;
-          part[2 * t + 1] += acc.im;
+        auto ss = static_cast<std::int64_t>(lo);
+        const auto end = static_cast<std::int64_t>(hi);
+        Scratch<W> lanes(projector);
+        for (; ss + W <= end; ss += W) contract_sites(lines, ss, lanes, part);
+        if constexpr (W > 1) {
+          if (ss == end) return;
+          Scratch<1> tail(projector);
+          for (; ss < end; ++ss) contract_sites(lines, ss, tail, part);
         }
       },
       sums.data(), 64);
 
   // The per-site model of contractions.hpp; one read pass per propagator.
-  const bool with_fh = fh != nullptr;
+  const bool with_fh = fh_up != nullptr;
   flops::add(geom.volume() * (with_fh ? kNucleonFhFlopsPerSite
                                       : kNucleonTwoPointFlopsPerSite));
   flops::add_bytes(geom.volume() * kPropagatorSiteBytes * (with_fh ? 3 : 2));
   return to_correlator(sums);
 }
 
-}  // namespace
+// One instantiation per entry of kContractWidths.
+static_assert(kContractWidths == std::array<int, 4>{1, 2, 4, 8});
+template Correlator nucleon_contract<1>(const Propagator&, const Propagator*,
+                                        const Propagator&, const SpinMat&,
+                                        int, std::array<int, 3>);
+template Correlator nucleon_contract<2>(const Propagator&, const Propagator*,
+                                        const Propagator&, const SpinMat&,
+                                        int, std::array<int, 3>);
+template Correlator nucleon_contract<4>(const Propagator&, const Propagator*,
+                                        const Propagator&, const SpinMat&,
+                                        int, std::array<int, 3>);
+template Correlator nucleon_contract<8>(const Propagator&, const Propagator*,
+                                        const Propagator&, const SpinMat&,
+                                        int, std::array<int, 3>);
 
 Correlator nucleon_two_point(const Propagator& up, const Propagator& down,
                              const SpinMat& projector, int t_src) {
-  return contract(up, nullptr, down, projector, t_src);
+  return nucleon_contract(up, nullptr, down, projector, t_src);
 }
 
 Correlator nucleon_two_point_momentum(const Propagator& up,
                                       const Propagator& down,
                                       const SpinMat& projector, int t_src,
                                       std::array<int, 3> momentum) {
-  return contract(up, nullptr, down, projector, t_src, momentum);
+  return nucleon_contract(up, nullptr, down, projector, t_src, momentum);
 }
 
 Correlator pion_two_point(const Propagator& quark, int t_src,
@@ -259,7 +347,7 @@ Correlator nucleon_fh_three_point(const Propagator& up,
                                   const Propagator& fh_up,
                                   const Propagator& down,
                                   const SpinMat& projector, int t_src) {
-  return contract(up, &fh_up, down, projector, t_src);
+  return nucleon_contract(up, &fh_up, down, projector, t_src);
 }
 
 std::vector<double> fh_effective_coupling_series(const Correlator& c2,

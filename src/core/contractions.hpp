@@ -15,12 +15,21 @@
 // replaced by the FH propagator (axial current summed over all insertion
 // times).  The kernel evaluates it per site through nine diquark blocks
 // E^{cc'} = sum eps eps' D~^{bb'} (U^{aa'})^T (DESIGN.md §17).
+//
+// SIMD: the kernel runs W sites per step, one per lane of
+// Cplx<simd::Lanes<double, W>> blocks, and the last (hi - lo) mod W sites
+// of each reduce chunk at W = 1.  Every lane does the one-site arithmetic
+// (per-lane IEEE operations, no FMA contraction) and the lanes add into
+// the timeslice sums in site order, so the correlators are bitwise the
+// same at every width and thread count.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/propagator.hpp"
 #include "core/spin_matrix.hpp"
+#include "simd/vec.hpp"
 
 namespace femto::core {
 
@@ -52,6 +61,20 @@ inline constexpr std::int64_t kNucleonTwoPointFlopsPerSite =
     36 * 512 + 9 * 632 + 2;  // 24,122
 inline constexpr std::int64_t kNucleonFhFlopsPerSite =
     2 * (36 * 512 + 9 * 632) + 2;  // 48,242
+
+/// The lane counts nucleon_contract is built for: every native double
+/// width (1 scalar, 2 SSE2/NEON, 4 AVX, 8 AVX-512).
+inline constexpr std::array<int, 4> kContractWidths = {1, 2, 4, 8};
+
+/// The one nucleon contraction body, W sites per step: the two-point
+/// function of @p up and @p down (@p fh_up null), or with @p fh_up the FH
+/// 3pt, at sink momentum @p momentum.  The functions below call it at the
+/// native width; the results are bitwise the same at every W in
+/// kContractWidths.
+template <int W = simd::kWidth<double>>
+Correlator nucleon_contract(const Propagator& up, const Propagator* fh_up,
+                            const Propagator& down, const SpinMat& projector,
+                            int t_src, std::array<int, 3> momentum = {0, 0, 0});
 
 /// Nucleon two-point function, zero sink momentum, projector P.
 /// @p up and @p down are the quark propagators from a common source at

@@ -11,19 +11,6 @@ Propagator::Propagator(std::shared_ptr<const Geometry> geom)
     cols_.emplace_back(geom_, 1, Subset::Full);
 }
 
-void Propagator::load_color_blocks(std::int64_t site,
-                                   ColorBlocks& blocks) const {
-  for (int ss = 0; ss < kNs; ++ss)
-    for (int sc = 0; sc < kNc; ++sc) {
-      const auto spinor = column(ss, sc).load(0, site);
-      for (int c = 0; c < kNc; ++c) {
-        SpinMat& b = blocks[static_cast<std::size_t>(c)]
-                           [static_cast<std::size_t>(sc)];
-        for (int s = 0; s < kNs; ++s) b(s, ss) = spinor[s][c];
-      }
-    }
-}
-
 namespace {
 
 /// Embed a 4D source into the 5D chiral boundaries:

@@ -12,6 +12,7 @@
 
 #include "core/spin_matrix.hpp"
 #include "lattice/field.hpp"
+#include "simd/vec.hpp"
 #include "solver/dwf_solve.hpp"
 
 namespace femto::core {
@@ -32,12 +33,39 @@ class Propagator {
     return cols_[static_cast<std::size_t>(src_spin * kNc + src_color)];
   }
 
-  /// S(x) at a sink site as nine 4x4 spin matrices, one per colour pair:
-  /// blocks[snk_col][src_col](snk_spin, src_spin).
-  using ColorBlocks = std::array<std::array<SpinMat, kNc>, kNc>;
-  /// Fills @p blocks from the 12 columns at @p site: column (s', c')
-  /// holds source spin s' and colour c' of every block.
-  void load_color_blocks(std::int64_t site, ColorBlocks& blocks) const;
+  /// A 4x4 spin matrix over W sink sites, one site per lane:
+  /// m[snk_spin][src_spin].
+  template <int W>
+  using SpinLanes =
+      std::array<std::array<Cplx<simd::Lanes<double, W>>, kNs>, kNs>;
+  /// S(x) at W sink sites as nine 4x4 spin matrices, one per colour pair:
+  /// blocks[snk_col][src_col][snk_spin][src_spin].
+  template <int W>
+  using ColorBlocks = std::array<std::array<SpinLanes<W>, kNc>, kNc>;
+  /// Fills lane j of @p blocks with site @p site0 + j, for j < W, from the
+  /// 12 columns: column (s', c') holds source spin s' and colour c' of
+  /// every block.  Each entry's lanes are gathered in registers and stored
+  /// whole.
+  template <int W = simd::kWidth<double>>
+  void load_color_blocks(std::int64_t site0, ColorBlocks<W>& blocks) const {
+    for (int ss = 0; ss < kNs; ++ss)
+      for (int sc = 0; sc < kNc; ++sc) {
+        const SpinorField<double>& col = column(ss, sc);
+        FEMTO_ASSERT(site0 + W <= col.sites());
+        // [spin][colour][re/im] at site0, then one spinor per lane.
+        const double* q = col.data() + col.offset(0, site0);
+        for (std::size_t s = 0; s < kNs; ++s)
+          for (std::size_t c = 0; c < kNc; ++c, q += 2) {
+            simd::Lanes<double, W> re, im;
+            for (int j = 0; j < W; ++j) {
+              simd::set_lane(re, j, q[j * kSpinorReals]);
+              simd::set_lane(im, j, q[j * kSpinorReals + 1]);
+            }
+            blocks[c][static_cast<std::size_t>(sc)][s]
+                  [static_cast<std::size_t>(ss)] = {re, im};
+          }
+      }
+  }
 
  private:
   std::shared_ptr<const Geometry> geom_;

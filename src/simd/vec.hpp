@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <type_traits>
 
 #if !defined(FEMTO_SIMD_OFF) && (defined(__GNUC__) || defined(__clang__))
 #define FEMTO_SIMD_VEXT 1
@@ -208,6 +209,30 @@ inline Vec<T, W> interleave(T a, T b) {
     r.v[i + 1] = b;
   }
   return r;
+}
+
+/// W lanes of T for a kernel templated on its width: T itself at W = 1,
+/// where GCC keeps a one-lane vector type in memory and general registers
+/// instead of in floating-point registers.  lane() and set_lane() reach
+/// lane i of either.
+template <typename T, int W>
+using Lanes = std::conditional_t<W == 1, T, Vec<T, W>>;
+
+template <typename T>
+inline T lane(T x, int /*i*/) {
+  return x;
+}
+template <typename T, int W>
+inline T lane(const Vec<T, W>& x, int i) {
+  return x[i];
+}
+template <typename T>
+inline void set_lane(T& x, int /*i*/, T value) {
+  x = value;
+}
+template <typename T, int W>
+inline void set_lane(Vec<T, W>& x, int i, T value) {
+  x.set(i, value);
 }
 
 /// Sum the lanes in lane order — THE deterministic combination step every

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <string>
+#include <utility>
 
 #include "lattice/flops.hpp"
 #include "lattice/gauge.hpp"
@@ -109,12 +113,13 @@ Correlator reference_contract(const Propagator& u, const Propagator* fh,
   return corr;
 }
 
-/// Gaussian-filled U, D and F on 4^3 x 8, all three distinct.
+/// Gaussian-filled U, D and F (4^3 x 8 by default), all three distinct.
 struct GaussianProps {
-  std::shared_ptr<const Geometry> g =
-      std::make_shared<Geometry>(4, 4, 4, 8);
-  Propagator up{g}, down{g}, fh{g};
-  GaussianProps() {
+  std::shared_ptr<const Geometry> g;
+  Propagator up, down, fh;
+  explicit GaussianProps(std::shared_ptr<const Geometry> geom =
+                             std::make_shared<Geometry>(4, 4, 4, 8))
+      : g(std::move(geom)), up(g), down(g), fh(g) {
     std::uint64_t seed = 7301;
     for (Propagator* p : {&up, &down, &fh})
       for (int k = 0; k < kNs * kNc; ++k)
@@ -183,6 +188,70 @@ TEST(ContractionReference, FhThreePointMatchesEpsilonPairLoop) {
             nucleon_fh_three_point(p.up, p.fh, p.down, proj, kRefTsrc),
             reference_contract(p.up, &p.fh, p.down, proj, kRefTsrc)),
         kRefTol);
+}
+
+// --- bitwise across widths ---------------------------------------------------
+//
+// nucleon_contract<W> runs W sites per step, one per lane, and the last
+// (hi - lo) mod W sites of each reduce chunk at W = 1.  Every lane does
+// the one-site arithmetic and the lanes add into the timeslice sums in
+// site order, so every width must give the W = 1 bits.  On 6^3 x 10 (2,160
+// sites: 33 reduce chunks of 65 or 66) the W = 1 tail runs in every chunk
+// at W = 2, 4 and 8.  A build that contracts one width's multiply-adds
+// into FMAs and not another's (-mfma) fails here.
+
+/// Every timeslice of @p got has the bits of @p want.
+void expect_same_bits(const Correlator& got, const Correlator& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t t = 0; t < want.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t].re),
+              std::bit_cast<std::uint64_t>(want[t].re))
+        << what << " t=" << t;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t].im),
+              std::bit_cast<std::uint64_t>(want[t].im))
+        << what << " t=" << t;
+  }
+}
+
+TEST(ContractionWidths, EveryWidthGivesTheScalarBits) {
+  const SpinMat proj = test_projectors()[2];  // dense, no symmetry
+  const std::array<int, 3> mom = {0, 1, 1};
+  for (const auto& geom : {std::make_shared<Geometry>(6, 6, 6, 10),
+                           std::make_shared<Geometry>(4, 4, 4, 8)}) {
+    const GaussianProps p(geom);
+    const std::string vol = std::to_string(geom->volume()) + " sites, ";
+    const Correlator c2 =
+        nucleon_contract<1>(p.up, nullptr, p.down, proj, kRefTsrc);
+    const Correlator c2p =
+        nucleon_contract<1>(p.up, nullptr, p.down, proj, kRefTsrc, mom);
+    const Correlator c3 =
+        nucleon_contract<1>(p.up, &p.fh, p.down, proj, kRefTsrc);
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      auto at_width = [&]<int W>() {
+        const std::string w = vol + "W=" + std::to_string(W) + ": ";
+        expect_same_bits(
+            nucleon_contract<W>(p.up, nullptr, p.down, proj, kRefTsrc), c2,
+            w + "2pt");
+        expect_same_bits(nucleon_contract<W>(p.up, nullptr, p.down, proj,
+                                             kRefTsrc, mom),
+                         c2p, w + "2pt at p = (0, 1, 1)");
+        expect_same_bits(
+            nucleon_contract<W>(p.up, &p.fh, p.down, proj, kRefTsrc), c3,
+            w + "FH 3pt");
+      };
+      (at_width.template operator()<kContractWidths[I]>(), ...);
+    }(std::make_index_sequence<kContractWidths.size()>{});
+    // The public functions run the native width.
+    expect_same_bits(nucleon_two_point(p.up, p.down, proj, kRefTsrc), c2,
+                     vol + "nucleon_two_point");
+    expect_same_bits(
+        nucleon_two_point_momentum(p.up, p.down, proj, kRefTsrc, mom), c2p,
+        vol + "nucleon_two_point_momentum");
+    expect_same_bits(
+        nucleon_fh_three_point(p.up, p.fh, p.down, proj, kRefTsrc), c3,
+        vol + "nucleon_fh_three_point");
+  }
 }
 
 TEST(Contractions, ChargesTheDocumentedFlopsAndBytes) {

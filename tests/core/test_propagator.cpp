@@ -80,21 +80,37 @@ TEST(PropagatorTest, PointPropagatorSolvesConverge) {
   EXPECT_GT(far, 0.0);
 }
 
+/// Every lane j of the W-site loader holds site @p site0 + j.
+template <int W>
+void expect_color_blocks_match_columns(const Propagator& prop,
+                                       std::int64_t site0) {
+  Propagator::ColorBlocks<W> m;
+  prop.load_color_blocks<W>(site0, m);
+  for (int j = 0; j < W; ++j)
+    for (int ss = 0; ss < kNs; ++ss)
+      for (int sc = 0; sc < kNc; ++sc) {
+        const auto col = prop.column(ss, sc).load(0, site0 + j);
+        for (int s = 0; s < kNs; ++s)
+          for (int c = 0; c < kNc; ++c) {
+            const auto& e = m[static_cast<std::size_t>(c)]
+                             [static_cast<std::size_t>(sc)]
+                             [static_cast<std::size_t>(s)]
+                             [static_cast<std::size_t>(ss)];
+            EXPECT_EQ(simd::lane(e.re, j), col[s][c].re)
+                << "W=" << W << " lane " << j;
+            EXPECT_EQ(simd::lane(e.im, j), col[s][c].im)
+                << "W=" << W << " lane " << j;
+          }
+      }
+}
+
 TEST(PropagatorTest, ColorBlocksMatchColumns) {
   Fixture f;
   const auto prop = compute_point_propagator(*f.solver, {0, 0, 0, 0});
   const auto site = f.g->index({1, 1, 1, 2});
-  Propagator::ColorBlocks m;
-  prop.load_color_blocks(site, m);
-  for (int ss = 0; ss < kNs; ++ss)
-    for (int sc = 0; sc < kNc; ++sc) {
-      const auto col = prop.column(ss, sc).load(0, site);
-      for (int s = 0; s < kNs; ++s)
-        for (int c = 0; c < kNc; ++c) {
-          EXPECT_EQ(m[c][sc](s, ss).re, col[s][c].re);
-          EXPECT_EQ(m[c][sc](s, ss).im, col[s][c].im);
-        }
-    }
+  expect_color_blocks_match_columns<1>(prop, site);
+  expect_color_blocks_match_columns<simd::kWidth<double>>(prop, site);
+  expect_color_blocks_match_columns<8>(prop, site);
 }
 
 TEST(PropagatorTest, FhPropagatorConvergesAndDiffers) {

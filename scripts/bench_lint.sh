@@ -2,10 +2,8 @@
 # Benchmark the femtolint scan over src/ and emit BENCH_lint.json.
 #
 # femtolint runs on every tier-1 build, so its cost scales the edit loop:
-# this script times the whole-tree scan single-threaded and with the
-# femtopar thread pool (the tool's default), tracking both the absolute
-# scan cost as the tree grows and the parallel speedup of the scanner
-# itself.  Timing is wall-clock over REPS runs, minimum taken (same
+# this script times the whole-tree scan, tracking the scan cost as the
+# tree grows.  Timing is wall-clock over REPS runs, minimum taken (same
 # convention as the autotuner: min is the least noisy estimator of the
 # achievable time).
 #
@@ -40,11 +38,7 @@ min_ms() {
 N_FILES=$(find src -name '*.cpp' -o -name '*.hpp' | wc -l | tr -d ' ')
 
 echo "bench_lint: ${REPS} reps over ${N_FILES} files"
-SERIAL_MS=$(min_ms "$FEMTOLINT" --threads 1 src)
-PARALLEL_MS=$(min_ms "$FEMTOLINT" src)
-
-SPEEDUP=$(awk -v s="$SERIAL_MS" -v p="$PARALLEL_MS" \
-          'BEGIN { printf "%.2f", (p > 0) ? s / p : 0 }')
+SCAN_MS=$(min_ms "$FEMTOLINT" src)
 
 # --json runs report the whole-program passes on their own clocks: the
 # nondet-in-kernel effect pass and the lockset pass (lock-order-cycle and
@@ -76,29 +70,26 @@ print(j["effect_pass_ms"], j["lockorder_pass_ms"])' \
 read -r EFFECT_MS LOCKORDER_MS <<< "$(min_pass_ms)"
 
 # The claim: the lockset pass stays under CONCURRENCY_GATE_FRAC of the
-# parallel whole-tree scan.  A 0 here means a closure went superlinear
+# whole-tree scan.  A 0 here means a closure went superlinear
 # (usually an unmemoized walk over a dense region of the call graph) and
 # must be fixed, not absorbed into the edit loop.  benchdiff judges the row.
 CONCURRENCY_GATE_FRAC=0.5
-GATE_OK=$(awk -v l="$LOCKORDER_MS" -v p="$PARALLEL_MS" \
-          -v f="$CONCURRENCY_GATE_FRAC" 'BEGIN { print (l < p * f) ? 1 : 0 }')
+GATE_OK=$(awk -v l="$LOCKORDER_MS" -v s="$SCAN_MS" \
+          -v f="$CONCURRENCY_GATE_FRAC" 'BEGIN { print (l < s * f) ? 1 : 0 }')
 
 cat > BENCH_lint.json <<EOF
 {
   "benchmark": "femtolint_scan_src",
   "files": ${N_FILES},
   "reps": ${REPS},
-  "serial_ms": ${SERIAL_MS},
-  "parallel_ms": ${PARALLEL_MS},
+  "scan_ms": ${SCAN_MS},
   "effect_pass_ms": ${EFFECT_MS},
   "lockorder_pass_ms": ${LOCKORDER_MS},
-  "concurrency_gate_ok": ${GATE_OK},
-  "speedup": ${SPEEDUP},
-  "threads_parallel": "$(nproc)"
+  "concurrency_gate_ok": ${GATE_OK}
 }
 EOF
 
-echo "bench_lint: serial ${SERIAL_MS} ms, parallel ${PARALLEL_MS} ms (x${SPEEDUP})"
+echo "bench_lint: scan ${SCAN_MS} ms"
 echo "bench_lint: effect ${EFFECT_MS} ms, lockorder ${LOCKORDER_MS} ms"
 echo "bench_lint: concurrency_gate_ok ${GATE_OK}"
 echo "bench_lint: wrote BENCH_lint.json"

@@ -26,6 +26,15 @@ void embed_source(const SpinorField<double>& eta4,
   }
 }
 
+/// Unit strength for (spin, color) at @p origin of the zeroed 4D field
+/// @p eta.
+void set_point(SpinorField<double>& eta, const Coord& origin, int spin,
+               int color) {
+  Spinor<double> unit;
+  unit[spin][color] = {1.0, 0.0};
+  eta.store(0, eta.geom().index(origin), unit);
+}
+
 }  // namespace
 
 SpinorField<double> make_dwf_point_source(std::shared_ptr<const Geometry> g,
@@ -33,9 +42,7 @@ SpinorField<double> make_dwf_point_source(std::shared_ptr<const Geometry> g,
                                           int spin, int color) {
   SpinorField<double> eta(g, 1, Subset::Full);
   eta.zero();
-  Spinor<double> unit;
-  unit[spin][color] = {1.0, 0.0};
-  eta.store(0, g->index(origin), unit);
+  set_point(eta, origin, spin, color);
 
   SpinorField<double> b5(g, l5, Subset::Full);
   embed_source(eta, b5);
@@ -51,39 +58,18 @@ void project_4d(const SpinorField<double>& psi5, SpinorField<double>& q4) {
   }
 }
 
-Propagator compute_point_propagator(DwfSolver& solver, const Coord& origin,
-                                    PropagatorSolveStats* stats) {
-  const auto g = solver.op().geom_ptr();
-  const int l5 = solver.params().l5;
-  Propagator prop(g);
-  PropagatorSolveStats st;
-  SpinorField<double> x5(g, l5, Subset::Full);
-  for (int spin = 0; spin < kNs; ++spin)
-    for (int color = 0; color < kNc; ++color) {
-      const auto b5 = make_dwf_point_source(g, l5, origin, spin, color);
-      x5.zero();
-      const auto res = solver.solve(x5, b5);
-      st.total_iterations += res.iterations;
-      st.total_seconds += res.seconds;
-      st.worst_residual = std::max(st.worst_residual,
-                                   res.final_rel_residual);
-      st.all_converged = st.all_converged && res.converged;
-      project_4d(x5, prop.column(spin, color));
-    }
-  if (stats) *stats = st;
-  return prop;
-}
-
 namespace {
 
-/// Shared body of the FH and fixed-insertion sequential solves: source =
-/// Gamma_axial * q, restricted to timeslice @p tau (tau < 0: every
-/// timeslice, the FH method).
-Propagator solve_sequential(DwfSolver& solver, const Propagator& base,
-                            int tau, PropagatorSolveStats* stats) {
+/// The column solves of every propagator: for each spin-colour column,
+/// @p source(eta, spin, color) writes the column's 4D source into the
+/// zeroed eta, which is embedded at the chiral boundaries, solved from a
+/// zero guess and projected back to 4D.  One set of 4D and 5D fields
+/// serves all 12 columns.
+template <typename Source>
+Propagator solve_columns(DwfSolver& solver, const Source& source,
+                         PropagatorSolveStats* stats) {
   const auto g = solver.op().geom_ptr();
   const int l5 = solver.params().l5;
-  const SpinMat gamma_a = axial_gamma();
   Propagator out(g);
   PropagatorSolveStats st;
   SpinorField<double> eta(g, 1, Subset::Full);
@@ -91,20 +77,8 @@ Propagator solve_sequential(DwfSolver& solver, const Propagator& base,
   SpinorField<double> x5(g, l5, Subset::Full);
   for (int spin = 0; spin < kNs; ++spin)
     for (int color = 0; color < kNc; ++color) {
-      const auto& q = base.column(spin, color);
       eta.zero();
-      for (std::int64_t i = 0; i < q.sites(); ++i) {
-        if (tau >= 0 && g->coord(i)[3] != tau) continue;
-        const auto v = q.load(0, i);
-        Spinor<double> gv;
-        for (int r = 0; r < kNs; ++r)
-          for (int c = 0; c < kNc; ++c) {
-            cdouble acc{};
-            for (int k = 0; k < kNs; ++k) acc += gamma_a(r, k) * v[k][c];
-            gv[r][c] = acc;
-          }
-        eta.store(0, i, gv);
-      }
+      source(eta, spin, color);
       embed_source(eta, b5);
       x5.zero();
       const auto res = solver.solve(x5, b5);
@@ -117,6 +91,47 @@ Propagator solve_sequential(DwfSolver& solver, const Propagator& base,
     }
   if (stats) *stats = st;
   return out;
+}
+
+}  // namespace
+
+Propagator compute_point_propagator(DwfSolver& solver, const Coord& origin,
+                                    PropagatorSolveStats* stats) {
+  return solve_columns(
+      solver,
+      [&](SpinorField<double>& eta, int spin, int color) {
+        set_point(eta, origin, spin, color);
+      },
+      stats);
+}
+
+namespace {
+
+/// Shared body of the FH and fixed-insertion sequential solves: source =
+/// Gamma_axial * q, restricted to timeslice @p tau (tau < 0: every
+/// timeslice, the FH method).
+Propagator solve_sequential(DwfSolver& solver, const Propagator& base,
+                            int tau, PropagatorSolveStats* stats) {
+  const auto g = solver.op().geom_ptr();
+  const SpinMat gamma_a = axial_gamma();
+  return solve_columns(
+      solver,
+      [&](SpinorField<double>& eta, int spin, int color) {
+        const auto& q = base.column(spin, color);
+        for (std::int64_t i = 0; i < q.sites(); ++i) {
+          if (tau >= 0 && g->coord(i)[3] != tau) continue;
+          const auto v = q.load(0, i);
+          Spinor<double> gv;
+          for (int r = 0; r < kNs; ++r)
+            for (int c = 0; c < kNc; ++c) {
+              cdouble acc{};
+              for (int k = 0; k < kNs; ++k) acc += gamma_a(r, k) * v[k][c];
+              gv[r][c] = acc;
+            }
+          eta.store(0, i, gv);
+        }
+      },
+      stats);
 }
 
 }  // namespace

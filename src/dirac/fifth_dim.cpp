@@ -20,15 +20,13 @@ SMat lambda_minus(int l5, double mf) {
 
 template <typename T>
 void FifthDimOp::apply(const SpinorView<T>& out,
-                       const SpinorView<const T>& in,
-                       std::size_t grain) const {
-  apply_multi<T>({&out, 1}, {&in, 1}, grain);
+                       const SpinorView<const T>& in) const {
+  apply_multi<T>({&out, 1}, {&in, 1});
 }
 
 template <typename T>
 void FifthDimOp::apply_multi(std::span<const SpinorView<T>> out,
-                             std::span<const SpinorView<const T>> in,
-                             std::size_t grain) const {
+                             std::span<const SpinorView<const T>> in) const {
   FEMTO_TRACE_SCOPE("dirac", "fifth_dim_op");
   const std::size_t nb = out.size();
   if (nb == 0) return;
@@ -76,7 +74,7 @@ void FifthDimOp::apply_multi(std::span<const SpinorView<T>> out,
           }
         }
       },
-      grain ? grain : site_grain(n, nb));
+      site_grain(n, nb));
 
   const auto nrhs = static_cast<std::int64_t>(nb);
   flops::add(nrhs * flops::fifth_dim_per_site(n) * sites);
@@ -89,11 +87,10 @@ void FifthDimOp::apply_multi(std::span<const SpinorView<T>> out,
 
 #define FEMTO_INSTANTIATE_FIFTH_DIM(T)                                     \
   template void FifthDimOp::apply<T>(const SpinorView<T>&,                 \
-                                     const SpinorView<const T>&,           \
-                                     std::size_t) const;                   \
+                                     const SpinorView<const T>&) const;    \
   template void FifthDimOp::apply_multi<T>(                                \
-      std::span<const SpinorView<T>>, std::span<const SpinorView<const T>>, \
-      std::size_t) const;
+      std::span<const SpinorView<T>>,                                      \
+      std::span<const SpinorView<const T>>) const;
 FEMTO_INSTANTIATE_FIFTH_DIM(double)
 FEMTO_INSTANTIATE_FIFTH_DIM(float)
 #undef FEMTO_INSTANTIATE_FIFTH_DIM

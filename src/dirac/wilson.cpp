@@ -366,13 +366,8 @@ void wilson_op_kernel(SpinorField<T>& out, const GaugeT& u,
     const SpinorView<const T> i = parity_view(in, 1 - par);
     dslash_kernel_multi<T>({&o, 1}, u, {&i, 1}, par, dagger, tune);
   }
-  // out = (4+mass) in - 1/2 out, honoring the dslash grain (given in 4D
-  // sites; the BLAS kernel chunks over reals).
-  const std::size_t grain_reals =
-      (tune.grain ? tune.grain : site_grain(out.l5(), 1)) *
-      static_cast<std::size_t>(kSpinorReals) *
-      static_cast<std::size_t>(out.l5());
-  blas::axpby<T>(4.0 + mass, in, -0.5, out, grain_reals);
+  // out = (4+mass) in - 1/2 out.
+  blas::axpby<T>(4.0 + mass, in, -0.5, out);
 }
 
 }  // namespace

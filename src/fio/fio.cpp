@@ -10,15 +10,6 @@
 
 namespace femto::fio {
 
-std::size_t dtype_size(DType t) {
-  switch (t) {
-    case DType::F64: return 8;
-    case DType::F32: return 4;
-    case DType::I64: return 8;
-    default: return 1;
-  }
-}
-
 const char* to_string(DType t) {
   switch (t) {
     case DType::F64: return "f64";
@@ -117,14 +108,6 @@ void File::write_i64(const std::string& path,
                      const std::vector<std::int64_t>& d,
                      std::vector<std::int64_t> shape) {
   write_i64(path, d.data(), d.size(), std::move(shape));
-}
-void File::write_bytes(const std::string& path,
-                       const std::vector<std::byte>& data) {
-  Dataset ds;
-  ds.dtype = DType::U8;
-  ds.shape = {static_cast<std::int64_t>(data.size())};
-  ds.raw = data;
-  datasets_[path] = std::move(ds);
 }
 
 void File::set_attr(const std::string& path, const std::string& key,

@@ -35,7 +35,6 @@ namespace femto::fio {
 
 enum class DType : std::uint8_t { F64 = 0, F32 = 1, I64 = 2, U8 = 3 };
 
-std::size_t dtype_size(DType t);
 const char* to_string(DType t);
 
 /// CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, init and xorout
@@ -82,8 +81,6 @@ class File {
   void write_i64(const std::string& path,
                  const std::vector<std::int64_t>& data,
                  std::vector<std::int64_t> shape = {});
-  void write_bytes(const std::string& path,
-                   const std::vector<std::byte>& data);
 
   void set_attr(const std::string& path, const std::string& key,
                 const std::string& value);

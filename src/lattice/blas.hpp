@@ -17,25 +17,24 @@
 // so flops::bytes() tracks the solver's BLAS-phase traffic the same way
 // flops::get() tracks its arithmetic.
 //
-// Every kernel takes a trailing chunk-grain argument (minimum elements per
-// worker), kGrain by default; the solvers run at kGrain.
+// Every kernel launches at a grain of kGrain reals: the minimum per
+// worker, and for a reduction ceil(reals / kGrain) partials, at most 64.
 //
 // SIMD (DESIGN.md §11): every kernel is width-templated on a lane count W
 // defaulting to the build's native width (1 when FEMTO_SIMD=OFF).  The
 // vector bodies process W reals per step with a peeled scalar tail, and
 // reductions accumulate a W-lane double vector per chunk whose lanes are
 // summed in lane order before the tail — a fixed, index-determined order,
-// so the determinism guarantee (bitwise-stable per thread count and grain)
-// is unchanged.  Fused and unfused kernels share the same per-element
-// expressions and the same chunk-relative lane pattern, so at equal grain
-// and width the fusion stays bitwise identical to the separate operations.
+// so the determinism guarantee (bitwise-stable per thread count) is
+// unchanged.  Fused and unfused kernels share the same per-element
+// expressions and the same chunk-relative lane pattern, so at equal width
+// the fusion stays bitwise identical to the separate operations.
 // Results DO differ across widths (lane-striped summation) within normal
 // rounding: cross-width agreement is a tolerance, not bitwise, property.
 
 #include <cstdint>
 #include <span>
 #include <type_traits>
-#include <utility>
 
 #include "lattice/complex.hpp"
 #include "lattice/field.hpp"
@@ -166,8 +165,7 @@ inline void axpby_chunk(T aa, const T* xd, T bb, T* yd, std::size_t lo,
 
 /// y = x
 template <typename T, typename U>
-void copy(SpinorField<T>& y, const SpinorField<U>& x,
-          std::size_t grain = kGrain) {
+void copy(SpinorField<T>& y, const SpinorField<U>& x) {
   FEMTO_TRACE_SCOPE("blas", "copy");
   assert(y.compatible(x));
   T* yd = y.data();
@@ -177,15 +175,14 @@ void copy(SpinorField<T>& y, const SpinorField<U>& x,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) yd[k] = static_cast<T>(xd[k]);
       },
-      grain);
+      kGrain);
   flops::add_bytes(y.reals() * static_cast<std::int64_t>(sizeof(T) +
                                                          sizeof(U)));
 }
 
 /// y += a*x
 template <typename T, int W = simd::kWidth<T>>
-void axpy(double a, const SpinorField<T>& x, SpinorField<T>& y,
-          std::size_t grain = kGrain) {
+void axpy(double a, const SpinorField<T>& x, SpinorField<T>& y) {
   FEMTO_TRACE_SCOPE("blas", "axpy");
   assert(y.compatible(x));
   const T aa = static_cast<T>(a);
@@ -196,14 +193,14 @@ void axpy(double a, const SpinorField<T>& x, SpinorField<T>& y,
       [&](std::size_t lo, std::size_t hi) {
         detail::axpy_chunk<W>(aa, xd, yd, lo, hi);
       },
-      grain);
+      kGrain);
   flops::add(2 * y.reals());
   flops::add_bytes(3 * y.reals() * static_cast<std::int64_t>(sizeof(T)));
 }
 
 /// scale: x *= a
 template <typename T, int W = simd::kWidth<T>>
-void scal(double a, SpinorField<T>& x, std::size_t grain = kGrain) {
+void scal(double a, SpinorField<T>& x) {
   const T aa = static_cast<T>(a);
   T* xd = x.data();
   par::parallel_for_chunked(
@@ -218,7 +215,7 @@ void scal(double a, SpinorField<T>& x, std::size_t grain = kGrain) {
         }
         for (; k < hi; ++k) xd[k] *= aa;
       },
-      grain);
+      kGrain);
   flops::add(x.reals());
   flops::add_bytes(2 * x.reals() * static_cast<std::int64_t>(sizeof(T)));
 }
@@ -228,14 +225,14 @@ void scal(double a, SpinorField<T>& x, std::size_t grain = kGrain) {
 /// xi*yi both land there) and the imaginary part pairs each lane with its
 /// partner via swap_pairs and an alternating sign.
 template <typename T, int W = simd::kWidth<T>>
-Cplx<double> cdot(const SpinorField<T>& x, const SpinorField<T>& y,
-                  std::size_t grain = kGrain) {
+Cplx<double> cdot(const SpinorField<T>& x, const SpinorField<T>& y) {
   assert(y.compatible(x));
   const T* xd = x.data();
   const T* yd = y.data();
-  auto [re, im] = par::ThreadPool::global().parallel_reduce2(
-      0, static_cast<std::size_t>(x.reals() / 2),
-      [&](std::size_t lo, std::size_t hi) {
+  double sum[2] = {0.0, 0.0};
+  par::ThreadPool::global().parallel_reduce_n(
+      0, static_cast<std::size_t>(x.reals() / 2), 2,
+      [&](std::size_t lo, std::size_t hi, double* acc) {
         double sr = 0.0, si = 0.0;
         std::size_t k = lo;
         if constexpr (W > 1) {
@@ -258,12 +255,13 @@ Cplx<double> cdot(const SpinorField<T>& x, const SpinorField<T>& y,
           sr += xr * yr + xi * yi;
           si += xr * yi - xi * yr;
         }
-        return std::make_pair(sr, si);
+        acc[0] = sr;
+        acc[1] = si;
       },
-      grain);
+      sum, kGrain);
   flops::add(4 * x.reals());
   flops::add_bytes(2 * x.reals() * static_cast<std::int64_t>(sizeof(T)));
-  return {re, im};
+  return {sum[0], sum[1]};
 }
 
 // ---------------------------------------------------------------------------
@@ -271,15 +269,15 @@ Cplx<double> cdot(const SpinorField<T>& x, const SpinorField<T>& y,
 // axpy_norm2 and triple_cg_update below with the batched kernels.  Each
 // touches its fields exactly once; the reduction rides the update pass for
 // free.  The per-element arithmetic and the chunk partition match the
-// unfused kernels, so with the same grain (and width) the results are
-// bitwise identical to running the separate operations.
+// unfused kernels, so at the same width the results are bitwise identical
+// to running the separate operations.
 // ---------------------------------------------------------------------------
 
 /// The QUDA axpyZpbx: x += a*p; p = z + b*p.  Fuses CG's solution update
 /// with its search-direction update so p is read once for both.
 template <typename T, int W = simd::kWidth<T>>
 void axpy_zpbx(double a, SpinorField<T>& p, SpinorField<T>& x,
-               const SpinorField<T>& z, double b, std::size_t grain = kGrain) {
+               const SpinorField<T>& z, double b) {
   FEMTO_TRACE_SCOPE("blas", "axpy_zpbx");
   assert(x.compatible(p) && z.compatible(p));
   const T aa = static_cast<T>(a), bb = static_cast<T>(b);
@@ -292,7 +290,7 @@ void axpy_zpbx(double a, SpinorField<T>& p, SpinorField<T>& x,
         detail::axpy_chunk<W>(aa, pd, xd, lo, hi);
         detail::xpay_chunk<W>(zd, bb, pd, lo, hi);
       },
-      grain);
+      kGrain);
   flops::add(4 * p.reals());
   flops::add_bytes(5 * p.reals() * static_cast<std::int64_t>(sizeof(T)));
 }
@@ -304,9 +302,9 @@ void axpy_zpbx(double a, SpinorField<T>& p, SpinorField<T>& x,
 // the same name.  Each batched kernel makes ONE parallel launch whose
 // chunk body loops over the B right-hand sides, reusing the detail::
 // chunk bodies above.  Because the chunk partition depends only on
-// (range, grain) — never on the component count — and partials combine in
+// the range — never on the component count — and partials combine in
 // the same fixed chunk order per component, every RHS's result is bitwise
-// identical to its batch of one at the same grain, independent of which
+// identical to its batch of one, independent of which
 // other RHSs share the batch.  That is the per-RHS bitwise contract block_mixed_cg
 // and the solve service rely on: batch composition can never change an
 // answer.
@@ -319,7 +317,7 @@ void axpy_zpbx(double a, SpinorField<T>& p, SpinorField<T>& x,
 /// ||x_r||^2 for each RHS.
 template <typename T, int W = simd::kWidth<T>>
 void norm2_multi(std::span<const SpinorField<T>* const> x,
-                 std::span<double> n2, std::size_t grain = kGrain) {
+                 std::span<double> n2) {
   FEMTO_TRACE_SCOPE("blas", "norm2");
   const std::size_t nb = x.size();
   FEMTO_ASSERT(n2.size() == nb);
@@ -331,7 +329,7 @@ void norm2_multi(std::span<const SpinorField<T>* const> x,
         for (std::size_t r = 0; r < nb; ++r)
           acc[r] = detail::norm2_chunk<W>(x[r]->data(), lo, hi);
       },
-      n2.data(), grain);
+      n2.data(), kGrain);
   const std::int64_t reals = static_cast<std::int64_t>(nb) * x[0]->reals();
   flops::add(2 * reals);
   flops::add_bytes(reals * static_cast<std::int64_t>(sizeof(T)));
@@ -341,7 +339,7 @@ void norm2_multi(std::span<const SpinorField<T>* const> x,
 template <typename T, int W = simd::kWidth<T>>
 void redot_multi(std::span<const SpinorField<T>* const> x,
                  std::span<const SpinorField<T>* const> y,
-                 std::span<double> dot, std::size_t grain = kGrain) {
+                 std::span<double> dot) {
   FEMTO_TRACE_SCOPE("blas", "redot");
   const std::size_t nb = x.size();
   FEMTO_ASSERT(y.size() == nb && dot.size() == nb);
@@ -354,7 +352,7 @@ void redot_multi(std::span<const SpinorField<T>* const> x,
         for (std::size_t r = 0; r < nb; ++r)
           acc[r] = detail::redot_chunk<W>(x[r]->data(), y[r]->data(), lo, hi);
       },
-      dot.data(), grain);
+      dot.data(), kGrain);
   const std::int64_t reals = static_cast<std::int64_t>(nb) * x[0]->reals();
   flops::add(2 * reals);
   flops::add_bytes(2 * reals * static_cast<std::int64_t>(sizeof(T)));
@@ -364,8 +362,7 @@ void redot_multi(std::span<const SpinorField<T>* const> x,
 template <typename T, int W = simd::kWidth<T>>
 void xpay_multi(std::span<const SpinorField<T>* const> x,
                 std::span<const double> a,
-                std::span<SpinorField<T>* const> y,
-                std::size_t grain = kGrain) {
+                std::span<SpinorField<T>* const> y) {
   FEMTO_TRACE_SCOPE("blas", "xpay");
   const std::size_t nb = y.size();
   FEMTO_ASSERT(x.size() == nb && a.size() == nb);
@@ -379,7 +376,7 @@ void xpay_multi(std::span<const SpinorField<T>* const> x,
           detail::xpay_chunk<W>(x[r]->data(), static_cast<T>(a[r]),
                                 y[r]->data(), lo, hi);
       },
-      grain);
+      kGrain);
   const std::int64_t reals = static_cast<std::int64_t>(nb) * y[0]->reals();
   flops::add(2 * reals);
   flops::add_bytes(3 * reals * static_cast<std::int64_t>(sizeof(T)));
@@ -389,8 +386,7 @@ void xpay_multi(std::span<const SpinorField<T>* const> x,
 /// operator's closing stage, DESIGN.md §12).
 template <typename T, int W = simd::kWidth<T>>
 void axpby_multi(double a, std::span<const SpinorField<T>* const> x,
-                 double b, std::span<SpinorField<T>* const> y,
-                 std::size_t grain = kGrain) {
+                 double b, std::span<SpinorField<T>* const> y) {
   FEMTO_TRACE_SCOPE("blas", "axpby");
   const std::size_t nb = y.size();
   FEMTO_ASSERT(x.size() == nb);
@@ -404,7 +400,7 @@ void axpby_multi(double a, std::span<const SpinorField<T>* const> x,
         for (std::size_t r = 0; r < nb; ++r)
           detail::axpby_chunk<W>(aa, x[r]->data(), bb, y[r]->data(), lo, hi);
       },
-      grain);
+      kGrain);
   const std::int64_t reals = static_cast<std::int64_t>(nb) * y[0]->reals();
   flops::add(3 * reals);
   flops::add_bytes(3 * reals * static_cast<std::int64_t>(sizeof(T)));
@@ -415,7 +411,7 @@ template <typename T, int W = simd::kWidth<T>>
 void axpy_norm2_multi(std::span<const double> a,
                       std::span<const SpinorField<T>* const> x,
                       std::span<SpinorField<T>* const> y,
-                      std::span<double> n2, std::size_t grain = kGrain) {
+                      std::span<double> n2) {
   FEMTO_TRACE_SCOPE("blas", "axpy_norm2");
   const std::size_t nb = y.size();
   FEMTO_ASSERT(x.size() == nb && a.size() == nb && n2.size() == nb);
@@ -431,7 +427,7 @@ void axpy_norm2_multi(std::span<const double> a,
           acc[r] = detail::norm2_chunk<W>(y[r]->data(), lo, hi);
         }
       },
-      n2.data(), grain);
+      n2.data(), kGrain);
   const std::int64_t reals = static_cast<std::int64_t>(nb) * y[0]->reals();
   flops::add(4 * reals);
   flops::add_bytes(3 * reals * static_cast<std::int64_t>(sizeof(T)));
@@ -445,8 +441,7 @@ void triple_cg_update_multi(std::span<const double> alpha,
                             std::span<const SpinorField<T>* const> ap,
                             std::span<SpinorField<T>* const> x,
                             std::span<SpinorField<T>* const> r,
-                            std::span<double> n2,
-                            std::size_t grain = kGrain) {
+                            std::span<double> n2) {
   FEMTO_TRACE_SCOPE("blas", "triple_cg_update");
   const std::size_t nb = r.size();
   FEMTO_ASSERT(p.size() == nb && ap.size() == nb && x.size() == nb &&
@@ -466,7 +461,7 @@ void triple_cg_update_multi(std::span<const double> alpha,
           acc[rr] = detail::norm2_chunk<W>(r[rr]->data(), lo, hi);
         }
       },
-      n2.data(), grain);
+      n2.data(), kGrain);
   const std::int64_t reals = static_cast<std::int64_t>(nb) * r[0]->reals();
   flops::add(6 * reals);
   flops::add_bytes(6 * reals * static_cast<std::int64_t>(sizeof(T)));
@@ -478,50 +473,46 @@ void triple_cg_update_multi(std::span<const double> alpha,
 
 /// ||x||^2 with double accumulation.
 template <typename T, int W = simd::kWidth<T>>
-double norm2(const SpinorField<T>& x, std::size_t grain = kGrain) {
+double norm2(const SpinorField<T>& x) {
   const SpinorField<T>* xs[] = {&x};
   double n2 = 0.0;
-  norm2_multi<T, W>(xs, {&n2, 1}, grain);
+  norm2_multi<T, W>(xs, {&n2, 1});
   return n2;
 }
 
 /// Real part of <x, y> (the CG beta/alpha kernel for Hermitian operators).
 template <typename T, int W = simd::kWidth<T>>
-double redot(const SpinorField<T>& x, const SpinorField<T>& y,
-             std::size_t grain = kGrain) {
+double redot(const SpinorField<T>& x, const SpinorField<T>& y) {
   const SpinorField<T>* xs[] = {&x};
   const SpinorField<T>* ys[] = {&y};
   double dot = 0.0;
-  redot_multi<T, W>(xs, ys, {&dot, 1}, grain);
+  redot_multi<T, W>(xs, ys, {&dot, 1});
   return dot;
 }
 
 /// y = x + a*y
 template <typename T, int W = simd::kWidth<T>>
-void xpay(const SpinorField<T>& x, double a, SpinorField<T>& y,
-          std::size_t grain = kGrain) {
+void xpay(const SpinorField<T>& x, double a, SpinorField<T>& y) {
   const SpinorField<T>* xs[] = {&x};
   SpinorField<T>* ys[] = {&y};
-  xpay_multi<T, W>(xs, {&a, 1}, ys, grain);
+  xpay_multi<T, W>(xs, {&a, 1}, ys);
 }
 
 /// y = a*x + b*y
 template <typename T, int W = simd::kWidth<T>>
-void axpby(double a, const SpinorField<T>& x, double b, SpinorField<T>& y,
-           std::size_t grain = kGrain) {
+void axpby(double a, const SpinorField<T>& x, double b, SpinorField<T>& y) {
   const SpinorField<T>* xs[] = {&x};
   SpinorField<T>* ys[] = {&y};
-  axpby_multi<T, W>(a, xs, b, ys, grain);
+  axpby_multi<T, W>(a, xs, b, ys);
 }
 
 /// y += a*x, returning ||y||^2 of the updated y (QUDA axpyNorm).
 template <typename T, int W = simd::kWidth<T>>
-double axpy_norm2(double a, const SpinorField<T>& x, SpinorField<T>& y,
-                  std::size_t grain = kGrain) {
+double axpy_norm2(double a, const SpinorField<T>& x, SpinorField<T>& y) {
   const SpinorField<T>* xs[] = {&x};
   SpinorField<T>* ys[] = {&y};
   double n2 = 0.0;
-  axpy_norm2_multi<T, W>({&a, 1}, xs, ys, {&n2, 1}, grain);
+  axpy_norm2_multi<T, W>({&a, 1}, xs, ys, {&n2, 1});
   return n2;
 }
 
@@ -530,14 +521,13 @@ double axpy_norm2(double a, const SpinorField<T>& x, SpinorField<T>& y,
 template <typename T, int W = simd::kWidth<T>>
 double triple_cg_update(double alpha, const SpinorField<T>& p,
                         const SpinorField<T>& ap, SpinorField<T>& x,
-                        SpinorField<T>& r, std::size_t grain = kGrain) {
+                        SpinorField<T>& r) {
   const SpinorField<T>* ps[] = {&p};
   const SpinorField<T>* aps[] = {&ap};
   SpinorField<T>* xs[] = {&x};
   SpinorField<T>* rs[] = {&r};
   double n2 = 0.0;
-  triple_cg_update_multi<T, W>({&alpha, 1}, ps, aps, xs, rs, {&n2, 1},
-                               grain);
+  triple_cg_update_multi<T, W>({&alpha, 1}, ps, aps, xs, rs, {&n2, 1});
   return n2;
 }
 

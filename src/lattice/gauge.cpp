@@ -57,8 +57,10 @@ void weak_gauge(GaugeField<double>& u, std::uint64_t seed, double eps) {
 
 double plaquette(const GaugeField<double>& u) {
   const auto& geom = u.geom();
-  const double sum = par::parallel_reduce(
-      0, static_cast<size_t>(geom.volume()), [&](size_t lo, size_t hi) {
+  double sum = 0.0;
+  par::parallel_reduce_n(
+      0, static_cast<size_t>(geom.volume()), 1,
+      [&](size_t lo, size_t hi, double* partial) {
         double acc = 0.0;
         for (size_t s = lo; s < hi; ++s) {
           const auto site = static_cast<std::int64_t>(s);
@@ -72,8 +74,9 @@ double plaquette(const GaugeField<double>& u) {
               acc += trace(p).re;
             }
         }
-        return acc;
-      });
+        partial[0] = acc;
+      },
+      &sum);
   // 6 planes x 3 matmuls per site; one read pass over the gauge field.
   flops::add(geom.volume() * 6 * 3 * flops::kSu3MatmulFlops);
   flops::add_bytes(u.bytes());

@@ -25,9 +25,10 @@ ColorMat<double> line_product(const GaugeField<double>& u,
 
 double wilson_loop(const GaugeField<double>& u, int r, int t) {
   const auto& geom = u.geom();
-  const double sum = par::parallel_reduce(
-      0, static_cast<std::size_t>(geom.volume()),
-      [&](std::size_t lo, std::size_t hi) {
+  double sum = 0.0;
+  par::parallel_reduce_n(
+      0, static_cast<std::size_t>(geom.volume()), 1,
+      [&](std::size_t lo, std::size_t hi, double* partial) {
         double acc = 0.0;
         for (std::size_t s = lo; s < hi; ++s) {
           for (int mu = 0; mu < 4; ++mu)
@@ -43,8 +44,9 @@ double wilson_loop(const GaugeField<double>& u, int r, int t) {
               acc += trace(bottom * right * adj(left * top)).re;
             }
         }
-        return acc;
-      });
+        partial[0] = acc;
+      },
+      &sum);
   // Per site and plane: two line products of r and t links plus the 3
   // matmuls combining the four sides.  One read pass over the gauge field
   // (repeated loads of the same links are cache traffic, not compulsory).
@@ -117,9 +119,10 @@ ColorMat<double> clover_field_strength(const GaugeField<double>& u,
 
 double action_density(const GaugeField<double>& u) {
   const auto& geom = u.geom();
-  const double sum = par::parallel_reduce(
-      0, static_cast<std::size_t>(geom.volume()),
-      [&](std::size_t lo, std::size_t hi) {
+  double sum = 0.0;
+  par::parallel_reduce_n(
+      0, static_cast<std::size_t>(geom.volume()), 1,
+      [&](std::size_t lo, std::size_t hi, double* partial) {
         double acc = 0.0;
         for (std::size_t s = lo; s < hi; ++s)
           for (int mu = 0; mu < 4; ++mu)
@@ -128,8 +131,9 @@ double action_density(const GaugeField<double>& u) {
                   u, static_cast<std::int64_t>(s), mu, nu);
               acc += norm2(f);  // tr[F^dag F]
             }
-        return acc;
-      });
+        partial[0] = acc;
+      },
+      &sum);
   // Per site and plane: the 4-leaf clover (12 matmuls plus adds and the
   // antihermitian projection, ~13 matmuls-worth) and its norm.
   flops::add(geom.volume() * 6 * 13 * flops::kSu3MatmulFlops);

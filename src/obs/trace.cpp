@@ -120,6 +120,8 @@ int current_span_stack(SpanFrame* out, int max_frames) {
 
 namespace {
 
+// Spans per thread ring (~2.5 MiB): a full ring overwrites its oldest
+// spans and counts them in TraceSnapshot::dropped.
 constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
 
 // Owns every thread's ring (shared_ptr so rings outlive their threads and
@@ -133,8 +135,7 @@ class TraceRegistry {
 
   std::shared_ptr<TraceRing> register_thread() {
     std::lock_guard<std::mutex> lk(mu_);
-    auto ring = std::make_shared<TraceRing>(
-        capacity_.load(std::memory_order_relaxed), next_tid_);
+    auto ring = std::make_shared<TraceRing>(kDefaultCapacity, next_tid_);
     ++next_tid_;
     rings_.push_back(ring);
     return ring;
@@ -145,19 +146,10 @@ class TraceRegistry {
     return rings_;
   }
 
-  void set_capacity(std::size_t spans) {
-    capacity_.store(spans == 0 ? 1 : spans, std::memory_order_relaxed);
-  }
-
-  std::size_t capacity() const {
-    return capacity_.load(std::memory_order_relaxed);
-  }
-
  private:
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<TraceRing>> rings_ FEMTO_GUARDED_BY(mu_);
   std::uint32_t next_tid_ FEMTO_GUARDED_BY(mu_) = 0;
-  std::atomic<std::size_t> capacity_{kDefaultCapacity};
 };
 
 TraceRing* thread_ring() {
@@ -194,14 +186,6 @@ std::uint64_t next_flow_id() {
   TraceContext& ctx = thread_context();
   const std::uint64_t tid = thread_ring()->tid();
   return ((tid + 1) << 32) | (++ctx.next_seq & 0xffffffffu);
-}
-
-void set_trace_capacity(std::size_t spans) {
-  TraceRegistry::instance().set_capacity(spans);
-}
-
-std::size_t trace_capacity() {
-  return TraceRegistry::instance().capacity();
 }
 
 void trace_push(const char* category, const char* name, std::int64_t t0_ns,
@@ -243,7 +227,7 @@ void trace_clear() {
   for (const auto& ring : TraceRegistry::instance().rings()) ring->clear();
 }
 
-std::string chrome_trace_json(const ChromeTraceOptions& opt) {
+std::string chrome_trace_json() {
   const TraceSnapshot snap = trace_snapshot();
   std::string out;
   out.reserve(snap.events.size() * 128 + 256);
@@ -253,23 +237,21 @@ std::string chrome_trace_json(const ChromeTraceOptions& opt) {
 
   // Name the per-rank process rows so the merged view reads as a rank
   // timeline, not anonymous pids.
-  if (opt.merge_ranks) {
-    std::set<int> ranks;
-    for (const TraceEvent& e : snap.events)
-      if (e.rank >= 0) ranks.insert(e.rank);
-    for (int r : ranks) {
-      if (!first) out += ',';
-      first = false;
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                    "\"args\":{\"name\":\"rank %d\"}}",
-                    r, r);
-      out += buf;
-    }
+  std::set<int> ranks;
+  for (const TraceEvent& e : snap.events)
+    if (e.rank >= 0) ranks.insert(e.rank);
+  for (int r : ranks) {
+    if (!first) out += ',';
+    first = false;
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
+                  "\"args\":{\"name\":\"rank %d\"}}",
+                  r, r);
+    out += buf;
   }
 
   for (const TraceEvent& e : snap.events) {
-    const int pid = (opt.merge_ranks && e.rank >= 0) ? e.rank : 0;
+    const int pid = e.rank >= 0 ? e.rank : 0;
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
@@ -289,7 +271,7 @@ std::string chrome_trace_json(const ChromeTraceOptions& opt) {
       out += buf;
     }
     out += '}';
-    if (opt.flow_events && e.flow_id != 0 && e.flow != FlowDir::None) {
+    if (e.flow_id != 0 && e.flow != FlowDir::None) {
       // The arrow leaves the producer span (s) at its end and lands on the
       // consumer's wait span (f) at the moment the wait resolved; both
       // timestamps sit inside their X span so viewers bind the arc to it.
@@ -314,9 +296,8 @@ std::string chrome_trace_json(const ChromeTraceOptions& opt) {
   return out;
 }
 
-bool write_chrome_trace(const std::string& path,
-                        const ChromeTraceOptions& opt) {
-  return write_file(path, chrome_trace_json(opt));
+bool write_chrome_trace(const std::string& path) {
+  return write_file(path, chrome_trace_json());
 }
 
 namespace {

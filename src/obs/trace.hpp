@@ -155,11 +155,6 @@ int trace_rank();
 // the thread's trace tid, so no cross-thread coordination is needed).
 std::uint64_t next_flow_id();
 
-// Ring capacity (spans) for threads that register AFTER the call; existing
-// rings keep their size.  Default 1<<16 spans/thread (~2.5 MiB).
-void set_trace_capacity(std::size_t spans);
-std::size_t trace_capacity();
-
 // Append one completed span to the calling thread's ring (registering the
 // thread on first use).  Normally reached via FEMTO_TRACE_SCOPE.
 void trace_push(const char* category, const char* name, std::int64_t t0_ns,
@@ -192,19 +187,12 @@ TraceSnapshot trace_snapshot();
 // may be live while clearing).
 void trace_clear();
 
-struct ChromeTraceOptions {
-  // Lay rank-tagged spans out as pid = rank (one Chrome process row per
-  // rank, named "rank N"); unranked spans stay on pid 0.
-  bool merge_ranks = true;
-  // Emit "s"/"f" flow events for matched trace_flow_out/in pairs.
-  bool flow_events = true;
-};
-
-// Chrome trace_event JSON ("X" complete events, ts/dur in microseconds,
-// plus flow arrows per the options).
-std::string chrome_trace_json(const ChromeTraceOptions& opt = {});
-bool write_chrome_trace(const std::string& path,
-                        const ChromeTraceOptions& opt = {});
+// Chrome trace_event JSON: "X" complete events (ts/dur in microseconds)
+// laid out as pid = rank, one process row per rank named "rank N"
+// (unranked spans on pid 0), plus "s"/"f" flow events for matched
+// trace_flow_out/in pairs.
+std::string chrome_trace_json();
+bool write_chrome_trace(const std::string& path);
 
 // Flamegraph export: one `root;cat:name;...;cat:name weight` line per
 // distinct span stack, keys sorted, for flamegraph.pl / speedscope.  Per

@@ -313,37 +313,6 @@ void ThreadPool::parallel_reduce_n(
     for (std::size_t k = 0; k < ncomp; ++k) out[k] += partials[c * ncomp + k];
 }
 
-double ThreadPool::parallel_reduce(
-    std::size_t begin, std::size_t end,
-    const std::function<double(std::size_t, std::size_t)>& chunk_body,
-    std::size_t grain) {
-  double sum = 0.0;
-  parallel_reduce_n(
-      begin, end, 1,
-      [&chunk_body](std::size_t lo, std::size_t hi, double* acc) {
-        acc[0] = chunk_body(lo, hi);
-      },
-      &sum, grain);
-  return sum;
-}
-
-std::pair<double, double> ThreadPool::parallel_reduce2(
-    std::size_t begin, std::size_t end,
-    const std::function<std::pair<double, double>(std::size_t, std::size_t)>&
-        chunk_body,
-    std::size_t grain) {
-  double sums[2] = {0.0, 0.0};
-  parallel_reduce_n(
-      begin, end, 2,
-      [&chunk_body](std::size_t lo, std::size_t hi, double* acc) {
-        auto [re, im] = chunk_body(lo, hi);
-        acc[0] = re;
-        acc[1] = im;
-      },
-      sums, grain);
-  return {sums[0], sums[1]};
-}
-
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain) {
@@ -355,13 +324,6 @@ void parallel_for_chunked(
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t grain) {
   ThreadPool::global().parallel_for_chunked(begin, end, body, grain);
-}
-
-double parallel_reduce(
-    std::size_t begin, std::size_t end,
-    const std::function<double(std::size_t, std::size_t)>& chunk_body,
-    std::size_t grain) {
-  return ThreadPool::global().parallel_reduce(begin, end, chunk_body, grain);
 }
 
 void parallel_reduce_n(

@@ -7,11 +7,11 @@
 // The pool exposes the two primitives the kernels need:
 //
 //   * parallel_for(begin, end, body)   -- static partition of an index range
-//   * parallel_reduce(begin, end, ...) -- per-chunk partials combined in a
-//     fixed order over a decomposition that depends only on the range, so
-//     reductions are bitwise identical for ANY worker count (mirroring
-//     QUDA's deterministic double-precision reductions, which the
-//     mixed-precision solver relies on; see DESIGN.md §8).
+//   * parallel_reduce_n(begin, end, ncomp, ...) -- per-chunk partials
+//     combined in a fixed order over a decomposition that depends only on
+//     the range, so reductions are bitwise identical for ANY worker count
+//     (mirroring QUDA's deterministic double-precision reductions, which
+//     the mixed-precision solver relies on; see DESIGN.md §8).
 //
 // A launch posts its chunks and the caller claims chunks from a shared
 // counter alongside the workers; the launch returns once every chunk has
@@ -104,32 +104,18 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t)>& body,
       std::size_t grain = 1);
 
-  /// Deterministic reduction: runs @p body over each chunk accumulating a
-  /// per-chunk double partial, then sums partials in chunk order.  The
-  /// result is independent of thread scheduling.
-  double parallel_reduce(
-      std::size_t begin, std::size_t end,
-      const std::function<double(std::size_t, std::size_t)>& chunk_body,
-      std::size_t grain = 1);
-
-  /// Two-component deterministic reduction (e.g. complex dot products).
-  std::pair<double, double> parallel_reduce2(
-      std::size_t begin, std::size_t end,
-      const std::function<std::pair<double, double>(std::size_t, std::size_t)>&
-          chunk_body,
-      std::size_t grain = 1);
-
-  /// Generic N-component deterministic reduction.  @p chunk_body receives a
-  /// chunk [lo, hi) and a pointer to its @p ncomp-slot partial accumulator
+  /// Deterministic N-component reduction.  @p chunk_body receives a chunk
+  /// [lo, hi) and a pointer to its @p ncomp-slot partial accumulator
   /// (zero-initialised); the @p ncomp sums over chunks, taken in chunk
-  /// order, are written to @p out.
+  /// order, are written to @p out.  The result is independent of thread
+  /// scheduling.
   ///
-  /// Unlike parallel_reduce, the body is free to MUTATE the data it walks:
-  /// chunks are disjoint and each is visited by exactly one worker, so a
-  /// fused update+reduce kernel (y += a*x accumulating ||y||^2) is race-free
-  /// and, with the thread-count-independent decomposition and the fixed
-  /// combination order, bitwise deterministic for any worker count.  This
-  /// is the primitive behind the fused BLAS kernels in lattice/blas.hpp.
+  /// The body is free to MUTATE the data it walks: chunks are disjoint
+  /// and each is visited by exactly one worker, so a fused update+reduce
+  /// kernel (y += a*x accumulating ||y||^2) is race-free and, with the
+  /// thread-count-independent decomposition and the fixed combination
+  /// order, bitwise deterministic for any worker count.  This is the
+  /// primitive behind the fused BLAS kernels in lattice/blas.hpp.
   void parallel_reduce_n(
       std::size_t begin, std::size_t end, std::size_t ncomp,
       const std::function<void(std::size_t, std::size_t, double*)>& chunk_body,
@@ -204,11 +190,6 @@ void parallel_for(std::size_t begin, std::size_t end,
 void parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t grain = 1);
-
-double parallel_reduce(
-    std::size_t begin, std::size_t end,
-    const std::function<double(std::size_t, std::size_t)>& chunk_body,
     std::size_t grain = 1);
 
 void parallel_reduce_n(

@@ -13,6 +13,10 @@ namespace femto {
 
 namespace {
 
+/// Sloppy iterations an inner solve runs before a reliable update may end
+/// it, so updates do not thrash.
+constexpr int kMinInnerIter = 5;
+
 /// Per-RHS state of the mixed-precision solve: the outer double residual,
 /// the sloppy vectors, the 16-bit store, and the scalar recurrence.
 struct MixedRhs {
@@ -142,7 +146,7 @@ std::vector<SolveResult> block_mixed_cg(
       if (!s.breakdown) {
         const bool cont =
             res.iterations < params.max_iter &&
-            (s.rsq > s.update_target || s.inner < params.min_inner_iter) &&
+            (s.rsq > s.update_target || s.inner < kMinInnerIter) &&
             s.rsq > 0.25 * s.target;
         if (cont) return true;
       }

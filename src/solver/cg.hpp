@@ -49,7 +49,6 @@ struct SolverParams {
   Precision sloppy = Precision::Half;  ///< inner precision for mixed CG
   double delta = 0.1;         ///< reliable-update trigger: inner residual
                               ///< shrinks by this factor vs last update
-  int min_inner_iter = 5;     ///< avoid thrashing updates
   /// Gauge storage tier for the sloppy (inner) operator (DESIGN.md §16):
   /// full18 or recon12.  Only the inner iterations read it; reliable
   /// updates always run on full-18 double links.  Autotuned via

@@ -10,6 +10,7 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "temp_path.hpp"
 
 namespace femto::tune {
 namespace {
@@ -132,7 +133,7 @@ TEST(Autotuner, SaveLoadRoundTrip) {
   Autotuner tuner;
   FakeKernel k("kern-e");
   const auto& e = tuner.tune(k);
-  const std::string path = "/tmp/femtotune_test.cache";
+  const std::string path = test_temp_path("femtotune_test.cache");
   tuner.save(path);
 
   Autotuner fresh;
@@ -147,7 +148,7 @@ TEST(Autotuner, SaveLoadRoundTrip) {
 }
 
 TEST(Autotuner, LoadRejectsUnknownFile) {
-  const std::string path = "/tmp/femtotune_bad.cache";
+  const std::string path = test_temp_path("femtotune_bad.cache");
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("not a tune cache\n", f);
@@ -155,7 +156,7 @@ TEST(Autotuner, LoadRejectsUnknownFile) {
   }
   Autotuner tuner;
   EXPECT_EQ(tuner.load(path), 0);
-  EXPECT_EQ(tuner.load("/tmp/definitely_missing_file.cache"), 0);
+  EXPECT_EQ(tuner.load(test_temp_path("missing.cache")), 0);
   std::remove(path.c_str());
 }
 

@@ -162,8 +162,8 @@ TEST(FifthDim, FloatApplyTracksDouble) {
 }
 
 // The batched matvec (one launch per Schur stage) gives each RHS the bits
-// of its own apply(), at the derived grain and at a coarser one: every
-// (site, RHS) runs the same arithmetic whatever the chunking and batch.
+// of its own apply(): every (site, RHS) runs the same arithmetic whatever
+// the chunking and batch.
 template <typename T>
 void check_batched_apply_bits() {
   auto g = geom44();
@@ -185,13 +185,11 @@ void check_batched_apply_bits() {
     ins.push_back(cview(in[r]));
     a.apply<T>(view(want[r]), cview(in[r]));
   }
-  for (const std::size_t grain : {std::size_t{0}, std::size_t{64}}) {
-    a.apply_multi<T>(outs, ins, grain);
-    for (std::size_t r = 0; r < kB; ++r)
-      for (std::int64_t k = 0; k < in[r].reals(); ++k)
-        ASSERT_EQ(got[r].data()[k], want[r].data()[k])
-            << "grain " << grain << " r=" << r << " k=" << k;
-  }
+  a.apply_multi<T>(outs, ins);
+  for (std::size_t r = 0; r < kB; ++r)
+    for (std::int64_t k = 0; k < in[r].reals(); ++k)
+      ASSERT_EQ(got[r].data()[k], want[r].data()[k])
+          << "r=" << r << " k=" << k;
 }
 
 TEST(FifthDim, BatchedApplyMatchesBatchOfOneBitwiseDouble) {

@@ -6,18 +6,14 @@
 #include <filesystem>
 #include <thread>
 
+#include "temp_path.hpp"
+
 namespace femto::jm {
 namespace {
 
 class MetaqQueueTest : public ::testing::Test {
  protected:
-  MetaqQueueTest()
-      : root_("/tmp/femto_metaq_" +
-              std::to_string(
-                  ::testing::UnitTest::GetInstance()->random_seed()) +
-              "_" + std::string(::testing::UnitTest::GetInstance()
-                                    ->current_test_info()
-                                    ->name())) {
+  MetaqQueueTest() : root_(test_temp_path("femto_metaq")) {
     std::filesystem::remove_all(root_);
   }
   ~MetaqQueueTest() override { std::filesystem::remove_all(root_); }

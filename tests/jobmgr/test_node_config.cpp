@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "temp_path.hpp"
+
 namespace femto::jm {
 namespace {
 
@@ -86,7 +88,7 @@ TEST(NodeConfig, FormatParsesBack) {
 }
 
 TEST(NodeConfig, LoadFromFile) {
-  const std::string path = "/tmp/femto_nodes.cfg";
+  const std::string path = test_temp_path("femto_nodes.cfg");
   {
     std::ofstream out(path);
     out << kSierraLike;
@@ -94,7 +96,7 @@ TEST(NodeConfig, LoadFromFile) {
   const auto d = load_node_description(path);
   EXPECT_EQ(d.cluster.n_nodes, 256);
   std::remove(path.c_str());
-  EXPECT_THROW(load_node_description("/tmp/no_such_nodes.cfg"),
+  EXPECT_THROW(load_node_description(test_temp_path("no_such_nodes.cfg")),
                std::invalid_argument);
 }
 

@@ -2,7 +2,8 @@
 // redot, xpay, axpby, axpy_norm2 and triple_cg_update are their *_multi
 // kernels on a span of one, so a batch of three must give every member the
 // bits of its own batch of one: the returned values and the updated
-// fields, at the default grain and at a fine one (64 reduction chunks).
+// fields, on a field of a few kGrain chunks and on one past the
+// 64-partial cap of the reductions.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,14 @@ namespace {
 
 constexpr std::size_t kB = 3;
 
+/// A field shape: 4^4 at l5 = 4 is 12,288 reals on one parity (three
+/// kGrain chunks); 8^4 at l5 = 8 is 393,216, above 64 x kGrain, so the
+/// reductions run 64 partials of more than kGrain reals each.
+struct Shape {
+  int l, l5;
+};
+constexpr Shape kShapes[] = {{4, 4}, {8, 8}};
+
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -29,13 +38,13 @@ bool same_bits(const SpinorField<T>& a, const SpinorField<T>& b) {
                      static_cast<std::size_t>(a.bytes())) == 0;
 }
 
-/// kB Gaussian fields of one shape, seeds @p seed .. @p seed + kB - 1.
+/// kB Gaussian odd-parity fields, seeds @p seed .. @p seed + kB - 1.
 template <typename T>
-std::vector<SpinorField<T>> fields(std::uint64_t seed) {
-  const auto g = std::make_shared<Geometry>(4, 4, 4, 4);
+std::vector<SpinorField<T>> fields(const std::shared_ptr<const Geometry>& g,
+                                   int l5, std::uint64_t seed) {
   std::vector<SpinorField<T>> v;
   for (std::size_t r = 0; r < kB; ++r) {
-    v.emplace_back(g, 4, Subset::Odd);
+    v.emplace_back(g, l5, Subset::Odd);
     v.back().gaussian(seed + r);
   }
   return v;
@@ -58,41 +67,42 @@ std::vector<const SpinorField<T>*> cptrs(const std::vector<SpinorField<T>>& v) {
 template <typename T>
 void expect_batch_of_one_bits() {
   const std::vector<double> a = {0.75, -1.25, 3e-3};
-  const auto x = fields<T>(10), y = fields<T>(20), p = fields<T>(30),
-             ap = fields<T>(40);
-  for (const std::size_t grain : {kGrain, std::size_t{64}}) {
-    SCOPED_TRACE(testing::Message() << "grain " << grain);
+  for (const Shape sh : kShapes) {
+    SCOPED_TRACE(testing::Message() << sh.l << "^4, l5 = " << sh.l5);
+    const auto g = std::make_shared<Geometry>(sh.l, sh.l, sh.l, sh.l);
+    const auto x = fields<T>(g, sh.l5, 10), y = fields<T>(g, sh.l5, 20),
+               p = fields<T>(g, sh.l5, 30), ap = fields<T>(g, sh.l5, 40);
     std::vector<double> got(kB);
 
-    norm2_multi<T>(cptrs(x), got, grain);
+    norm2_multi<T>(cptrs(x), got);
     for (std::size_t r = 0; r < kB; ++r)
-      EXPECT_TRUE(same_bits(got[r], norm2(x[r], grain))) << "norm2 r=" << r;
+      EXPECT_TRUE(same_bits(got[r], norm2(x[r]))) << "norm2 r=" << r;
 
-    redot_multi<T>(cptrs(x), cptrs(y), got, grain);
+    redot_multi<T>(cptrs(x), cptrs(y), got);
     for (std::size_t r = 0; r < kB; ++r)
-      EXPECT_TRUE(same_bits(got[r], redot(x[r], y[r], grain)))
+      EXPECT_TRUE(same_bits(got[r], redot(x[r], y[r])))
           << "redot r=" << r;
 
     auto yb = y, ys = y;
-    xpay_multi<T>(cptrs(x), a, ptrs(yb), grain);
+    xpay_multi<T>(cptrs(x), a, ptrs(yb));
     for (std::size_t r = 0; r < kB; ++r) {
-      xpay(x[r], a[r], ys[r], grain);
+      xpay(x[r], a[r], ys[r]);
       EXPECT_TRUE(same_bits(yb[r], ys[r])) << "xpay r=" << r;
     }
 
     yb = y;
     ys = y;
-    axpby_multi<T>(a[0], cptrs(x), a[1], ptrs(yb), grain);
+    axpby_multi<T>(a[0], cptrs(x), a[1], ptrs(yb));
     for (std::size_t r = 0; r < kB; ++r) {
-      axpby(a[0], x[r], a[1], ys[r], grain);
+      axpby(a[0], x[r], a[1], ys[r]);
       EXPECT_TRUE(same_bits(yb[r], ys[r])) << "axpby r=" << r;
     }
 
     yb = y;
     ys = y;
-    axpy_norm2_multi<T>(a, cptrs(x), ptrs(yb), got, grain);
+    axpy_norm2_multi<T>(a, cptrs(x), ptrs(yb), got);
     for (std::size_t r = 0; r < kB; ++r) {
-      EXPECT_TRUE(same_bits(got[r], axpy_norm2(a[r], x[r], ys[r], grain)))
+      EXPECT_TRUE(same_bits(got[r], axpy_norm2(a[r], x[r], ys[r])))
           << "axpy_norm2 r=" << r;
       EXPECT_TRUE(same_bits(yb[r], ys[r])) << "axpy_norm2 y r=" << r;
     }
@@ -101,10 +111,10 @@ void expect_batch_of_one_bits() {
     yb = y;
     ys = y;
     triple_cg_update_multi<T>(a, cptrs(p), cptrs(ap), ptrs(xb), ptrs(yb),
-                              got, grain);
+                              got);
     for (std::size_t r = 0; r < kB; ++r) {
       EXPECT_TRUE(same_bits(
-          got[r], triple_cg_update(a[r], p[r], ap[r], xs[r], ys[r], grain)))
+          got[r], triple_cg_update(a[r], p[r], ap[r], xs[r], ys[r])))
           << "triple_cg_update r=" << r;
       EXPECT_TRUE(same_bits(xb[r], xs[r])) << "triple_cg_update x r=" << r;
       EXPECT_TRUE(same_bits(yb[r], ys[r])) << "triple_cg_update r r=" << r;

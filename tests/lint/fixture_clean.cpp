@@ -1,8 +1,9 @@
 // femtolint-expect: clean
 //
 // Well-behaved kernels: they charge flops and bytes, reduce through
-// parallel_reduce, and accumulate only into body-local storage or into
-// captured storage that the chunk's own loop indexes.
+// parallel_reduce_n, and accumulate only into body-local storage, the
+// chunk's partial slot, or captured storage that the chunk's own loop
+// indexes.
 
 #include <cstddef>
 #include <vector>
@@ -10,12 +11,15 @@
 namespace femto {
 
 double norm2_clean(const std::vector<double>& x) {
-  const double sum = par::parallel_reduce(
-      0, x.size(), [&](std::size_t lo, std::size_t hi) {
+  double sum = 0.0;
+  par::parallel_reduce_n(
+      0, x.size(), 1,
+      [&](std::size_t lo, std::size_t hi, double* partial) {
         double acc = 0.0;
         for (std::size_t i = lo; i < hi; ++i) acc += x[i] * x[i];
-        return acc;
-      });
+        partial[0] = acc;
+      },
+      &sum);
   flops::add(2 * static_cast<long long>(x.size()));
   flops::add_bytes(8 * static_cast<long long>(x.size()));
   return sum;

@@ -3,8 +3,8 @@
 // Accumulation into a scalar captured by reference inside a parallel_for
 // body.  This is a data race; even made atomic it would combine in thread
 // arrival order and break bitwise reproducibility.  Reductions must go
-// through parallel_reduce / parallel_reduce_n, which combine chunk results
-// in a fixed order.
+// through parallel_reduce_n, which combines chunk results in a fixed
+// order.
 
 #include <cstddef>
 #include <vector>

@@ -58,52 +58,18 @@ TEST(ReduceSweep, ParallelReduceBitwiseStableAcrossThreadCounts) {
   for (std::size_t nt : kSweep) {
     ThreadPool pool(nt);
     for (int rep = 0; rep < kRepeats; ++rep) {
-      const double sum = pool.parallel_reduce(
-          0, kN,
-          [&](std::size_t lo, std::size_t hi) {
-            double acc = 0.0;
-            for (std::size_t i = lo; i < hi; ++i) acc += x[i] * x[i];
-            return acc;
+      double sum = 0.0;
+      pool.parallel_reduce_n(
+          0, kN, 1,
+          [&](std::size_t lo, std::size_t hi, double* acc) {
+            for (std::size_t i = lo; i < hi; ++i) acc[0] += x[i] * x[i];
           },
-          1);
+          &sum, 1);
       if (!have_first) {
         first = bits(sum);
         have_first = true;
       } else {
         EXPECT_EQ(bits(sum), first)
-            << "threads=" << pool.size() << " rep=" << rep;
-      }
-    }
-  }
-}
-
-TEST(ReduceSweep, ParallelReduce2BitwiseStableAcrossThreadCounts) {
-  const std::vector<double> x = test_data(kN, 7);
-  const std::vector<double> y = test_data(kN, 11);
-  std::uint64_t first_re = 0, first_im = 0;
-  bool have_first = false;
-  for (std::size_t nt : kSweep) {
-    ThreadPool pool(nt);
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      const auto [re, im] = pool.parallel_reduce2(
-          0, kN,
-          [&](std::size_t lo, std::size_t hi) {
-            double a = 0.0, b = 0.0;
-            for (std::size_t i = lo; i < hi; ++i) {
-              a += x[i] * y[i];
-              b += x[i] - y[i];
-            }
-            return std::make_pair(a, b);
-          },
-          1);
-      if (!have_first) {
-        first_re = bits(re);
-        first_im = bits(im);
-        have_first = true;
-      } else {
-        EXPECT_EQ(bits(re), first_re)
-            << "threads=" << pool.size() << " rep=" << rep;
-        EXPECT_EQ(bits(im), first_im)
             << "threads=" << pool.size() << " rep=" << rep;
       }
     }
@@ -163,9 +129,10 @@ TEST(ReduceSweep, LaneStripedChunkBodyBitwiseStableAcrossThreadCounts) {
   for (std::size_t nt : kSweep) {
     ThreadPool pool(nt);
     for (int rep = 0; rep < kRepeats; ++rep) {
-      const double sum = pool.parallel_reduce(
-          0, kN,
-          [&](std::size_t lo, std::size_t hi) {
+      double sum = 0.0;
+      pool.parallel_reduce_n(
+          0, kN, 1,
+          [&](std::size_t lo, std::size_t hi, double* partial) {
             simd::Vec<double, W> acc;
             std::size_t i = lo;
             for (; i + W <= hi; i += W) {
@@ -174,9 +141,9 @@ TEST(ReduceSweep, LaneStripedChunkBodyBitwiseStableAcrossThreadCounts) {
             }
             double s = simd::sum_ordered(acc);
             for (; i < hi; ++i) s += x[i] * x[i];
-            return s;
+            partial[0] = s;
           },
-          1);
+          &sum, 1);
       if (!have_first) {
         first = bits(sum);
         have_first = true;

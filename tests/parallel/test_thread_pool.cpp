@@ -72,43 +72,14 @@ TEST(ThreadPool, GrainLimitsParallelism) {
 TEST(ThreadPool, ReduceMatchesSerialSum) {
   ThreadPool pool(4);
   const std::size_t n = 10000;
-  const double got = pool.parallel_reduce(0, n, [](std::size_t lo,
-                                                   std::size_t hi) {
-    double s = 0;
-    for (std::size_t i = lo; i < hi; ++i) s += static_cast<double>(i);
-    return s;
-  });
+  double got = 0.0;
+  pool.parallel_reduce_n(
+      0, n, 1,
+      [](std::size_t lo, std::size_t hi, double* acc) {
+        for (std::size_t i = lo; i < hi; ++i) acc[0] += static_cast<double>(i);
+      },
+      &got);
   EXPECT_DOUBLE_EQ(got, static_cast<double>(n) * (n - 1) / 2.0);
-}
-
-TEST(ThreadPool, ReduceIsDeterministicAcrossRepeats) {
-  ThreadPool pool(4);
-  std::vector<double> vals(50000);
-  for (std::size_t i = 0; i < vals.size(); ++i)
-    vals[i] = 1.0 / static_cast<double>(i + 1);
-  auto run = [&] {
-    return pool.parallel_reduce(0, vals.size(),
-                                [&](std::size_t lo, std::size_t hi) {
-                                  double s = 0;
-                                  for (std::size_t i = lo; i < hi; ++i)
-                                    s += vals[i];
-                                  return s;
-                                });
-  };
-  const double first = run();
-  for (int rep = 0; rep < 5; ++rep) EXPECT_EQ(run(), first);
-}
-
-TEST(ThreadPool, Reduce2SumsBothComponents) {
-  ThreadPool pool(2);
-  auto [a, b] = pool.parallel_reduce2(
-      0, 100, [](std::size_t lo, std::size_t hi) {
-        double s = 0;
-        for (std::size_t i = lo; i < hi; ++i) s += 1.0;
-        return std::make_pair(s, 2.0 * s);
-      });
-  EXPECT_DOUBLE_EQ(a, 100.0);
-  EXPECT_DOUBLE_EQ(b, 200.0);
 }
 
 TEST(ThreadPool, NestedUseOfDifferentPools) {
@@ -418,9 +389,13 @@ TEST(GlobalHelpers, ParallelForAndReduce) {
   std::atomic<int> n{0};
   parallel_for(0, 10, [&](std::size_t) { n++; });
   EXPECT_EQ(n.load(), 10);
-  const double s = parallel_reduce(0, 10, [](std::size_t lo, std::size_t hi) {
-    return static_cast<double>(hi - lo);
-  });
+  double s = 0.0;
+  parallel_reduce_n(
+      0, 10, 1,
+      [](std::size_t lo, std::size_t hi, double* acc) {
+        acc[0] = static_cast<double>(hi - lo);
+      },
+      &s);
   EXPECT_DOUBLE_EQ(s, 10.0);
 }
 

@@ -262,8 +262,7 @@ class LockWalker {
           "wait",          "wait_for",    "wait_until",
           "join",          "sleep_for",   "sleep_until",
           "get",           "parallel_for",
-          "parallel_for_chunked",         "parallel_reduce",
-          "parallel_reduce2",             "parallel_reduce_n",
+          "parallel_for_chunked",         "parallel_reduce_n",
           "send",          "send_vec",    "recv",
           "recv_vec",      "recv_for",    "pop",
           "pop_for",       "barrier",     "barrier_wait",

@@ -10,9 +10,9 @@
 // Per-file rules (rules.cpp):
 //   race-shared-accum  no compound assignment into a captured target that
 //                      the body's own chunk loop does not index, inside
-//                      any parallel_for* / parallel_reduce* body, with or
+//                      any parallel_for* / parallel_reduce_n body, with or
 //                      without a lock held: partials must combine through
-//                      the reduce family's fixed chunk order
+//                      parallel_reduce_n's fixed chunk order
 //   thread-local-in-parallel
 //                      no function-scope thread_local named inside a launch
 //                      body: a lambda does not capture it, so each pool
@@ -47,14 +47,12 @@
 // `// femtolint: allow-file(<rule>): reason` anywhere in the file.
 //
 // Usage:
-//   femtolint [--json] [--threads N] <dir-or-file>...
+//   femtolint [--json] <dir-or-file>...
 //   femtolint --self-test <dir>
 //   femtolint --lock-graph <dir-or-file>...
 //
 // --lock-graph prints the global mutex order as Graphviz DOT (CI uploads
-// it as an artifact).  The scan is parallelized over files with the
-// femtopar thread pool; findings are sorted (file, line, rule, message),
-// so output is deterministic for any thread count.
+// it as an artifact).  Findings are sorted (file, line, rule, message).
 
 #include <algorithm>
 #include <chrono>
@@ -64,7 +62,6 @@
 #include <string>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
 #include "concurrency.hpp"
 #include "model.hpp"
 #include "rules.hpp"
@@ -97,22 +94,15 @@ std::vector<fs::path> collect(const std::vector<std::string>& roots) {
   return files;
 }
 
-// Parse every file and run the per-file rules, parallelized over files.
-// Each worker writes only its own slots, so the result is deterministic.
-Program scan(const std::vector<fs::path>& files, std::size_t threads,
+// Parse every file and run the per-file rules.
+Program scan(const std::vector<fs::path>& files,
              std::vector<Finding>& findings) {
   Program prog;
-  prog.sources.resize(files.size());
-  std::vector<std::vector<Finding>> per_file(files.size());
-  femto::par::ThreadPool pool(threads);
-  // femtolint: allow(kernel-traffic): lint scan is file I/O, not a numerics
-  // kernel -- there is no memory-traffic model to charge.
-  pool.parallel_for(0, files.size(), [&](std::size_t i) {
-    prog.sources[i] = femtolint::load_source(files[i].string());
-    femtolint::run_file_rules(prog.sources[i], per_file[i]);
-  });
-  for (auto& v : per_file)
-    findings.insert(findings.end(), v.begin(), v.end());
+  prog.sources.reserve(files.size());
+  for (const fs::path& f : files) {
+    prog.sources.push_back(femtolint::load_source(f.string()));
+    femtolint::run_file_rules(prog.sources.back(), findings);
+  }
   femtolint::link(prog);
   return prog;
 }
@@ -221,7 +211,7 @@ int self_test(const std::string& dir) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: femtolint [--json] [--threads N] <dir-or-file>...\n"
+               "usage: femtolint [--json] <dir-or-file>...\n"
                "       femtolint --self-test <fixtures-dir>\n"
                "       femtolint --lock-graph <dir-or-file>...\n");
   return 2;
@@ -233,7 +223,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   bool json = false;
   bool lock_graph = false;
-  std::size_t threads = 0;  // 0 = femtopar default
   std::string self_test_dir;
   std::vector<std::string> roots;
 
@@ -243,12 +232,9 @@ int main(int argc, char** argv) {
       json = true;
     } else if (a == "--lock-graph") {
       lock_graph = true;
-    } else if (a == "--threads" || a == "--self-test") {
+    } else if (a == "--self-test") {
       if (i + 1 >= args.size()) return usage();
-      if (a == "--threads")
-        threads = static_cast<std::size_t>(std::stoul(args[++i]));
-      else
-        self_test_dir = args[++i];
+      self_test_dir = args[++i];
     } else if (!a.empty() && a[0] == '-') {
       return usage();
     } else {
@@ -264,7 +250,7 @@ int main(int argc, char** argv) {
 
   const std::vector<fs::path> files = collect(roots);
   std::vector<Finding> all;
-  const Program prog = scan(files, threads, all);
+  const Program prog = scan(files, all);
 
   if (lock_graph) {
     // Graph emission only: print the mutex acquisition-order DOT and exit

@@ -8,7 +8,6 @@ namespace femtolint {
 
 bool is_launch_name(const std::string& s) {
   return s == "parallel_for" || s == "parallel_for_chunked" ||
-         s == "parallel_reduce" || s == "parallel_reduce2" ||
          s == "parallel_reduce_n";
 }
 

@@ -45,7 +45,7 @@ struct FunctionInfo {
   bool is_ctor_or_dtor = false;
   std::set<std::string> callees;  // identifiers called as `name(...)`, plus
                                   // T for make_unique<T>( / make_shared<T>(
-  bool launches = false;          // calls parallel_for* / parallel_reduce*
+  bool launches = false;          // calls parallel_for* / parallel_reduce_n
   int first_launch_line = 0;
   std::string first_launch_name;
   bool charges = false;  // body contains flops::add_bytes
@@ -110,8 +110,7 @@ struct Source {
 };
 
 /// True for the femtopar launch primitives (parallel_for,
-/// parallel_for_chunked, parallel_reduce, parallel_reduce2,
-/// parallel_reduce_n).
+/// parallel_for_chunked, parallel_reduce_n).
 bool is_launch_name(const std::string& s);
 
 /// Method names that alias std container / atomic / smart-pointer

@@ -233,7 +233,7 @@ void rule_race_shared_accum(const Source& s, std::vector<Finding>& out) {
   // touch disjoint elements.  Anything else races; and under a lock it
   // still combines in lock-acquire order, so the sum's bits depend on
   // scheduling (the pre-fix contract() gave four C2 digests at 1, 2, 3
-  // and 7 threads).  Partials must flow through parallel_reduce*, which
+  // and 7 threads).  Partials must flow through parallel_reduce_n, which
   // combines chunks in a fixed order.
   if (s.in_parallel_engine()) return;
   const Tokens& t = s.lx.tokens;

@@ -1,11 +1,11 @@
 #pragma once
 // femtolint rules.
 //
-// Per-file rules run independently on one Source (parallelized over files):
+// Per-file rules run independently on one Source:
 //
 //   race-shared-accum         no compound assignment into a captured target
 //                             that the body's own chunk loop does not index,
-//                             inside any parallel_for* / parallel_reduce*
+//                             inside any parallel_for* / parallel_reduce_n
 //                             body, lock or no lock
 //   thread-local-in-parallel  no function-scope thread_local named inside a
 //                             launch body
